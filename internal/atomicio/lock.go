@@ -9,16 +9,14 @@ import (
 
 // Advisory file locking for append-only journals.
 //
-// The checkpoint journal (internal/tables) and the daemon's result
-// cache (internal/serve) are both append-only JSONL files whose
-// crash-safety story assumes a single writer: two processes
-// interleaving appends would fuse records into lines neither writer
-// produced, which the torn-tail recovery cannot repair (it only
+// The JSONL journals of internal/journal assume a single writer: two
+// processes interleaving appends would fuse records into lines neither
+// writer produced, which the torn-tail recovery cannot repair (it only
 // trusts the *final* line to be damaged). An exclusive flock on the
-// journal file makes the single-writer assumption explicit: the
-// second opener — say, a stray `mfutables -checkpoint` run against a
-// journal a daemon is serving from — fails immediately with a
-// structured *LockError instead of silently corrupting the file.
+// journal file makes the assumption explicit: the second opener — say,
+// a stray `mfutables -checkpoint` run against a journal a daemon is
+// serving from — fails immediately with a structured *LockError
+// instead of silently corrupting the file.
 //
 // The lock is advisory and lives on the open file description, so it
 // conflicts between a daemon and a CLI, between two daemons, and even

@@ -1,17 +1,10 @@
 package dse
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"strconv"
-	"sync"
 
-	"mfup/internal/atomicio"
-	"mfup/internal/faultinject"
+	"mfup/internal/journal"
 )
 
 // Journal is the sweep's resume mechanism: a JSONL file with one line
@@ -23,23 +16,12 @@ import (
 // point's rate and its key changes with it, so the stale line is
 // simply never looked up.
 //
-// One line per point:
+// The file is an internal/journal store (site "write.dsejournal") with
+// one line per point, its rate a journal.FormatRate hex float:
 //
 //	{"key":"dse-point/...","rate":"0x1.9c7ep-01"}
-//
-// Rates are hex float literals, which round-trip exactly. The same
-// crash-safety story as the table checkpoint applies: append-only
-// writes, an exclusive advisory lock, and a torn final line dropped
-// and truncated away on open.
 type Journal struct {
-	path string
-
-	mu     sync.Mutex
-	f      *os.File
-	rates  map[string]float64
-	loaded int
-	saved  int
-	err    error // first write failure, sticky
+	*journal.Store[string, float64]
 }
 
 // journalLine is the JSONL wire form.
@@ -49,127 +31,39 @@ type journalLine struct {
 }
 
 // OpenJournal opens (creating if absent) the sweep journal at path,
-// loading every complete line. Unparseable complete lines are errors;
-// a torn final line is dropped and truncated away.
+// loading every complete line.
 func OpenJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("dse journal: %w", err)
-	}
-	if err := atomicio.Lock(f); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("dse journal: %w", err)
-	}
-	j := &Journal{path: path, f: f, rates: make(map[string]float64)}
-	r := bufio.NewReader(f)
-	var accepted int64
-	lineno := 0
-	for {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("dse journal %s: %w", path, err)
-		}
-		lineno++
-		trimmed := bytes.TrimSpace(line)
-		if len(trimmed) != 0 {
+	s, err := journal.Open(path, journal.Format[string, float64]{
+		Name: "dse journal", Site: "write.dsejournal",
+		Encode: func(key string, rate float64) ([]byte, error) {
+			return json.Marshal(journalLine{Key: key, Rate: journal.FormatRate(rate)})
+		},
+		Decode: func(line []byte) (string, float64, error) {
 			var jl journalLine
-			if err := json.Unmarshal(trimmed, &jl); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("dse journal %s line %d: %v", path, lineno, err)
+			if err := json.Unmarshal(line, &jl); err != nil {
+				return "", 0, err
 			}
-			rate, err := strconv.ParseFloat(jl.Rate, 64)
+			rate, err := journal.ParseRate(jl.Rate)
 			if err != nil || jl.Key == "" {
-				f.Close()
-				return nil, fmt.Errorf("dse journal %s line %d: bad record %s", path, lineno, trimmed)
+				return "", 0, fmt.Errorf("bad record %s", line)
 			}
-			j.rates[jl.Key] = rate
-		}
-		accepted += int64(len(line))
+			return jl.Key, rate, nil
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	if err := f.Truncate(accepted); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("dse journal %s: %w", path, err)
-	}
-	if _, err := f.Seek(accepted, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("dse journal %s: %w", path, err)
-	}
-	j.loaded = len(j.rates)
-	return j, nil
+	return &Journal{s}, nil
 }
 
 // Lookup returns the journaled rate for a point key, if present.
-func (j *Journal) Lookup(key string) (float64, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	r, ok := j.rates[key]
-	return r, ok
-}
+func (j *Journal) Lookup(key string) (float64, bool) { return j.Get(key) }
 
-// Record journals one simulated point. Non-finite and zero rates are
-// skipped — failed points must be re-attempted on resume. Write
+// Record journals one simulated point. Failed and degenerate rates
+// are skipped — those points must be re-attempted on resume. Write
 // failures are sticky and reported by Close.
 func (j *Journal) Record(key string, rate float64) {
-	if rate != rate || rate == 0 {
-		return
+	if journal.ValidRate(rate) {
+		j.Put(key, rate)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, dup := j.rates[key]; dup {
-		return
-	}
-	j.rates[key] = rate
-	if j.err != nil {
-		return
-	}
-	line, err := json.Marshal(journalLine{Key: key, Rate: strconv.FormatFloat(rate, 'x', -1, 64)})
-	if err != nil {
-		j.err = err
-		return
-	}
-	w := faultinject.WrapWriter("write.dsejournal", j.f)
-	if _, err := w.Write(append(line, '\n')); err != nil {
-		j.err = fmt.Errorf("dse journal %s: %w", j.path, err)
-		return
-	}
-	j.saved++
-}
-
-// Loaded reports how many points an existing journal contributed;
-// Saved how many this process appended.
-func (j *Journal) Loaded() int { return j.loaded }
-
-// Saved reports how many points this process appended.
-func (j *Journal) Saved() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.saved
-}
-
-// Flush makes the journal durable without closing it.
-func (j *Journal) Flush() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.f.Sync(); err != nil && j.err == nil {
-		j.err = fmt.Errorf("dse journal %s: %w", j.path, err)
-	}
-	return j.err
-}
-
-// Close syncs and closes the journal, returning the first write
-// failure of its lifetime.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if serr := j.f.Sync(); serr != nil && j.err == nil {
-		j.err = fmt.Errorf("dse journal %s: %w", j.path, serr)
-	}
-	if cerr := j.f.Close(); cerr != nil && j.err == nil {
-		j.err = cerr
-	}
-	return j.err
 }

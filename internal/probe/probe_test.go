@@ -111,8 +111,8 @@ func TestAccountWidthOne(t *testing.T) {
 	var c Counters
 	c.Begin("M", "t", 1, 0)
 	a := NewAccount(&c, 1)
-	a.Issue(0, ReasonRAW)   // no gap
-	a.Issue(6, ReasonRAW)   // cycles 1-5 blamed RAW
+	a.Issue(0, ReasonRAW)       // no gap
+	a.Issue(6, ReasonRAW)       // cycles 1-5 blamed RAW
 	a.Advance(11, ReasonBranch) // cycles 7-10 blamed Branch (4 slots)
 	a.Issue(13, ReasonStructFU) // cycles 11-12 blamed StructFU
 	c.End(14)
@@ -137,9 +137,9 @@ func TestAccountMultiIssue(t *testing.T) {
 	var c Counters
 	c.Begin("M", "t", 2, 0)
 	a := NewAccount(&c, 2)
-	a.Issue(0, ReasonRAW)        // slot 1 of cycle 0
-	a.Issue(0, ReasonRAW)        // slot 2 of cycle 0: full
-	a.Issue(3, ReasonResultBus)  // cycles 1-2 idle (4 slots) + nothing extra
+	a.Issue(0, ReasonRAW)          // slot 1 of cycle 0
+	a.Issue(0, ReasonRAW)          // slot 2 of cycle 0: full
+	a.Issue(3, ReasonResultBus)    // cycles 1-2 idle (4 slots) + nothing extra
 	a.Advance(4, ReasonIssueWidth) // rest of cycle 3 (1 slot) refill-blamed
 	c.End(4)
 

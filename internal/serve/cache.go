@@ -1,49 +1,25 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"sync"
+	"errors"
 
-	"mfup/internal/atomicio"
-	"mfup/internal/faultinject"
+	"mfup/internal/journal"
 )
 
 // Cache is the daemon's content-addressed result store: completed
 // JobResult documents keyed by the SHA-256 of their canonical spec
-// (see Key), held in memory and journaled to an append-only JSONL
-// file so a restarted daemon serves warm results without recomputing
-// — and serves them byte-identically, because what is journaled is
-// the marshaled result bytes themselves, not a re-encodable struct.
-//
-// One line per result:
+// (see Key), journaled through internal/journal (site "write.cache")
+// so a restarted daemon serves warm results byte-identically — what
+// is journaled is the marshaled result bytes, not a re-encodable
+// struct. One line per result:
 //
 //	{"key":"9f86d08...","result":{"machine":"CRAY-like",...}}
 //
-// The journal borrows the whole crash-safety story of the table
-// checkpoint (internal/tables): append-only writes through the
-// "write.cache" fault-injection site, an exclusive advisory lock so a
-// second daemon cannot interleave appends (it gets a structured
-// *atomicio.LockError), and a torn-tail-tolerant reader — a kill -9
-// mid-append loses at most the line being written, which the next
-// daemon simply recomputes on demand. Failed jobs are never cached:
-// failures are environmental (deadlines, injected faults) or
-// permanent (handled by the circuit breaker), and neither belongs in
-// a durable store keyed only by the job's observable inputs.
-type Cache struct {
-	path string
-
-	mu      sync.Mutex
-	f       *os.File // nil: memory-only (no journal path given)
-	entries map[string]json.RawMessage
-	loaded  int   // results read from an existing journal
-	saved   int   // results appended by this process
-	err     error // first write failure, sticky
-}
+// Failed jobs are never cached: failures are environmental (deadlines,
+// injected faults) or permanent (handled by the circuit breaker), and
+// neither belongs in a durable store keyed only by the job's inputs.
+type Cache = journal.Store[string, json.RawMessage]
 
 // cacheLine is the JSONL wire form.
 type cacheLine struct {
@@ -53,148 +29,22 @@ type cacheLine struct {
 
 // OpenCache opens (creating if absent) the result journal at path and
 // loads every complete line. An empty path yields a memory-only cache
-// — warm within the process, cold across restarts. A torn final line
-// is dropped and truncated away; a complete line that does not parse
-// is an error, because serving from a journal that cannot be trusted
-// would silently corrupt results.
+// — warm within the process, cold across restarts.
 func OpenCache(path string) (*Cache, error) {
-	c := &Cache{path: path, entries: make(map[string]json.RawMessage)}
-	if path == "" {
-		return c, nil
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("cache: %w", err)
-	}
-	if err := atomicio.Lock(f); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("cache: %w", err)
-	}
-	r := bufio.NewReader(f)
-	var accepted int64 // offset past the last complete, valid line
-	lineno := 0
-	for {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF {
-			break // empty tail or a torn append; drop it either way
-		}
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("cache %s: %w", path, err)
-		}
-		lineno++
-		trimmed := bytes.TrimSpace(line)
-		if len(trimmed) != 0 {
+	return journal.Open(path, journal.Format[string, json.RawMessage]{
+		Name: "cache", Site: "write.cache",
+		Encode: func(key string, result json.RawMessage) ([]byte, error) {
+			return json.Marshal(cacheLine{Key: key, Result: result})
+		},
+		Decode: func(line []byte) (string, json.RawMessage, error) {
 			var cl cacheLine
-			if err := json.Unmarshal(trimmed, &cl); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("cache %s line %d: %v", path, lineno, err)
+			if err := json.Unmarshal(line, &cl); err != nil {
+				return "", nil, err
 			}
 			if cl.Key == "" || len(cl.Result) == 0 {
-				f.Close()
-				return nil, fmt.Errorf("cache %s line %d: missing key or result", path, lineno)
+				return "", nil, errors.New("missing key or result")
 			}
-			// Last write wins, though duplicates only arise when an
-			// earlier daemon raced a cache miss; the values are identical
-			// by the determinism contract either way.
-			c.entries[cl.Key] = cl.Result
-		}
-		accepted += int64(len(line))
-	}
-	if err := f.Truncate(accepted); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("cache %s: %w", path, err)
-	}
-	if _, err := f.Seek(accepted, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("cache %s: %w", path, err)
-	}
-	c.f = f
-	c.loaded = len(c.entries)
-	return c, nil
-}
-
-// Get returns the stored result bytes for key, verbatim.
-func (c *Cache) Get(key string) (json.RawMessage, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.entries[key]
-	return r, ok
-}
-
-// Put stores result under key and appends it to the journal. A write
-// failure (injected or real) is sticky and reported by Close — but
-// the entry still lands in memory, so the job it belongs to is served
-// regardless: durability degrades before availability does.
-func (c *Cache) Put(key string, result json.RawMessage) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.entries[key]; dup {
-		return
-	}
-	c.entries[key] = result
-	if c.f == nil || c.err != nil {
-		return
-	}
-	line, err := json.Marshal(cacheLine{Key: key, Result: result})
-	if err != nil {
-		c.err = err
-		return
-	}
-	w := faultinject.WrapWriter("write.cache", c.f)
-	if _, err := w.Write(append(line, '\n')); err != nil {
-		c.err = fmt.Errorf("cache %s: %w", c.path, err)
-		return
-	}
-	c.saved++
-}
-
-// Loaded reports how many results an existing journal contributed,
-// and Saved how many this process appended.
-func (c *Cache) Loaded() int { return c.loaded }
-
-// Saved reports how many results this process appended.
-func (c *Cache) Saved() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.saved
-}
-
-// Err returns the sticky write failure, if any, without closing.
-func (c *Cache) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
-}
-
-// Flush makes the journal durable without closing it — the drain path
-// flushes before the process exits.
-func (c *Cache) Flush() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.f == nil {
-		return c.err
-	}
-	if err := c.f.Sync(); err != nil && c.err == nil {
-		c.err = fmt.Errorf("cache %s: %w", c.path, err)
-	}
-	return c.err
-}
-
-// Close syncs and closes the journal, returning the first write
-// failure encountered over its lifetime (injected or real).
-func (c *Cache) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.f == nil {
-		return c.err
-	}
-	if serr := c.f.Sync(); serr != nil && c.err == nil {
-		c.err = fmt.Errorf("cache %s: %w", c.path, serr)
-	}
-	if cerr := c.f.Close(); cerr != nil && c.err == nil {
-		c.err = cerr
-	}
-	c.f = nil
-	return c.err
+			return cl.Key, cl.Result, nil
+		},
+	})
 }

@@ -1,46 +1,16 @@
 package serve
 
 import (
-	"bytes"
 	"errors"
-	"os"
 	"path/filepath"
 	"testing"
 
 	"mfup/internal/atomicio"
-	"mfup/internal/faultinject"
 )
 
-func TestCacheRoundTripBytesVerbatim(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	c, err := OpenCache(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bytes chosen to be formatting-sensitive: a reserialization that
-	// reorders keys or reformats floats would not survive this.
-	want := []byte(`{"machine":"CRAY-like","harmonic_mean":0.3333333333333333}`)
-	c.Put("k1", want)
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := OpenCache(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if c2.Loaded() != 1 {
-		t.Fatalf("loaded = %d, want 1", c2.Loaded())
-	}
-	got, ok := c2.Get("k1")
-	if !ok || !bytes.Equal(got, want) {
-		t.Errorf("Get = %s, %v; want the exact bytes %s", got, ok, want)
-	}
-	if _, ok := c2.Get("phantom"); ok {
-		t.Error("phantom key found")
-	}
-}
+// The journal-level cache cases (round trip, torn tail, corrupt
+// middle, injected write failure, memory-only) live in the shared
+// internal/journal table; this pins the lockout at the serve surface.
 
 func TestCacheSecondOpenerLockedOut(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.jsonl")
@@ -53,113 +23,5 @@ func TestCacheSecondOpenerLockedOut(t *testing.T) {
 	var le *atomicio.LockError
 	if !errors.As(err, &le) {
 		t.Fatalf("second open error = %v (%T), want *atomicio.LockError", err, err)
-	}
-}
-
-func TestCacheTornTailDropped(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	c, err := OpenCache(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Put("k1", []byte(`{"a":1}`))
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// A kill -9 mid-append: a partial second record, no newline.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"key":"k2","resu`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	c2, err := OpenCache(path)
-	if err != nil {
-		t.Fatalf("torn tail must be tolerated: %v", err)
-	}
-	if c2.Loaded() != 1 {
-		t.Errorf("loaded = %d, want 1 (torn line dropped)", c2.Loaded())
-	}
-	// Appending over the truncated tail leaves a fully readable journal.
-	c2.Put("k3", []byte(`{"b":2}`))
-	if err := c2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	c3, err := OpenCache(path)
-	if err != nil {
-		t.Fatalf("journal unreadable after append-over-torn-tail: %v", err)
-	}
-	defer c3.Close()
-	if c3.Loaded() != 2 {
-		t.Errorf("loaded = %d, want 2", c3.Loaded())
-	}
-}
-
-func TestCacheRejectsCorruptMiddle(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	content := `{"key":"a","result":{"x":1}}` + "\nnot json\n" + `{"key":"b","result":{"x":2}}` + "\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenCache(path); err == nil {
-		t.Fatal("corrupt complete line accepted")
-	}
-}
-
-func TestCacheInjectedWriteFailureDegradesNotCorrupts(t *testing.T) {
-	plan, err := faultinject.ParsePlan("write.cache:werr", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faultinject.Activate(faultinject.New(plan))
-	defer faultinject.Deactivate()
-
-	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	c, err := OpenCache(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Put("k1", []byte(`{"a":1}`))
-	// Availability survives the durability failure: the entry serves
-	// from memory even though the journal write failed.
-	if _, ok := c.Get("k1"); !ok {
-		t.Error("entry lost after journal write failure")
-	}
-	err = c.Close()
-	var fe *faultinject.Error
-	if !errors.As(err, &fe) {
-		t.Fatalf("Close error = %v, want the injected fault", err)
-	}
-
-	// The wounded journal must still be readable — degraded means
-	// fewer entries, never corruption.
-	faultinject.Deactivate()
-	c2, err := OpenCache(path)
-	if err != nil {
-		t.Fatalf("journal unreadable after injected write failure: %v", err)
-	}
-	defer c2.Close()
-	if c2.Loaded() != 0 {
-		t.Errorf("loaded = %d, want 0 (the failed append must not half-land)", c2.Loaded())
-	}
-}
-
-func TestCacheMemoryOnly(t *testing.T) {
-	c, err := OpenCache("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Put("k", []byte(`{}`))
-	if _, ok := c.Get("k"); !ok {
-		t.Error("memory-only cache lost its entry")
-	}
-	if c.Saved() != 0 {
-		t.Errorf("memory-only cache claims %d journaled entries", c.Saved())
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

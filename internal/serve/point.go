@@ -4,10 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 
 	"mfup/internal/core"
 	"mfup/internal/dse"
+	"mfup/internal/journal"
 	"mfup/internal/runner"
 )
 
@@ -27,9 +27,9 @@ import (
 // produced (or would have).
 
 // pointResult is the wire form of a completed point. The rate is a
-// hex float literal, which round-trips exactly — two workers that
-// compute the same point marshal byte-identical documents, the
-// invariant the cluster's corruption verdict checks.
+// journal.FormatRate hex float, which round-trips exactly — two
+// workers that compute the same point marshal byte-identical
+// documents, the invariant the cluster's corruption verdict checks.
 type pointResult struct {
 	Key  string `json:"key"`
 	Rate string `json:"rate"`
@@ -42,8 +42,8 @@ func ParsePointResult(raw []byte) (key string, rate float64, err error) {
 	if err := json.Unmarshal(raw, &pr); err != nil {
 		return "", 0, fmt.Errorf("point result: %v", err)
 	}
-	rate, err = strconv.ParseFloat(pr.Rate, 64)
-	if err != nil || pr.Key == "" || !(rate > 0) {
+	rate, err = journal.ParseRate(pr.Rate)
+	if err != nil || pr.Key == "" {
 		return "", 0, fmt.Errorf("point result: bad document %.120s", raw)
 	}
 	return pr.Key, rate, nil
@@ -101,7 +101,7 @@ func (s *Server) runPoint(j *job) {
 
 // finishPoint marshals and publishes a point's rate.
 func (s *Server) finishPoint(j *job, rate float64) {
-	raw, err := json.Marshal(pointResult{Key: j.key, Rate: strconv.FormatFloat(rate, 'x', -1, 64)})
+	raw, err := json.Marshal(pointResult{Key: j.key, Rate: journal.FormatRate(rate)})
 	if err != nil {
 		s.breaker.Failure(j.key, true)
 		s.finish(j, nil, &jobError{Msg: fmt.Sprintf("marshaling point result: %v", err)})

@@ -142,6 +142,8 @@ func TestParsePointResultRejectsGarbage(t *testing.T) {
 		`{"key":"k"}`,
 		`{"key":"k","rate":"not-a-number"}`,
 		`{"key":"k","rate":"-0x1p+1"}`, // non-positive
+		`{"key":"k","rate":"+Inf"}`,    // not finite
+		`{"key":"k","rate":"NaN"}`,
 		`{"key":"","rate":"0x1p+1"}`,
 	} {
 		if _, _, err := ParsePointResult([]byte(raw)); err == nil {

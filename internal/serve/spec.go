@@ -20,9 +20,8 @@
 //     recover, transient retry with backoff), and a circuit breaker
 //     quarantines a (machine, workload) pair after repeated permanent
 //     failures instead of re-burning cycles on it;
-//   - durability: the content-addressed result cache appends to a
-//     crash-safe JSONL journal (torn-tail tolerant, flock'd, written
-//     through the "write.cache" fault-injection site);
+//   - durability: the content-addressed result cache appends to an
+//     internal/journal store through the "write.cache" fault site;
 //   - graceful lifecycle: /healthz and /readyz, SIGTERM drain (stop
 //     admitting, finish in-flight jobs, flush the journal), and
 //     serve.accept / serve.respond fault-injection sites so the chaos

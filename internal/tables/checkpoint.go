@@ -1,17 +1,11 @@
 package tables
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"os"
-	"strconv"
-	"sync"
 
-	"mfup/internal/atomicio"
-	"mfup/internal/faultinject"
+	"mfup/internal/journal"
 )
 
 // Checkpoint is a JSONL journal of completed table cells, the resume
@@ -20,40 +14,23 @@ import (
 // later run against the same journal skips those cells entirely,
 // producing byte-identical tables without recomputation.
 //
-// One line per cell:
+// The file is an internal/journal store (site "write.checkpoint")
+// with one line per cell, its rate a journal.FormatRate hex float:
 //
 //	{"table":3,"cell":17,"rate":"0x1.9c7ep-01"}
-//
-// Rates are recorded as Go hex floating-point literals, which round
-// trip exactly — a resumed table must render the very same bytes, so
-// "close to" is not close enough. Failed and non-finite cells are
-// never journaled; a resumed run re-attempts them.
-//
-// Append + a torn-line-tolerant reader make the journal crash-safe:
-// a process killed mid-append loses at most the line being written,
-// which the next run simply recomputes. Lines are written through the
-// "write.checkpoint" fault-injection site.
 type Checkpoint struct {
-	path string
-
-	mu     sync.Mutex
-	f      *os.File
-	cells  map[checkpointKey]float64
-	loaded int   // cells read from an existing journal
-	saved  int   // cells appended by this process
-	err    error // first write failure, sticky
+	*journal.Store[checkpointKey, float64]
 }
 
 type checkpointKey struct {
-	Table int
-	Cell  int
+	Table int `json:"table"`
+	Cell  int `json:"cell"`
 }
 
 // checkpointLine is the JSONL wire form.
 type checkpointLine struct {
-	Table int    `json:"table"`
-	Cell  int    `json:"cell"`
-	Rate  string `json:"rate"`
+	checkpointKey
+	Rate string `json:"rate"`
 }
 
 // checkpointHeader is the journal's first line: the signature of the
@@ -63,201 +40,70 @@ type checkpointHeader struct {
 }
 
 // OpenCheckpoint opens (creating if absent) the journal at path and
-// loads every complete line already in it. A torn final line — a line
-// without its terminating newline, the signature of a kill mid-append
-// — is dropped and truncated away so the next append starts on a
-// clean line. Any complete line that does not parse is an error,
-// because resuming from a journal that cannot be trusted would
-// silently corrupt tables.
-//
-// The journal's first line is a signature header binding the rates to
-// the grid that produced them (see JournalSignature): a fresh journal
-// is stamped with signature, and an existing one must carry the very
-// same stamp or the open fails closed. Cells are keyed (table, cell
-// index), so a journal written at a different loop scale — or against
-// a different set of machine definitions — holds rates whose keys
-// alias cells that now mean something else; replaying them would
-// corrupt the tables silently, which is worse than recomputing.
-// Journals that predate the header are refused for the same reason.
+// loads every complete line already in it. The journal's first line
+// is a signature header binding the rates to the grid that produced
+// them (see JournalSignature): a fresh journal is stamped with
+// signature, and an existing one must carry the very same stamp or
+// the open fails closed. Cells are keyed (table, cell index), so a
+// journal written at a different loop scale — or against a different
+// set of machine definitions — holds rates whose keys alias cells that
+// now mean something else; replaying them would corrupt the tables
+// silently, which is worse than recomputing. Journals without the
+// header are refused for the same reason.
 func OpenCheckpoint(path, signature string) (*Checkpoint, error) {
 	if signature == "" {
 		return nil, fmt.Errorf("checkpoint: empty journal signature (use JournalSignature)")
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	hdr, err := json.Marshal(checkpointHeader{Signature: signature})
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
+		return nil, fmt.Errorf("checkpoint %s: %w", path, err)
 	}
-	// Exclusive advisory lock: the append-only crash-safety story
-	// assumes a single writer, and a second process (say, a daemon
-	// serving the same journal) interleaving appends would fuse
-	// records into unparseable lines. The second opener gets a
-	// structured *atomicio.LockError instead; the lock dies with the
-	// descriptor, so even kill -9 cannot wedge a later resume.
-	if err := atomicio.Lock(f); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	c := &Checkpoint{path: path, f: f, cells: make(map[checkpointKey]float64)}
-	r := bufio.NewReader(f)
-	var accepted int64 // offset past the last complete, valid line
-	lineno := 0
-	signed := false // a matching signature header has been read
-	for {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF {
-			// No newline: empty tail or a torn append. Drop it either way.
-			break
-		}
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("checkpoint %s: %w", path, err)
-		}
-		lineno++
-		trimmed := bytes.TrimSpace(line)
-		if len(trimmed) != 0 {
-			if !signed {
-				// The first complete line must be the signature header.
-				// A legacy cell line lands here too: it unmarshals with an
-				// empty Signature and is refused as unsigned.
-				var hdr checkpointHeader
-				if err := json.Unmarshal(trimmed, &hdr); err != nil {
-					f.Close()
-					return nil, fmt.Errorf("checkpoint %s line %d: %v", path, lineno, err)
-				}
-				if hdr.Signature == "" {
-					f.Close()
-					return nil, fmt.Errorf("checkpoint %s: journal has no signature header (written by an incompatible run?); its cell keys cannot be trusted — delete it or start a fresh journal", path)
-				}
-				if hdr.Signature != signature {
-					f.Close()
-					return nil, fmt.Errorf("checkpoint %s: journal signature %.12s.. does not match this run's %.12s.. (different scale or machine grid); resuming would replay rates into the wrong cells — delete it or rerun with the journal's settings", path, hdr.Signature, signature)
-				}
-				signed = true
-				accepted += int64(len(line))
-				continue
+	s, err := journal.Open(path, journal.Format[checkpointKey, float64]{
+		Name: "checkpoint", Site: "write.checkpoint",
+		Header: hdr,
+		CheckHeader: func(rec []byte) error {
+			// A legacy cell line (empty Signature) or a first line that
+			// is not JSON at all is refused as unsigned.
+			var got checkpointHeader
+			if json.Unmarshal(rec, &got) != nil || got.Signature == "" {
+				return errors.New("journal has no signature header (written by an incompatible run?); its cell keys cannot be trusted — delete it or start a fresh journal")
 			}
+			if got.Signature != signature {
+				return fmt.Errorf("journal signature %.12s.. does not match this run's %.12s.. (different scale or machine grid); resuming would replay rates into the wrong cells — delete it or rerun with the journal's settings", got.Signature, signature)
+			}
+			return nil
+		},
+		Encode: func(k checkpointKey, rate float64) ([]byte, error) {
+			return json.Marshal(checkpointLine{k, journal.FormatRate(rate)})
+		},
+		Decode: func(line []byte) (checkpointKey, float64, error) {
 			var cl checkpointLine
-			if err := json.Unmarshal(trimmed, &cl); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("checkpoint %s line %d: %v", path, lineno, err)
+			if err := json.Unmarshal(line, &cl); err != nil {
+				return checkpointKey{}, 0, err
 			}
-			rate, err := strconv.ParseFloat(cl.Rate, 64)
+			rate, err := journal.ParseRate(cl.Rate)
 			if err != nil {
-				f.Close()
-				return nil, fmt.Errorf("checkpoint %s line %d: rate %q: %v", path, lineno, cl.Rate, err)
+				return checkpointKey{}, 0, fmt.Errorf("rate %q: %v", cl.Rate, err)
 			}
-			c.cells[checkpointKey{cl.Table, cl.Cell}] = rate
-		}
-		accepted += int64(len(line))
+			return cl.checkpointKey, rate, nil
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Truncate away any torn tail: appending straight after a partial
-	// line would fuse it with the next record into one corrupt line
-	// that a second resume could not skip.
-	if err := f.Truncate(accepted); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("checkpoint %s: %w", path, err)
-	}
-	if _, err := f.Seek(accepted, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("checkpoint %s: %w", path, err)
-	}
-	if !signed {
-		if accepted != 0 {
-			// Complete-but-blank lines with no header: not a journal we
-			// wrote; refuse rather than stamp a header after them.
-			f.Close()
-			return nil, fmt.Errorf("checkpoint %s: journal has no signature header (written by an incompatible run?); its cell keys cannot be trusted — delete it or start a fresh journal", path)
-		}
-		// A fresh (or fully torn) journal: stamp it before any cells.
-		hdr, err := json.Marshal(checkpointHeader{Signature: signature})
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("checkpoint %s: %w", path, err)
-		}
-		w := faultinject.WrapWriter("write.checkpoint", f)
-		if _, err := w.Write(append(hdr, '\n')); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("checkpoint %s: %w", path, err)
-		}
-	}
-	c.loaded = len(c.cells)
-	return c, nil
+	return &Checkpoint{s}, nil
 }
 
 // Lookup returns the journaled rate of (table, cell), if present.
 func (c *Checkpoint) Lookup(table, cell int) (float64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.cells[checkpointKey{table, cell}]
-	return r, ok
+	return c.Get(checkpointKey{table, cell})
 }
 
-// Record journals one completed cell. Non-finite rates are ignored
-// (failed cells must be re-attempted on resume, not replayed). Write
-// failures are sticky and reported by Close.
+// Record journals one completed cell. Failed and degenerate rates are
+// ignored (those cells must be re-attempted on resume, not replayed).
+// Write failures are sticky and reported by Close.
 func (c *Checkpoint) Record(table, cell int, rate float64) {
-	if rate != rate || rate == 0 { // NaN or degenerate
-		return
+	if journal.ValidRate(rate) {
+		c.Put(checkpointKey{table, cell}, rate)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := checkpointKey{table, cell}
-	if _, dup := c.cells[key]; dup {
-		return
-	}
-	c.cells[key] = rate
-	if c.err != nil {
-		return
-	}
-	line, err := json.Marshal(checkpointLine{
-		Table: table, Cell: cell,
-		Rate: strconv.FormatFloat(rate, 'x', -1, 64),
-	})
-	if err != nil {
-		c.err = err
-		return
-	}
-	w := faultinject.WrapWriter("write.checkpoint", c.f)
-	if _, err := w.Write(append(line, '\n')); err != nil {
-		c.err = fmt.Errorf("checkpoint %s: %w", c.path, err)
-		return
-	}
-	c.saved++
-}
-
-// Loaded reports how many cells an existing journal contributed, and
-// Saved how many this process appended.
-func (c *Checkpoint) Loaded() int { return c.loaded }
-
-// Saved reports how many cells this process appended to the journal.
-func (c *Checkpoint) Saved() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.saved
-}
-
-// Flush makes the journal durable without closing it — the SIGINT
-// path flushes before the process exits so every completed cell
-// survives the kill.
-func (c *Checkpoint) Flush() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.f.Sync(); err != nil && c.err == nil {
-		c.err = fmt.Errorf("checkpoint %s: %w", c.path, err)
-	}
-	return c.err
-}
-
-// Close syncs and closes the journal, returning the first write
-// failure encountered over its lifetime (injected or real).
-func (c *Checkpoint) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if serr := c.f.Sync(); serr != nil && c.err == nil {
-		c.err = fmt.Errorf("checkpoint %s: %w", c.path, serr)
-	}
-	if cerr := c.f.Close(); cerr != nil && c.err == nil {
-		c.err = cerr
-	}
-	return c.err
 }

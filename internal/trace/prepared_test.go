@@ -104,12 +104,12 @@ func TestPrepareFirstVector(t *testing.T) {
 func TestPreparedWindow(t *testing.T) {
 	p := Prepare(preparedTestTrace()) // taken branch at index 4, len 6
 	cases := []struct{ pos, w, want int }{
-		{0, 1, 1},  // capacity bounds the window
-		{0, 4, 4},  // not-taken branch at 3 does not cut it short
-		{0, 8, 5},  // ends just after the taken branch at 4
-		{4, 8, 5},  // window starting on the taken branch holds only it
-		{5, 8, 6},  // past the last taken branch: runs to the end
-		{6, 8, 6},  // empty window at the end of the trace
+		{0, 1, 1}, // capacity bounds the window
+		{0, 4, 4}, // not-taken branch at 3 does not cut it short
+		{0, 8, 5}, // ends just after the taken branch at 4
+		{4, 8, 5}, // window starting on the taken branch holds only it
+		{5, 8, 6}, // past the last taken branch: runs to the end
+		{6, 8, 6}, // empty window at the end of the trace
 	}
 	for _, c := range cases {
 		if got := p.Window(c.pos, c.w); got != c.want {
