@@ -19,7 +19,9 @@
 // simulation. Loops with no detectable steady state fall back to full
 // simulation automatically. A -scale beyond what a kernel's memory
 // layout can materialize requires -extrapolate, which accounts for
-// the surplus iterations analytically.
+// the surplus iterations analytically; a kernel with no steady state
+// to extend (LFK 13) cannot go past its layout at all, and mfusim
+// fails naming the reason.
 //
 // -stats attaches a stall-attribution probe and, after the rates,
 // prints a per-loop breakdown of where the machine's issue slots
@@ -196,50 +198,26 @@ func main() {
 
 	if strings.ToLower(*machine) == "vector" && *traceIn == "" {
 		// The vector machine runs the vectorized codings.
-		var vks []*loops.Kernel
-		for _, k := range kernels {
-			vk, err := loops.VectorKernel(k.Number)
-			if err != nil {
-				continue // no vector coding for this kernel
-			}
-			vks = append(vks, vk)
+		if kernels, err = loops.VectorCodings(kernels); err != nil {
+			fail(err)
 		}
-		if len(vks) == 0 {
-			fail(fmt.Errorf("no vector codings among the selected loops (have 1, 3, 7, 12)"))
-		}
-		kernels = vks
 	}
 
 	// -scale rebuilds the selected kernels at the requested loop
 	// length. A length past a kernel's memory layout materializes the
 	// layout maximum; the remainder becomes virtual iterations for the
 	// extrapolation engine to account for analytically.
-	virtual := map[string]int64{}
-	if scaleSet {
-		scaledKs := make([]*loops.Kernel, 0, len(kernels))
-		for _, k := range kernels {
-			sk, extra, err := loops.ForScale(k.Number, *scale)
-			if err != nil {
-				fail(err)
-			}
-			if extra > 0 {
-				if !*extrap {
-					fail(fmt.Errorf("%s: -scale %d exceeds the %d iterations the memory layout supports; -extrapolate can extend it analytically",
-						sk, *scale, sk.N))
-				}
-				if err := core.CanExtrapolate(sk.SharedTrace()); err != nil {
-					fail(fmt.Errorf("%s: -scale %d needs analytic extension past %d iterations, but %v", sk, *scale, sk.N, err))
-				}
-				v, err := loops.VirtualWindows(sk, extra)
-				if err != nil {
-					fail(err)
-				}
-				virtual[sk.SharedTrace().Name] = v
-			}
-			scaledKs = append(scaledKs, sk)
-		}
-		kernels = scaledKs
+	scaled := core.ScaleKernels(kernels, *scale)
+	if scaled.Err != nil {
+		fail(scaled.Err)
 	}
+	for _, k := range scaled.Kernels {
+		if scaled.Virtual[k.SharedTrace().Name] > 0 && !*extrap {
+			fail(fmt.Errorf("%s: -scale %d exceeds the %d iterations the memory layout supports; -extrapolate can extend it analytically",
+				k, *scale, k.N))
+		}
+	}
+	kernels = scaled.Kernels
 
 	// The workload: the built-in loops, or one externally assembled
 	// binary trace.
@@ -262,7 +240,7 @@ func main() {
 
 	var engine *core.Extrapolator
 	if *extrap {
-		engine = core.Extrapolate(m).WithVirtual(virtual)
+		engine = core.Extrapolate(m).WithVirtual(scaled.Virtual)
 		m = engine
 	}
 

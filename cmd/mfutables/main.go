@@ -14,13 +14,14 @@
 // value.
 //
 // -scale n regenerates every kernel at loop length n instead of the
-// paper defaults; kernels that cannot reach n (memory-layout limits,
-// no steady state to extend analytically) are clamped to their
-// largest feasible length, with a note per clamped kernel on standard
-// error. -extrapolate wraps every simulated cell in the steady-state
-// extrapolation engine (core.Extrapolate): table values are
-// bit-identical, but the repetitive middle of each loop is closed
-// analytically, which makes huge -scale values affordable.
+// paper defaults. A kernel whose memory layout cannot hold n
+// iterations reaches n analytically through the steady-state
+// extrapolation engine; one it cannot extend either (no steady state)
+// is clamped to its largest feasible length, with a note on standard
+// error. -extrapolate wraps every simulated cell in the engine
+// (core.Extrapolate): at any -scale, table values are bit-identical
+// with or without it, but the repetitive middle of each loop is
+// closed analytically, which makes huge -scale values affordable.
 //
 // -cpuprofile and -memprofile write pprof profiles of the run, for
 // use with `go tool pprof`.
@@ -109,7 +110,7 @@ func main() {
 func run() int {
 	table := flag.Int("table", 0, "table number 1-8; 0 regenerates all")
 	supplement := flag.Bool("supplement", false, "also print the section 3.3 dependency-resolution supplement")
-	scale := flag.Int("scale", 0, "loop length for every kernel (0 = paper defaults); kernels that cannot reach it are clamped and noted")
+	scale := flag.Int("scale", 0, "loop length for every kernel (0 = paper defaults); kernels past their memory layout extend analytically, or are clamped and noted")
 	extrap := flag.Bool("extrapolate", false, "close each loop's steady-state middle analytically instead of simulating every iteration")
 	format := flag.String("format", "text", "output format: text | csv | json")
 	parallel := flag.Int("parallel", 0, "worker goroutines for the simulations; 0 = all cores")

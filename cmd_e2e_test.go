@@ -507,6 +507,8 @@ func TestCommandLineErrorPaths(t *testing.T) {
 		{"mfusim scale on vector machine", mfusim, []string{"-machine", "vector", "-scale", "10"}, "does not apply"},
 		{"mfusim scale needs extrapolate", mfusim, []string{"-machine", "cray", "-loops", "1", "-scale", "100000"}, "-extrapolate"},
 		{"mfusim scale unreachable", mfusim, []string{"-machine", "cray", "-loops", "13", "-scale", "100000", "-extrapolate"}, "analytic extension"},
+		{"mfusim scale unreachable without extrapolate", mfusim, []string{"-machine", "cray", "-loops", "13", "-scale", "100000"}, "analytic extension"},
+		{"mfusim vector without codings", mfusim, []string{"-machine", "vector", "-loops", "5,6"}, "1, 2, 3, 4, 7, 8, 9, 10, 12"},
 		{"mfutables zero scale", mfutables, []string{"-scale", "0"}, "at least 1"},
 
 		{"mfusim timeline-window without timeline", mfusim, []string{"-timeline-window", "40"}, "-timeline-window needs -timeline"},

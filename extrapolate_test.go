@@ -2,6 +2,7 @@ package mfup_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -150,27 +151,42 @@ func TestExtrapolationMatrix(t *testing.T) {
 // render byte-identical output — cycles, issue rates, and metrics —
 // at the paper's loop lengths. Table 1 covers the four basic
 // organizations; Table 7 the RUU family, whose long steady-state
-// periods stress the adaptive ladder. (The full sweep is covered by
-// the e2e scaled-tables run.)
+// periods stress the adaptive ladder. The scaled case runs past LFK
+// 10's layout maximum of 1100 iterations, where the workload extends
+// analytically with or without the engine; its rates are compared bit
+// for bit, since Render's two decimals can hide a difference. (The
+// full sweep is covered by the e2e scaled-tables run.)
 func TestExtrapolationTablesIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table regeneration skipped in -short mode")
 	}
 	defer tables.SetExtrapolate(false)
+	defer tables.SetScale(0)
 	for _, tc := range []struct {
-		name string
-		gen  func() *tables.Table
+		name  string
+		scale int
+		gen   func() *tables.Table
 	}{
-		{"Table1", tables.Table1},
-		{"Table7", tables.Table7},
+		{"Table1", 0, tables.Table1},
+		{"Table7", 0, tables.Table7},
+		{"Table1/scale1200", 1200, tables.Table1},
 	} {
+		tables.SetScale(tc.scale)
 		tables.SetExtrapolate(false)
-		want := tc.gen().Render()
+		want := tc.gen()
 		tables.SetExtrapolate(true)
-		got := tc.gen().Render()
-		if got != want {
+		got := tc.gen()
+		if got.Render() != want.Render() {
 			t.Errorf("%s diverged under extrapolation:\n--- extrapolated ---\n%s\n--- full ---\n%s",
-				tc.name, got, want)
+				tc.name, got.Render(), want.Render())
+		}
+		for i, row := range want.Rows {
+			for j, rate := range row.Rates {
+				if math.Float64bits(got.Rows[i].Rates[j]) != math.Float64bits(rate) {
+					t.Errorf("%s %s column %d: extrapolated rate %v != full %v",
+						tc.name, row.Label, j, got.Rows[i].Rates[j], rate)
+				}
+			}
 		}
 	}
 }

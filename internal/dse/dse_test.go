@@ -2,7 +2,9 @@ package dse
 
 import (
 	"context"
+	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -275,27 +277,67 @@ func TestRunPruneAndResume(t *testing.T) {
 	}
 }
 
-// Extrapolated rates must be bit-identical to full simulation. The
-// comparison runs at the default scale: scaling up clamps each kernel
-// to its physical maximum when simulated in full but extends it
-// virtually when extrapolated, so the iteration counts — and thus the
-// rates — only coincide where no clamping happens.
+// Extrapolated rates must be bit-identical to full simulation, at the
+// paper lengths and past a kernel's layout maximum (scale 100000 on
+// the scalar loops): the workload resolves the same way whether or not
+// the sweep asks for the engine, so one point key names one rate.
 func TestRunExtrapolateBitIdentical(t *testing.T) {
-	base := `{"base": {"kind": "ruu", "width": 2}, "axes": {"ruu": [10, 50]}%s}`
-	full := mustParse(t, strings.Replace(base, "%s", "", 1))
-	fast := mustParse(t, strings.Replace(base, "%s", `, "extrapolate": true`, 1))
-	rFull, err := Run(context.Background(), full, Options{})
+	for _, src := range []string{
+		`{"base": {"kind": "ruu", "width": 2}, "axes": {"ruu": [10, 50]}%s}`,
+		`{"base": {"kind": "cray"}, "axes": {"mem": [5, 11]}, "loops": "scalar", "scale": 100000%s}`,
+	} {
+		full := mustParse(t, strings.Replace(src, "%s", "", 1))
+		fast := mustParse(t, strings.Replace(src, "%s", `, "extrapolate": true`, 1))
+		rFull, err := Run(context.Background(), full, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rFast, err := Run(context.Background(), fast, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range rFull.Points {
+			if math.Float64bits(rFull.Points[i].Rate) != math.Float64bits(rFast.Points[i].Rate) {
+				t.Errorf("scale %d point %d: extrapolated rate %v != simulated %v",
+					full.Scale, i, rFast.Points[i].Rate, rFull.Points[i].Rate)
+			}
+		}
+		if !reflect.DeepEqual(rFull.Notes, rFast.Notes) {
+			t.Errorf("scale %d: notes diverged:\n extrapolated %q\n simulated    %q", full.Scale, rFast.Notes, rFull.Notes)
+		}
+	}
+}
+
+// Extrapolate stays out of the point key, so a sweep run without the
+// engine and one run with it share journal lines. What the first
+// journals past a layout maximum must be what the second computes.
+func TestJournalSharedAcrossExtrapolation(t *testing.T) {
+	src := `{"base": {"kind": "cray"}, "axes": {"mem": [5, 11]}, "scale": 100000%s}`
+	off := mustParse(t, strings.Replace(src, "%s", "", 1))
+	on := mustParse(t, strings.Replace(src, "%s", `, "extrapolate": true`, 1))
+	fresh, err := Run(context.Background(), on, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rFast, err := Run(context.Background(), fast, Options{})
+	j, err := OpenJournal(filepath.Join(t.TempDir(), "points.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range rFull.Points {
-		if rFull.Points[i].Rate != rFast.Points[i].Rate {
-			t.Fatalf("point %d: extrapolated rate %v != simulated %v",
-				i, rFast.Points[i].Rate, rFull.Points[i].Rate)
+	defer j.Close()
+	if _, err := Run(context.Background(), off, Options{Journal: j}); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := Run(context.Background(), on, Options{Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.FromJournal != len(warm.Points) {
+		t.Fatalf("journal served %d of %d points", warm.FromJournal, len(warm.Points))
+	}
+	for i := range warm.Points {
+		if math.Float64bits(warm.Points[i].Rate) != math.Float64bits(fresh.Points[i].Rate) {
+			t.Errorf("point %s: journal replayed %v, extrapolated sweep computes %v",
+				warm.Points[i].Key, warm.Points[i].Rate, fresh.Points[i].Rate)
 		}
 	}
 }

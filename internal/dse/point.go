@@ -7,7 +7,6 @@ import (
 	"mfup/internal/core"
 	"mfup/internal/machdef"
 	"mfup/internal/runner"
-	"mfup/internal/stats"
 )
 
 // PointSpec is one sweep point as a standalone, addressable unit of
@@ -70,38 +69,20 @@ func (p PointSpec) Run(ctx context.Context, limits core.Limits) (float64, error)
 	if err != nil {
 		return 0, err
 	}
-	ts, virtual, _ := tracesFor(SweepSpec{Loops: c.Loops, Scale: c.Scale, Extrapolate: c.Extrapolate})
-	if len(ts) == 0 {
+	w := workloadFor(SweepSpec{Loops: c.Loops, Scale: c.Scale})
+	if len(w.Kernels) == 0 {
 		return 0, fmt.Errorf("dse: point: workload %q selects no loops", c.Loops)
-	}
-	spec := c.Spec
-	mk := func() core.Machine {
-		m, err := spec.New()
-		if err != nil {
-			panic(fmt.Sprintf("dse: point %s: %v", spec.Key(), err))
-		}
-		return m
-	}
-	if c.Extrapolate {
-		inner := mk
-		mk = func() core.Machine {
-			return core.Extrapolate(inner()).WithVirtual(virtual).BestEffort()
-		}
 	}
 	results, _, errs := runner.RunCheckedStats(ctx, runner.Options{
 		Parallel: 1, // a point is one unit of the cluster's parallelism, not a pool of its own
 		Limits:   limits,
-	}, []runner.Task{{New: mk, Traces: ts}})
+	}, []runner.Task{pointTask(c.Spec, w.Traces(), w.Virtual, c.Extrapolate)})
 	if len(errs) > 0 {
 		return 0, errs[0]
 	}
-	rs := make([]float64, 0, len(results[0]))
-	for _, res := range results[0] {
-		rate := res.IssueRate()
-		if !(rate > 0) {
-			return 0, fmt.Errorf("dse: point %s: non-positive issue rate on %s", c.Key(), res.Trace)
-		}
-		rs = append(rs, rate)
+	rate, err := pointRate(results[0])
+	if err != nil {
+		return 0, fmt.Errorf("dse: point %s: %w", c.Key(), err)
 	}
-	return stats.HarmonicMean(rs), nil
+	return rate, nil
 }

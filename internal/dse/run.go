@@ -95,51 +95,49 @@ func pointKey(s SweepSpec, specKey string) string {
 	return fmt.Sprintf("dse-point/v1:loops=%s:scale=%d:machdef=%s", s.Loops, s.Scale, specKey)
 }
 
-// tracesFor materializes the sweep's workload: the selected loop
-// class at the requested scale, with virtual-window counts for the
-// extrapolation engine where kernels cannot physically reach it.
-func tracesFor(s SweepSpec) (ts []*trace.Trace, virtual map[string]int64, notes []string) {
-	virtual = map[string]int64{}
-	for _, base := range loops.All() {
-		switch s.Loops {
-		case "scalar":
-			if base.Class != loops.Scalar {
-				continue
-			}
-		case "vectorizable":
-			if base.Class != loops.Vectorizable {
-				continue
-			}
-		}
-		k, extra := base, int64(0)
-		if s.Scale > 0 {
-			var err error
-			k, extra, err = loops.ForScale(base.Number, s.Scale)
-			if err != nil {
-				notes = append(notes, fmt.Sprintf("%s: %v; using default length %d", base, err, base.N))
-				k, extra = base, 0
-			}
-		}
-		if extra > 0 {
-			if s.Extrapolate {
-				v := int64(0)
-				var err error
-				if err = core.CanExtrapolate(k.SharedTrace()); err == nil {
-					v, err = loops.VirtualWindows(k, extra)
-				}
-				if err != nil {
-					notes = append(notes, fmt.Sprintf("%s: clamped to %d iterations: %v", k, k.N, err))
-				}
-				if v > 0 {
-					virtual[k.SharedTrace().Name] = v
-				}
-			} else {
-				notes = append(notes, fmt.Sprintf("%s: clamped to %d iterations (enable extrapolation to extend analytically)", k, k.N))
-			}
-		}
-		ts = append(ts, k.SharedTrace())
+// workloadFor resolves the sweep's workload: the selected loop class
+// at the requested scale, through the one resolver every simulator
+// front end shares.
+func workloadFor(s SweepSpec) core.Workload {
+	ks := loops.All()
+	switch s.Loops {
+	case "scalar":
+		ks = loops.ByClass(loops.Scalar)
+	case "vectorizable":
+		ks = loops.ByClass(loops.Vectorizable)
 	}
-	return ts, virtual, notes
+	return core.ScaleKernels(ks, s.Scale)
+}
+
+// pointTask is the simulation behind one point: a machine from spec
+// over ts, wrapped in the best-effort extrapolation engine when the
+// sweep asks for it or the workload has virtual windows to close.
+func pointTask(spec machdef.Spec, ts []*trace.Trace, virtual map[string]int64, extrapolate bool) runner.Task {
+	return runner.Task{Traces: ts, New: func() core.Machine {
+		m, err := spec.New()
+		if err != nil {
+			panic(fmt.Sprintf("dse: point %s: %v", spec.Key(), err))
+		}
+		if extrapolate || len(virtual) > 0 {
+			return core.Extrapolate(m).WithVirtual(virtual).BestEffort()
+		}
+		return m
+	}}
+}
+
+// pointRate folds a point's per-loop results into its harmonic-mean
+// issue rate. A non-positive rate would poison the mean, so it is an
+// error naming the loop.
+func pointRate(results []core.Result) (float64, error) {
+	rs := make([]float64, 0, len(results))
+	for _, res := range results {
+		rate := res.IssueRate()
+		if !(rate > 0) {
+			return 0, fmt.Errorf("non-positive issue rate on %s", res.Trace)
+		}
+		rs = append(rs, rate)
+	}
+	return stats.HarmonicMean(rs), nil
 }
 
 // Planned is a sweep caught between planning and resolution: the
@@ -175,14 +173,15 @@ func PlanSweep(sweep SweepSpec) (*Planned, error) {
 		return nil, fmt.Errorf("dse: sweep expands to no valid machine definitions")
 	}
 
-	ts, virtual, notes := tracesFor(s)
+	w := workloadFor(s)
+	ts := w.Traces()
 	workload := queuemodel.WorkloadOf(ts)
 
 	r := &Report{
 		SweepKey: s.Key(), Loops: s.Loops, Scale: s.Scale,
 		Expanded: expanded, Invalid: invalid, Deduped: len(specs),
 		Points: make([]Point, len(specs)),
-		Notes:  notes,
+		Notes:  w.Notes,
 	}
 	for i, spec := range specs {
 		p := &r.Points[i]
@@ -208,7 +207,7 @@ func PlanSweep(sweep SweepSpec) (*Planned, error) {
 		}
 	}
 
-	pl := &Planned{Spec: s, Report: r, Traces: ts, Virtual: virtual}
+	pl := &Planned{Spec: s, Report: r, Traces: ts, Virtual: w.Virtual}
 	for i := range r.Points {
 		if !r.Points[i].Pruned {
 			pl.Need = append(pl.Need, i)
@@ -235,7 +234,7 @@ func Run(ctx context.Context, sweep SweepSpec, opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, r, ts, virtual := pl.Spec, pl.Report, pl.Traces, pl.Virtual
+	r := pl.Report
 
 	// Partition the survivors against the journal, then fan the rest
 	// out over the worker pool.
@@ -250,21 +249,7 @@ func Run(ctx context.Context, sweep SweepSpec, opt Options) (*Report, error) {
 				continue
 			}
 		}
-		spec := p.Spec
-		mk := func() core.Machine {
-			m, err := spec.New()
-			if err != nil {
-				panic(fmt.Sprintf("dse: point %s: %v", spec.Key(), err))
-			}
-			return m
-		}
-		if s.Extrapolate {
-			inner := mk
-			mk = func() core.Machine {
-				return core.Extrapolate(inner()).WithVirtual(virtual).BestEffort()
-			}
-		}
-		tasks = append(tasks, runner.Task{New: mk, Traces: ts})
+		tasks = append(tasks, pointTask(p.Spec, pl.Traces, pl.Virtual, pl.Spec.Extrapolate))
 		taskIdx = append(taskIdx, i)
 	}
 
@@ -287,20 +272,13 @@ func Run(ctx context.Context, sweep SweepSpec, opt Options) (*Report, error) {
 			r.Failed++
 			continue
 		}
-		rs := make([]float64, 0, len(cell))
-		for _, res := range cell {
-			rate := res.IssueRate()
-			if !(rate > 0) {
-				p.Err = fmt.Sprintf("non-positive issue rate on %s", res.Trace)
-				break
-			}
-			rs = append(rs, rate)
-		}
-		if p.Err != "" {
+		rate, err := pointRate(cell)
+		if err != nil {
+			p.Err = err.Error()
 			r.Failed++
 			continue
 		}
-		p.Rate = stats.HarmonicMean(rs)
+		p.Rate = rate
 		p.Simulated = true
 		r.Simulated++
 		if opt.Journal != nil {

@@ -2,6 +2,8 @@ package loops
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"mfup/internal/asm"
 	"mfup/internal/emu"
@@ -10,10 +12,12 @@ import (
 // Vector codings. The paper runs the vectorizable loops as scalar
 // code on purpose — its subject is the scalar unit — but classifies
 // them as vectorizable because a CRAY would run them in the vector
-// unit. These hand-vectorized codings of representative kernels
-// (LFK 1, 3, 7, 12) let the vector-extension machine (core.NewVector)
-// be compared against the paper's multiple-issue scalar machines on
-// the same computations.
+// unit. Hand-vectorized codings of all nine vectorizable kernels
+// (LFK 1, 3, 7 and 12 here; 2, 4, 9 and 10 in vector2.go; 8 in
+// vector3.go) let the vector-extension machine (core.NewVector) be
+// compared against the paper's multiple-issue scalar machines on the
+// same computations. VectorKernels lists them; VectorCodings maps a
+// loop selection onto them.
 //
 // Each coding strip-mines the loop into 64-element sections (the
 // CRAY-1 vector register length): full strips run at VL=64 and a
@@ -63,6 +67,26 @@ func VectorKernels() []*Kernel {
 		}
 	}
 	return ks
+}
+
+// VectorCodings maps a loop selection onto the vector machine's
+// codings, in selection order; kernels without a coding drop out. It
+// is an error, naming the kernels that have one, when none remain.
+func VectorCodings(ks []*Kernel) ([]*Kernel, error) {
+	var vks []*Kernel
+	for _, k := range ks {
+		if vk, ok := vectorRegistry[k.Number]; ok {
+			vks = append(vks, vk)
+		}
+	}
+	if len(vks) == 0 {
+		var have []string
+		for _, k := range VectorKernels() {
+			have = append(have, strconv.Itoa(k.Number))
+		}
+		return nil, fmt.Errorf("no vector codings among the selected loops (have %s)", strings.Join(have, ", "))
+	}
+	return vks, nil
 }
 
 // stripLoop wraps a vector body in the standard strip-mining control

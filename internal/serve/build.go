@@ -29,10 +29,11 @@ type work struct {
 // Extrapolation policy: the steady-state engine is bit-identical to
 // full simulation by contract, so the service treats the spec's
 // Extrapolate as a cost hint, not an observable: it engages when asked
-// OR whenever the requested scale exceeds what a kernel's memory
-// layout can materialize (the surplus iterations are then closed
-// analytically). This is what lets Extrapolate stay out of the cache
-// key without ever splitting a key between success and failure.
+// OR whenever the workload has virtual windows, iterations past a
+// kernel's memory layout that core.ScaleKernels closes analytically.
+// A kernel that cannot be extended is an error here, never a clamp.
+// This is what lets Extrapolate stay out of the cache key without
+// ever splitting a key between success and failure.
 func buildWork(c JobSpec) (*work, error) {
 	// Probe-construct the machine once so configuration errors surface
 	// now, as *SpecError material; the task re-constructs privately.
@@ -43,8 +44,7 @@ func buildWork(c JobSpec) (*work, error) {
 	var (
 		traces  []*trace.Trace
 		labels  []string
-		virtual = map[string]int64{}
-		extrap  = c.Extrapolate
+		virtual map[string]int64
 	)
 	if c.Workload.Asm != "" {
 		p, err := asm.Assemble("job.cal", c.Workload.Asm)
@@ -67,51 +67,26 @@ func buildWork(c JobSpec) (*work, error) {
 			return nil, &SpecError{Msg: err.Error()}
 		}
 		if c.Machine.Kind == "vector" {
-			vks := make([]*loops.Kernel, 0, len(ks))
-			for _, k := range ks {
-				vk, err := loops.VectorKernel(k.Number)
-				if err != nil {
-					continue
-				}
-				vks = append(vks, vk)
+			if ks, err = loops.VectorCodings(ks); err != nil {
+				return nil, &SpecError{Msg: err.Error()}
 			}
-			ks = vks
 		}
-		if c.Scale > 0 {
-			scaled := make([]*loops.Kernel, 0, len(ks))
-			for _, k := range ks {
-				sk, extra, err := loops.ForScale(k.Number, c.Scale)
-				if err != nil {
-					return nil, &SpecError{Msg: err.Error()}
-				}
-				if extra > 0 {
-					// Scale beyond the memory layout: the analytic engine
-					// must close the surplus, so it must be able to.
-					if err := core.CanExtrapolate(sk.SharedTrace()); err != nil {
-						return nil, specErrf("%s: scale %d needs analytic extension past %d iterations, but %v",
-							sk, c.Scale, sk.N, err)
-					}
-					v, err := loops.VirtualWindows(sk, extra)
-					if err != nil {
-						return nil, &SpecError{Msg: err.Error()}
-					}
-					virtual[sk.SharedTrace().Name] = v
-					extrap = true
-				}
-				scaled = append(scaled, sk)
-			}
-			ks = scaled
+		w := core.ScaleKernels(ks, c.Scale)
+		if w.Err != nil {
+			return nil, &SpecError{Msg: w.Err.Error()}
 		}
-		for _, k := range ks {
-			traces = append(traces, k.SharedTrace())
+		traces = w.Traces()
+		for _, k := range w.Kernels {
 			labels = append(labels, k.String())
 		}
+		virtual = w.Virtual
 	}
 	if len(traces) == 0 {
 		return nil, specErrf("workload selects no traces")
 	}
 
 	spec := c // captured by value: the task must not alias caller state
+	extrap := c.Extrapolate || len(virtual) > 0
 	task := runner.Task{
 		New: func() core.Machine {
 			m, err := spec.Machine.newMachine()

@@ -54,7 +54,8 @@ type JobSpec struct {
 
 	// Scale rebuilds every selected kernel at this loop length instead
 	// of the paper defaults (0 = defaults). Lengths beyond a kernel's
-	// memory layout require Extrapolate.
+	// memory layout extend analytically (core.ScaleKernels); a kernel
+	// that cannot be extended fails the job.
 	Scale int `json:"scale,omitempty"`
 
 	// Extrapolate closes each loop's steady-state middle analytically.
@@ -237,16 +238,9 @@ func Canonicalize(spec JobSpec) (JobSpec, error) {
 		if c.Machine.Kind == "vector" {
 			// The vector machine runs the vectorized codings; kernels
 			// without one drop out of the selection, as in mfusim.
-			var vks []*loops.Kernel
-			for _, k := range ks {
-				if vk, err := loops.VectorKernel(k.Number); err == nil {
-					vks = append(vks, vk)
-				}
+			if ks, err = loops.VectorCodings(ks); err != nil {
+				return c, &SpecError{Msg: err.Error()}
 			}
-			if len(vks) == 0 {
-				return c, specErrf("no vector codings among the selected loops")
-			}
-			ks = vks
 		}
 		nums := make([]int, len(ks))
 		for i, k := range ks {

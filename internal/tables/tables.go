@@ -71,11 +71,12 @@ func Extrapolate() bool { return extrapolate.Load() }
 var scaleN atomic.Int64
 
 // SetScale regenerates every kernel at loop length n instead of the
-// paper defaults; n <= 0 restores the defaults. Each kernel
-// materializes the largest buildable length <= n its memory layout
-// supports; with SetExtrapolate(true), kernels with a detectable
-// steady state account for the remaining iterations analytically, so
-// n far beyond physical layouts stays affordable. Kernels that can do
+// paper defaults; n <= 0 restores the defaults. The kernels resolve
+// through core.ScaleKernels: each materializes the largest length its
+// memory layout supports, and a kernel with a detectable steady state
+// accounts for the rest analytically, so n far beyond physical layouts
+// stays affordable. That holds with or without SetExtrapolate, which
+// only changes what the other iterations cost. Kernels that can do
 // neither are clamped, and ScaleNotes reports them.
 func SetScale(n int) {
 	if n < 0 {
@@ -88,75 +89,30 @@ func SetScale(n int) {
 // defaults.
 func Scale() int { return int(scaleN.Load()) }
 
-// scaleState caches the kernels of the current scale: their traces by
-// class, the virtual window counts for the extrapolation engine, and
-// notes about kernels that could not reach the requested length.
+// scaleState memoizes the workload of the most recent scale.
 var scaleState struct {
 	sync.Mutex
-	n       int
-	extrap  bool
-	byClass map[loops.Class][]*trace.Trace
-	virtual map[string]int64
-	notes   []string
+	n int
+	w core.Workload
 }
 
-// scaled resolves the current scale configuration, building and
-// caching the kernel set on first use (and whenever the requested
-// scale changes). It returns the traces of class c and the shared
-// virtual-window map.
-func scaled(c loops.Class) (ts []*trace.Trace, virtual map[string]int64, notes []string) {
-	n, ex := Scale(), Extrapolate()
+// workload returns every kernel resolved at the current scale,
+// resolving on first use and whenever the requested scale changes.
+func workload() core.Workload {
+	n := Scale()
 	scaleState.Lock()
 	defer scaleState.Unlock()
-	if scaleState.byClass == nil || scaleState.n != n || scaleState.extrap != ex {
-		scaleState.n, scaleState.extrap = n, ex
-		scaleState.byClass = map[loops.Class][]*trace.Trace{}
-		scaleState.virtual = map[string]int64{}
-		scaleState.notes = nil
-		for _, base := range loops.All() {
-			k, extra := base, int64(0)
-			if n > 0 {
-				var err error
-				k, extra, err = loops.ForScale(base.Number, n)
-				if err != nil {
-					// Below the kernel's minimum: keep the default build.
-					scaleState.notes = append(scaleState.notes,
-						fmt.Sprintf("%s: %v; using default length %d", base, err, base.N))
-					k, extra = base, 0
-				}
-			}
-			if extra > 0 {
-				v := int64(0)
-				if ex {
-					var err error
-					if err = core.CanExtrapolate(k.SharedTrace()); err == nil {
-						v, err = loops.VirtualWindows(k, extra)
-					}
-					if err != nil {
-						scaleState.notes = append(scaleState.notes,
-							fmt.Sprintf("%s: clamped to %d iterations: %v", k, k.N, err))
-					}
-				} else {
-					scaleState.notes = append(scaleState.notes,
-						fmt.Sprintf("%s: clamped to %d iterations (enable extrapolation to extend analytically)", k, k.N))
-				}
-				if v > 0 {
-					scaleState.virtual[k.SharedTrace().Name] = v
-				}
-			}
-			scaleState.byClass[k.Class] = append(scaleState.byClass[k.Class], k.SharedTrace())
-		}
+	if scaleState.w.Kernels == nil || scaleState.n != n {
+		scaleState.n = n
+		scaleState.w = core.ScaleKernels(loops.All(), n)
 	}
-	return scaleState.byClass[c], scaleState.virtual, scaleState.notes
+	return scaleState.w
 }
 
 // ScaleNotes reports, after table generation, which kernels could not
 // reach the requested SetScale length and were clamped. Empty at the
 // paper defaults.
-func ScaleNotes() []string {
-	_, _, notes := scaled(loops.Scalar)
-	return notes
-}
+func ScaleNotes() []string { return workload().Notes }
 
 // collectMetrics toggles per-cell stall-breakdown collection.
 var collectMetrics atomic.Bool
@@ -440,10 +396,15 @@ func (t *Table) attachMetrics(labels []string, b *batch) {
 	}
 }
 
-// classTraces returns the cached traces of a loop class at the
-// current scale.
+// classTraces returns the traces of a loop class at the current
+// scale.
 func classTraces(c loops.Class) []*trace.Trace {
-	ts, _, _ := scaled(c)
+	var ts []*trace.Trace
+	for _, k := range workload().Kernels {
+		if k.Class == c {
+			ts = append(ts, k.SharedTrace())
+		}
+	}
 	return ts
 }
 
@@ -464,8 +425,7 @@ type batch struct {
 
 // cell schedules one grid cell: one machine from mk over all traces.
 func (b *batch) cell(mk func() core.Machine, ts []*trace.Trace) {
-	if Extrapolate() {
-		_, virtual, _ := scaled(loops.Scalar)
+	if virtual := workload().Virtual; Extrapolate() || len(virtual) > 0 {
 		inner := mk
 		// Best effort: the rare machine/loop pair with no steady state
 		// within the engine's sampled horizon falls back to its
