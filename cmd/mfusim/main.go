@@ -46,9 +46,14 @@
 // deterministic fault-injection layer (internal/faultinject), with
 // placement seeded by -fault-seed.
 //
-// An invalid configuration (e.g. -units 0) or a simulation that
-// exceeds -maxcycles, -stallcycles, or -timeout produces a one-line
-// diagnostic on standard error and exit status 1.
+// The machine flags name an internal/machdef spec, validated and
+// built there like every other machine in the suite. An invalid
+// configuration — a -mem, -br, -units, -ruu or -stations value below
+// 1, -units above 1 on a single-issue kind, an unknown -bus, a
+// crossbar on the RUU machine — or a simulation that exceeds
+// -maxcycles, -stallcycles, or -timeout, or whose extrapolated totals
+// would overflow, produces a one-line diagnostic on standard error and
+// exit status 1.
 //
 // Diagnostics go through a shared logger: -v lowers its level to
 // debug, and MFU_LOG (debug | info | warn | error) overrides it.
@@ -60,7 +65,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"mfup/internal/atomicio"
@@ -69,6 +73,7 @@ import (
 	"mfup/internal/events"
 	"mfup/internal/faultinject"
 	"mfup/internal/loops"
+	"mfup/internal/machdef"
 	"mfup/internal/probe"
 	"mfup/internal/stats"
 	"mfup/internal/trace"
@@ -125,8 +130,6 @@ func main() {
 		fail(fmt.Errorf("-stallcycles %d is negative (0 = off)", *stallCycles))
 	case *timeout < 0:
 		fail(fmt.Errorf("-timeout %v is negative (0 = none)", *timeout))
-	case strings.ToLower(*machine) == "tomasulo" && *stations < 1:
-		fail(fmt.Errorf("-stations %d: the Tomasulo machine needs at least one reservation station per unit", *stations))
 	case *traceEvents < 0:
 		fail(fmt.Errorf("-trace-events %d is negative (0 = default cap)", *traceEvents))
 	case *traceEvents > 0 && !tracing:
@@ -143,8 +146,6 @@ func main() {
 		fail(fmt.Errorf("-scale %d: loop length must be at least 1", *scale))
 	case scaleSet && *traceIn != "":
 		fail(fmt.Errorf("-scale conflicts with -tracein: the trace file fixes the workload"))
-	case scaleSet && strings.ToLower(*machine) == "vector":
-		fail(fmt.Errorf("-scale does not apply to the vector machine: the vector codings are fixed at the paper lengths"))
 	}
 
 	if *faults != "" {
@@ -161,42 +162,47 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	cfg := core.Config{MemLatency: *mem, BranchLatency: *br, IssueUnits: *units, RUUSize: *ruuSize}
-	cfg.Bus, err = cli.ParseBusKind(*busKind)
+	// The machine flags are a machdef.Spec. machdef reads 0 as "the
+	// default", so a flag below 1 is refused here instead, and it
+	// ignores the bus of a single-issue kind, so the bus is parsed here
+	// too: a bad value is a flag error whatever the kind.
+	for _, f := range []struct {
+		name string
+		v    int
+		want string
+	}{
+		{"mem", *mem, "memory access time must be at least 1 cycle"},
+		{"br", *br, "branch execution time must be at least 1 cycle"},
+		{"units", *units, "need at least one issue unit"},
+		{"ruu", *ruuSize, "need at least one RUU entry"},
+		{"stations", *stations, "need at least one reservation station per unit"},
+	} {
+		if f.v < 1 {
+			fail(fmt.Errorf("-%s %d: %s", f.name, f.v, f.want))
+		}
+	}
+	if _, err := cli.ParseBusKind(*busKind); err != nil {
+		fail(err)
+	}
+	spec, err := machdef.Canonicalize(machdef.Spec{
+		Kind: *machine, Mem: *mem, Br: *br, Width: *units, Bus: *busKind, RUU: *ruuSize, Stations: *stations,
+	})
+	if err != nil {
+		fail(err)
+	}
+	cfg, err := spec.Config()
+	if err != nil {
+		fail(err)
+	}
+	m, err := spec.New()
 	if err != nil {
 		fail(err)
 	}
 
-	var m core.Machine
-	switch strings.ToLower(*machine) {
-	case "simple":
-		m, err = core.NewBasicChecked(core.Simple, cfg)
-	case "serialmem":
-		m, err = core.NewBasicChecked(core.SerialMemory, cfg)
-	case "nonseg":
-		m, err = core.NewBasicChecked(core.NonSegmented, cfg)
-	case "cray":
-		m, err = core.NewBasicChecked(core.CRAYLike, cfg)
-	case "scoreboard":
-		m, err = core.NewScoreboardChecked(cfg)
-	case "tomasulo":
-		m, err = core.NewTomasuloChecked(cfg.WithRUU(*stations))
-	case "multi":
-		m, err = core.NewMultiIssueChecked(cfg)
-	case "ooo":
-		m, err = core.NewMultiIssueOOOChecked(cfg)
-	case "ruu":
-		m, err = core.NewRUUChecked(cfg)
-	case "vector":
-		m, err = core.NewVectorChecked(cfg)
-	default:
-		fail(fmt.Errorf("unknown machine %q", *machine))
+	if spec.Kind == "vector" && scaleSet {
+		fail(fmt.Errorf("-scale does not apply to the vector machine: the vector codings are fixed at the paper lengths"))
 	}
-	if err != nil {
-		fail(err)
-	}
-
-	if strings.ToLower(*machine) == "vector" && *traceIn == "" {
+	if spec.Kind == "vector" && *traceIn == "" {
 		// The vector machine runs the vectorized codings.
 		if kernels, err = loops.VectorCodings(kernels); err != nil {
 			fail(err)

@@ -439,13 +439,17 @@ func TestCommandLineErrorPaths(t *testing.T) {
 		want string // substring of combined output; "" = any
 	}{
 		{"mfusim unknown flag", mfusim, []string{"-bogus"}, "flag provided but not defined"},
-		{"mfusim unknown machine", mfusim, []string{"-machine", "hal9000"}, `unknown machine "hal9000"`},
+		{"mfusim unknown machine", mfusim, []string{"-machine", "hal9000"}, `unknown machine kind "hal9000"`},
 		{"mfusim bad config", mfusim, []string{"-machine", "multi", "-units", "0"}, "mfusim:"},
 		{"mfusim bad loop list", mfusim, []string{"-loops", "banana"}, "mfusim:"},
 		{"mfusim empty loop segment", mfusim, []string{"-loops", "1,,2"}, "empty segment"},
 		{"mfusim empty loop spec", mfusim, []string{"-loops", ""}, "empty loop spec"},
 		{"mfusim negative budget", mfusim, []string{"-maxcycles", "-1"}, "negative"},
 		{"mfusim negative stations", mfusim, []string{"-machine", "tomasulo", "-stations", "0"}, "reservation station"},
+		{"mfusim zero mem", mfusim, []string{"-mem", "0"}, "-mem 0"},
+		{"mfusim zero ruu", mfusim, []string{"-machine", "ruu", "-ruu", "0"}, "-ruu 0"},
+		{"mfusim units on single-issue", mfusim, []string{"-machine", "cray", "-units", "4"}, "the cray machine is single-issue"},
+		{"mfusim ruu crossbar", mfusim, []string{"-machine", "ruu", "-bus", "xbar"}, `bus "xbar"`},
 		{"mfusim over budget", mfusim, []string{"-machine", "tomasulo", "-loops", "5", "-maxcycles", "10"}, "cycle budget exceeded"},
 		{"mfusim expired timeout", mfusim, []string{"-machine", "cray", "-loops", "5", "-timeout", "1ns"}, "deadline exceeded"},
 
@@ -508,6 +512,7 @@ func TestCommandLineErrorPaths(t *testing.T) {
 		{"mfusim scale needs extrapolate", mfusim, []string{"-machine", "cray", "-loops", "1", "-scale", "100000"}, "-extrapolate"},
 		{"mfusim scale unreachable", mfusim, []string{"-machine", "cray", "-loops", "13", "-scale", "100000", "-extrapolate"}, "analytic extension"},
 		{"mfusim scale unreachable without extrapolate", mfusim, []string{"-machine", "cray", "-loops", "13", "-scale", "100000"}, "analytic extension"},
+		{"mfusim scale overflows", mfusim, []string{"-machine", "cray", "-loops", "1", "-scale", "4000000000000000000", "-extrapolate"}, "overflow"},
 		{"mfusim vector without codings", mfusim, []string{"-machine", "vector", "-loops", "5,6"}, "1, 2, 3, 4, 7, 8, 9, 10, 12"},
 		{"mfutables zero scale", mfutables, []string{"-scale", "0"}, "at least 1"},
 

@@ -170,15 +170,19 @@ func TestForwardRelaysWorkerBytesVerbatim(t *testing.T) {
 func TestBadSpecRefusedAtRouter(t *testing.T) {
 	a := newStubPeer(t)
 	rt := newTestRouter(t, Config{}, a)
-	w := post(t, rt.Handler(), "/v1/jobs", `{"machine":{"kind":"no-such-kind"}}`)
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", w.Code)
+	for _, doc := range []string{
+		`{"machine":{"kind":"no-such-kind"}}`,
+		`{"machine":{"kind":"ruu","bus":"xbar"}}`, // the RUU takes no crossbar
+	} {
+		if w := post(t, rt.Handler(), "/v1/jobs", doc); w.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", doc, w.Code)
+		}
 	}
 	if a.hits.Load() != 0 {
 		t.Errorf("defective spec was dispatched %d times", a.hits.Load())
 	}
-	if st := rt.Snapshot(); st.BadSpec != 1 || st.Forwarded != 0 {
-		t.Errorf("stats %+v, want bad_spec=1 forwarded=0", st)
+	if st := rt.Snapshot(); st.BadSpec != 2 || st.Forwarded != 0 {
+		t.Errorf("stats %+v, want bad_spec=2 forwarded=0", st)
 	}
 }
 

@@ -173,8 +173,8 @@ func (c Config) WithMemBanks(banks int) Config {
 }
 
 // Validate reports whether the configuration is structurally
-// possible. It is the error-returning form used by the checked
-// constructors; the panicking constructors assert it via validate.
+// possible. The checked constructors call it; the panicking ones
+// reach it through their checked twins.
 func (c Config) Validate() error {
 	if c.MemLatency <= 0 {
 		return fmt.Errorf("core: config %s: memory latency must be positive, got %d", c.Name(), c.MemLatency)
@@ -206,14 +206,6 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
-}
-
-// validate panics on structurally impossible configurations; it is
-// the compatibility wrapper the legacy constructors use.
-func (c Config) validate() {
-	if err := c.Validate(); err != nil {
-		panic(err.Error())
-	}
 }
 
 // Result reports one simulation run.

@@ -212,12 +212,7 @@ func (e *Extrapolator) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 		return r, err
 	}
 	if extraIters > 0 && !e.bestEffort {
-		return Result{}, &simerr.SimError{
-			Kind: simerr.KindBadTrace, Machine: e.inner.Name(), Trace: t.Name,
-			Instr: -1,
-			Msg: fmt.Sprintf("cannot extrapolate %d virtual iterations: %s",
-				extraIters, e.last.Reason),
-		}
+		return Result{}, e.errVirtual(t, extraIters, e.last.Reason)
 	}
 	e.inner.SetProbe(e.probe)
 	e.inner.SetRecorder(e.rec)
@@ -226,6 +221,23 @@ func (e *Extrapolator) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 		e.inner.SetRecorder(nil)
 	}()
 	return e.inner.RunChecked(t, lim)
+}
+
+// errVirtual is the permanent failure of a run whose extra virtual
+// iterations cannot be accounted for.
+func (e *Extrapolator) errVirtual(t *trace.Trace, extra int64, reason string) error {
+	return &simerr.SimError{
+		Kind: simerr.KindBadTrace, Machine: e.inner.Name(), Trace: t.Name,
+		Instr: -1,
+		Msg:   fmt.Sprintf("cannot extrapolate %d virtual iterations: %s", extra, reason),
+	}
+}
+
+// addMul returns a + n*d for n >= 0 and whether it fits in an int64.
+func addMul(a, n, d int64) (int64, bool) {
+	p := n * d
+	s := a + p
+	return s, (n == 0 || p/n == d) && (s > a) == (p > 0)
 }
 
 // tryExtrapolate attempts the analytic closure. done reports whether
@@ -347,8 +359,16 @@ func (e *Extrapolator) tryExtrapolate(t *trace.Trace, lim Limits, extraIters int
 		return fallback("no fixed per-iteration delta within the sampled ladder")
 	}
 	// Close the run at the target window count from a reference
-	// congruent to it modulo the lag.
-	target := windows + extraIters
+	// congruent to it modulo the lag. A total past int64 is an error,
+	// never a wrapped count: even a best-effort caller must not record
+	// it, as a clamped rate would then stand for the unreachable length.
+	overflow := func(what string) (Result, error, bool) {
+		return Result{}, e.errVirtual(t, extraIters, what+" overflows int64"), true
+	}
+	target, ok := addMul(windows, 1, extraIters)
+	if !ok {
+		return overflow("the window count")
+	}
 	ref := -1
 	for i := len(samples) - 1 - lag; i >= 0; i-- {
 		if (target-int64(k0+i))%int64(lag) == 0 {
@@ -361,8 +381,11 @@ func (e *Extrapolator) tryExtrapolate(t *trace.Trace, lim Limits, extraIters int
 	}
 	lo, hi := &samples[ref], &samples[ref+lag]
 	times := (target - int64(k0+ref)) / int64(lag)
-	cycles := lo.r.Cycles + times*(hi.r.Cycles-lo.r.Cycles)
-	instrs := lo.r.Instructions + times*(hi.r.Instructions-lo.r.Instructions)
+	cycles, okC := addMul(lo.r.Cycles, times, hi.r.Cycles-lo.r.Cycles)
+	instrs, okI := addMul(lo.r.Instructions, times, hi.r.Instructions-lo.r.Instructions)
+	if !okC || !okI {
+		return overflow("the cycle or instruction count")
+	}
 	if extraIters == 0 && instrs != int64(len(t.Ops)) {
 		return fallback("extrapolated instruction count disagrees with the trace")
 	}
@@ -372,13 +395,13 @@ func (e *Extrapolator) tryExtrapolate(t *trace.Trace, lim Limits, extraIters int
 	e.last.Engaged = true
 	e.last.Lag = lag
 	e.last.Windows = target
-	e.last.Skipped = times * int64(lag)
+	e.last.Skipped = times * int64(lag) // at most target, so it fits
 	e.last.CyclesPerLag = hi.r.Cycles - lo.r.Cycles
 	if err := g.Over(cycles, instrs); err != nil {
 		return Result{}, err, true
 	}
-	if uc != nil {
-		uc.AddExtrapolated(lo.c, hi.c, times)
+	if uc != nil && !uc.AddExtrapolated(lo.c, hi.c, times) {
+		return overflow("a stall-attribution total")
 	}
 	return Result{
 		Machine:      lo.r.Machine,

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"mfup/internal/bus"
 	"mfup/internal/events"
 	"mfup/internal/isa"
 	"mfup/internal/loops"
@@ -262,6 +264,45 @@ func TestExtrapolatorVirtualBestEffort(t *testing.T) {
 	}
 	if e.Stats().Engaged {
 		t.Error("best-effort run claims engagement")
+	}
+}
+
+// TestExtrapolatorVirtualOverflow checks virtual iterations whose
+// totals do not fit in an int64 fail with a structured error instead
+// of wrapping, in best-effort mode too, and leave an attached probe
+// untouched when only its issue-slot totals overflow.
+func TestExtrapolatorVirtualOverflow(t *testing.T) {
+	tr := kernelTrace(t, 1)
+	wide := NewMultiIssueOOO(M11BR5.WithIssue(8, bus.BusN))
+	for _, tc := range []struct {
+		name       string
+		m          Machine
+		windows    int64
+		bestEffort bool
+		probe      bool
+		want       string
+	}{
+		{"cycles", NewBasic(CRAYLike, M11BR5), 4_000_000_000_000_000_000, false, false, "instruction count overflows"},
+		{"best effort", NewBasic(CRAYLike, M11BR5), 4_000_000_000_000_000_000, true, false, "instruction count overflows"},
+		{"window count", NewBasic(CRAYLike, M11BR5), math.MaxInt64 - 10, false, false, "window count overflows"},
+		{"probe slots", wide, 100_000_000_000_000_000, false, true, "stall-attribution total overflows"},
+	} {
+		e := Extrapolate(tc.m).WithVirtual(map[string]int64{tr.Name: tc.windows})
+		if tc.bestEffort {
+			e.BestEffort()
+		}
+		var c probe.Counters
+		if tc.probe {
+			e.SetProbe(&c)
+		}
+		r, err := e.RunChecked(tr, DefaultLimits())
+		se, ok := err.(*SimError)
+		if !ok || se.Kind != simerr.KindBadTrace || se.Transient || !strings.Contains(se.Msg, tc.want) {
+			t.Errorf("%s: result %+v, err %v; want a permanent bad-trace SimError containing %q", tc.name, r, err, tc.want)
+		}
+		if c.Runs != 0 || c.Slots != 0 {
+			t.Errorf("%s: refused run touched the probe: %+v", tc.name, c)
+		}
 	}
 }
 

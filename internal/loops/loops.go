@@ -297,7 +297,11 @@ func VirtualWindows(k *Kernel, extra int64) (int64, error) {
 		if dw <= 0 || dw%step != 0 {
 			break
 		}
-		return extra * int64(dw/step), nil
+		slope := int64(dw / step)
+		if extra > math.MaxInt64/slope {
+			return 0, fmt.Errorf("loops: %s: %d extra iterations of %d windows each overflow int64", k, extra, slope)
+		}
+		return extra * slope, nil
 	}
 	return 0, fmt.Errorf("loops: %s: window slope not measurable; cannot extend past %d materialized iterations", k, k.N)
 }

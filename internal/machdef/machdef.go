@@ -117,6 +117,12 @@ func Kinds() []string {
 	return ks
 }
 
+// MultiIssue reports whether kind, in any case, takes the
+// multiple-issue knobs Width and Bus.
+func MultiIssue(kind string) bool {
+	return kinds[strings.ToLower(strings.TrimSpace(kind))].multi
+}
+
 // Error is a structurally invalid machine definition. Each message is
 // a single line naming the offending knob and its value.
 type Error struct{ Msg string }

@@ -152,6 +152,20 @@ func TestCanonicalizeDefaults(t *testing.T) {
 	}
 }
 
+// TestMultiIssue checks the predicate names exactly the kinds that
+// take a width above one, in any spelling of the kind.
+func TestMultiIssue(t *testing.T) {
+	for _, k := range Kinds() {
+		_, err := Canonicalize(Spec{Kind: k, Width: 2})
+		if got := MultiIssue(" " + strings.ToUpper(k)); got != (err == nil) {
+			t.Errorf("MultiIssue(%q) = %v, but width 2 canonicalizes with error %v", k, got, err)
+		}
+	}
+	if MultiIssue("no-such-kind") {
+		t.Error("an unknown kind is multiple-issue")
+	}
+}
+
 // TestRejectionTable exercises every out-of-range knob and checks for
 // a one-line diagnostic naming it.
 func TestRejectionTable(t *testing.T) {

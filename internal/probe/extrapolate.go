@@ -15,39 +15,54 @@ package probe
 // reference run ref plus times copies of the per-period difference
 // (next - ref), counted as one completed run. ref and next must be
 // single-run Counters observed on the same machine and trace, next
-// exactly one steady-state period after ref; neither is modified.
-func (c *Counters) AddExtrapolated(ref, next *Counters, times int64) {
-	c.Machine = next.Machine
-	c.Trace = next.Trace
-	c.Runs++
-	c.Width = next.Width
-	if next.Capacity > c.Capacity {
-		c.Capacity = next.Capacity
+// exactly one steady-state period after ref; neither is modified. It
+// reports false, leaving c unchanged, when a total would overflow
+// int64 — Slots, at Width per cycle, overflows first.
+func (c *Counters) AddExtrapolated(ref, next *Counters, times int64) bool {
+	x := *c
+	x.Machine = next.Machine
+	x.Trace = next.Trace
+	x.Runs++
+	x.Width = next.Width
+	if next.Capacity > x.Capacity {
+		x.Capacity = next.Capacity
 	}
-	lerp := func(a, b int64) int64 { return a + times*(b-a) }
-	c.Issued += lerp(ref.Issued, next.Issued)
-	c.Cycles += lerp(ref.Cycles, next.Cycles)
-	c.Slots += lerp(ref.Slots, next.Slots)
-	c.Branches += lerp(ref.Branches, next.Branches)
-	for r := range c.Stalls {
-		c.Stalls[r] += lerp(ref.Stalls[r], next.Stalls[r])
+	fits := true
+	lerp := func(total *int64, a, b int64) {
+		v, ok1 := addMul(a, times, b-a)
+		s, ok2 := addMul(*total, 1, v)
+		*total, fits = s, fits && ok1 && ok2
 	}
-	for u := range c.FU {
-		c.FU[u].Ops += lerp(ref.FU[u].Ops, next.FU[u].Ops)
-		c.FU[u].Busy += lerp(ref.FU[u].Busy, next.FU[u].Busy)
+	lerp(&x.Issued, ref.Issued, next.Issued)
+	lerp(&x.Cycles, ref.Cycles, next.Cycles)
+	lerp(&x.Slots, ref.Slots, next.Slots)
+	lerp(&x.Branches, ref.Branches, next.Branches)
+	for r := range x.Stalls {
+		lerp(&x.Stalls[r], ref.Stalls[r], next.Stalls[r])
 	}
-	n := len(ref.OccupancyHist)
-	if len(next.OccupancyHist) > n {
-		n = len(next.OccupancyHist)
+	for u := range x.FU {
+		lerp(&x.FU[u].Ops, ref.FU[u].Ops, next.FU[u].Ops)
+		lerp(&x.FU[u].Busy, ref.FU[u].Busy, next.FU[u].Busy)
 	}
-	if n > len(c.OccupancyHist) {
-		grown := make([]int64, n)
-		copy(grown, c.OccupancyHist)
-		c.OccupancyHist = grown
+	if n := max(len(ref.OccupancyHist), len(next.OccupancyHist), len(c.OccupancyHist)); n > 0 {
+		x.OccupancyHist = make([]int64, n)
+		copy(x.OccupancyHist, c.OccupancyHist)
 	}
-	for i := 0; i < n; i++ {
-		c.OccupancyHist[i] += lerp(histAt(ref, i), histAt(next, i))
+	for i := range x.OccupancyHist {
+		lerp(&x.OccupancyHist[i], histAt(ref, i), histAt(next, i))
 	}
+	if !fits {
+		return false
+	}
+	*c = x
+	return true
+}
+
+// addMul returns a + n*d for n >= 0 and whether it fits in an int64.
+func addMul(a, n, d int64) (int64, bool) {
+	p := n * d
+	s := a + p
+	return s, (n == 0 || p/n == d) && (s > a) == (p > 0)
 }
 
 // DeltaEqual reports whether two pairs of Counters have identical

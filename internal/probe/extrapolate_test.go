@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"reflect"
 	"testing"
 
 	"mfup/internal/isa"
@@ -55,6 +56,24 @@ func TestAddExtrapolatedPreservesCheck(t *testing.T) {
 		if c.Runs != 1 {
 			t.Errorf("times=%d: Runs = %d, want 1", times, c.Runs)
 		}
+	}
+}
+
+// TestAddExtrapolatedOverflow checks a multiplier whose totals do not
+// fit in an int64 is refused and leaves the counters untouched.
+func TestAddExtrapolatedOverflow(t *testing.T) {
+	ref := runCounters(2, 100, 120, 50, map[int]int64{2: 90, 3: 10})
+	next := runCounters(2, 103, 124, 52, map[int]int64{2: 92, 3: 11})
+	c := *ref
+	c.OccupancyHist = append([]int64(nil), ref.OccupancyHist...)
+	if c.AddExtrapolated(ref, next, 4_000_000_000_000_000_000) {
+		t.Fatalf("overflowing multiplier accepted: %+v", c)
+	}
+	if !reflect.DeepEqual(&c, ref) {
+		t.Errorf("refused fold changed the counters:\n got  %+v\n want %+v", c, *ref)
+	}
+	if !c.AddExtrapolated(ref, next, 1_000_000_000_000_000) {
+		t.Error("a multiplier whose totals fit was refused")
 	}
 }
 

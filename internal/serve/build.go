@@ -37,8 +37,9 @@ type work struct {
 func buildWork(c JobSpec) (*work, error) {
 	// Probe-construct the machine once so configuration errors surface
 	// now, as *SpecError material; the task re-constructs privately.
-	if _, err := c.Machine.newMachine(); err != nil {
-		return nil, err
+	def := c.Machine.def()
+	if _, err := def.New(); err != nil {
+		return nil, &SpecError{Msg: err.Error()}
 	}
 
 	var (
@@ -85,11 +86,10 @@ func buildWork(c JobSpec) (*work, error) {
 		return nil, specErrf("workload selects no traces")
 	}
 
-	spec := c // captured by value: the task must not alias caller state
 	extrap := c.Extrapolate || len(virtual) > 0
 	task := runner.Task{
 		New: func() core.Machine {
-			m, err := spec.Machine.newMachine()
+			m, err := def.New()
 			if err != nil {
 				// Probe-construction above succeeded, so this cannot
 				// happen; if it somehow does, the runner's per-cell
@@ -130,7 +130,7 @@ type JobResult struct {
 // A non-positive rate is reported as the failure it is — it would
 // poison the harmonic mean — mirroring the CLI tools.
 func resultOf(c JobSpec, w *work, rs []core.Result) (*JobResult, error) {
-	jr := &JobResult{Config: c.Machine.config().Name()}
+	jr := &JobResult{Config: core.Config{MemLatency: c.Machine.Mem, BranchLatency: c.Machine.Br}.Name()}
 	rates := make([]float64, 0, len(rs))
 	for i, r := range rs {
 		rate := r.IssueRate()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mfup/internal/dse"
+	"mfup/internal/machdef"
 	"mfup/internal/tables"
 )
 
@@ -50,9 +51,9 @@ var goldenKeys = []struct {
 	{
 		desc:  "RUU machine with its defaults spelled out",
 		kind:  "job",
-		input: `{"machine":{"kind":"ruu","units":2,"bus":"x-bar","ruu":50},"workload":{"loops":"vector"}}`,
+		input: `{"machine":{"kind":"ruu","units":2,"bus":"1-BUS","ruu":50},"workload":{"loops":"vector"}}`,
 		loops: "1,2,3,4,7,8,9,10,12",
-		want:  "c07eeaf52227f2f678519ff547c5f5ff8efd17de858c4cd90143f52a67027f8d",
+		want:  "789f54c7cf9074757b22e50da911a7d63e6483d7935e519940695125776603e6",
 	},
 	{
 		desc:  "Tomasulo with stations and ignored issue knobs",
@@ -201,14 +202,17 @@ func TestGoldenKeys(t *testing.T) {
 
 // FuzzCanonicalize decodes arbitrary bytes into a JobSpec. A spec that
 // Canonicalize accepts must be a fixed point of it, under the same
-// key, and buildWork must turn it into a task or a *SpecError without
-// panicking: a 400, never a crashed worker.
+// key; its machine must build, so an unbuildable machine is a 400 at
+// admission rather than a failed job; and buildWork must turn it into
+// a task or a *SpecError without panicking: a 400, never a crashed
+// worker.
 func FuzzCanonicalize(f *testing.F) {
 	for _, tc := range goldenKeys {
 		if tc.kind == "job" {
 			f.Add([]byte(tc.input))
 		}
 	}
+	f.Add([]byte(`{"machine":{"kind":"ruu","bus":"xbar"}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec JobSpec
 		if json.Unmarshal(data, &spec) != nil {
@@ -224,6 +228,13 @@ func FuzzCanonicalize(f *testing.F) {
 		}
 		if again != c || Key(again) != Key(c) {
 			t.Fatalf("Canonicalize is not idempotent:\n once  %+v (%s)\n twice %+v (%s)", c, Key(c), again, Key(again))
+		}
+		def, err := machdef.Canonicalize(c.Machine.def())
+		if err == nil {
+			_, err = def.New()
+		}
+		if err != nil {
+			t.Fatalf("accepted machine %+v does not build: %v", c.Machine, err)
 		}
 		// An emulator budget only decides whether tracing fails and is
 		// outside the key; bounding it keeps a looping program cheap.

@@ -175,13 +175,17 @@ func TestBadSpecRejected(t *testing.T) {
 		`not json`,
 		`{"machine":{"kind":"dataflow"}}`,
 		`{"machine":{"kind":"cray"},"workload":{"loops":"99"}}`,
+		`{"machine":{"kind":"ruu","bus":"xbar"}}`, // the RUU takes no crossbar
 	} {
 		if code, _, _ := post(t, hs.URL+"/v1/jobs", doc); code != http.StatusBadRequest {
 			t.Errorf("%q: status %d, want 400", doc, code)
 		}
 	}
-	if got := s.Snapshot().BadSpec; got != 3 {
-		t.Errorf("bad_spec = %d, want 3", got)
+	if got := s.Snapshot().BadSpec; got != 4 {
+		t.Errorf("bad_spec = %d, want 4", got)
+	}
+	if got := s.Snapshot().Admitted; got != 0 {
+		t.Errorf("admitted = %d, want 0", got)
 	}
 }
 

@@ -37,9 +37,7 @@ import (
 	"strconv"
 	"strings"
 
-	"mfup/internal/bus"
 	"mfup/internal/cli"
-	"mfup/internal/core"
 	"mfup/internal/loops"
 	"mfup/internal/machdef"
 )
@@ -73,8 +71,9 @@ type JobSpec struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// MachineSpec names a machine model and its configuration, in the
-// same vocabulary as the mfusim flags.
+// MachineSpec is the wire form of the machdef.Spec fields a job can
+// set, in the vocabulary of the mfusim flags: Units is machdef's Width.
+// Canonicalize validates and normalizes it through internal/machdef.
 type MachineSpec struct {
 	// Kind: simple | serialmem | nonseg | cray | scoreboard |
 	// tomasulo | multi | ooo | ruu | vector.
@@ -83,7 +82,7 @@ type MachineSpec struct {
 	Mem      int    `json:"mem,omitempty"`      // memory access cycles; default 11
 	Br       int    `json:"br,omitempty"`       // branch execution cycles; default 5
 	Units    int    `json:"units,omitempty"`    // issue units (multi, ooo, ruu); default 1
-	Bus      string `json:"bus,omitempty"`      // nbus | 1bus | xbar (multi, ooo, ruu); default nbus
+	Bus      string `json:"bus,omitempty"`      // nbus | 1bus | xbar (multi, ooo; ruu takes nbus or 1bus); default nbus
 	RUU      int    `json:"ruu,omitempty"`      // RUU entries (ruu); default 50
 	Stations int    `json:"stations,omitempty"` // stations per unit (tomasulo); default 4
 }
@@ -115,21 +114,6 @@ type LimitsSpec struct {
 	StallCycles int64 `json:"stallcycles,omitempty"` // no-forward-progress watchdog; 0 = off
 }
 
-// machineKinds enumerates the valid MachineSpec.Kind values and
-// whether each takes the multiple-issue parameters.
-var machineKinds = map[string]struct{ multi bool }{
-	"simple":     {},
-	"serialmem":  {},
-	"nonseg":     {},
-	"cray":       {},
-	"scoreboard": {},
-	"tomasulo":   {},
-	"multi":      {multi: true},
-	"ooo":        {multi: true},
-	"ruu":        {multi: true},
-	"vector":     {},
-}
-
 // SpecError is a structurally invalid job spec: the admission path
 // maps it to HTTP 400.
 type SpecError struct{ Msg string }
@@ -143,13 +127,14 @@ func specErrf(format string, args ...any) error {
 // Canonicalize validates spec and rewrites it into the one normal
 // form that two semantically identical submissions share:
 //
-//   - names are lowercased and defaults are spelled out (mem 11, br 5,
-//     loops "all" resolved to explicit kernel numbers, ...);
-//   - parameters the chosen machine ignores are zeroed, so "a CRAY
-//     with ruu:50" and "a CRAY" are the same spec;
-//   - loop selections are resolved, deduplicated, and sorted — the
-//     service renders per-loop results in kernel order, so "5,1" and
-//     "1,5" are observably identical;
+//   - the machine is machdef.Canonicalize's normal form: the kind
+//     lowercased, defaults spelled out (mem 11, br 5, ...), and the
+//     parameters the kind ignores zeroed, so "a CRAY with ruu:50" and
+//     "a CRAY" are the same spec — units included, which a
+//     single-issue kind ignores here where machdef would refuse them;
+//   - loop selections ("all" included) are resolved to kernel numbers,
+//     deduplicated, and sorted — the service renders per-loop results
+//     in kernel order, so "5,1" and "1,5" are observably identical;
 //   - cost and environment knobs that cannot change a completed
 //     result (Extrapolate, TimeoutMS, MaxSteps) are preserved for
 //     execution but excluded from the cache key.
@@ -158,61 +143,16 @@ func specErrf(format string, args ...any) error {
 func Canonicalize(spec JobSpec) (JobSpec, error) {
 	c := spec
 
-	// Machine.
-	c.Machine.Kind = strings.ToLower(strings.TrimSpace(c.Machine.Kind))
-	kindInfo, ok := machineKinds[c.Machine.Kind]
-	if !ok {
-		return c, specErrf("unknown machine kind %q", spec.Machine.Kind)
+	// Machine: machdef's normal form, after the one wire leniency.
+	m := c.Machine.def()
+	if !machdef.MultiIssue(m.Kind) {
+		m.Width = 0
 	}
-	if c.Machine.Mem == 0 {
-		c.Machine.Mem = 11
+	m, err := machdef.Canonicalize(m)
+	if err != nil {
+		return c, &SpecError{Msg: err.Error()}
 	}
-	if c.Machine.Br == 0 {
-		c.Machine.Br = 5
-	}
-	if c.Machine.Mem < 1 || c.Machine.Br < 1 {
-		return c, specErrf("machine latencies must be positive (mem %d, br %d)", c.Machine.Mem, c.Machine.Br)
-	}
-	if kindInfo.multi {
-		if c.Machine.Units == 0 {
-			c.Machine.Units = 1
-		}
-		if c.Machine.Units < 1 {
-			return c, specErrf("units %d: need at least one issue unit", c.Machine.Units)
-		}
-		if c.Machine.Bus == "" {
-			c.Machine.Bus = "nbus"
-		}
-		kind, err := cli.ParseBusKind(c.Machine.Bus)
-		if err != nil {
-			return c, &SpecError{Msg: err.Error()}
-		}
-		c.Machine.Bus = canonicalBusName(kind)
-	} else {
-		// Parameters this machine ignores must not split the cache.
-		c.Machine.Units = 0
-		c.Machine.Bus = ""
-	}
-	if c.Machine.Kind == "ruu" {
-		if c.Machine.RUU == 0 {
-			c.Machine.RUU = 50
-		}
-		if c.Machine.RUU < c.Machine.Units {
-			return c, specErrf("ruu %d: need at least as many RUU entries as issue units (%d)", c.Machine.RUU, c.Machine.Units)
-		}
-	} else {
-		c.Machine.RUU = 0
-	}
-	if c.Machine.Kind == "tomasulo" {
-		if c.Machine.Stations == 0 {
-			c.Machine.Stations = 4
-		}
-		if c.Machine.Stations < 1 {
-			return c, specErrf("stations %d: need at least one reservation station per unit", c.Machine.Stations)
-		}
-	} else {
-		c.Machine.Stations = 0
-	}
+	c.Machine = MachineSpec{Kind: m.Kind, Mem: m.Mem, Br: m.Br, Units: m.Width, Bus: m.Bus, RUU: m.RUU, Stations: m.Stations}
 
 	// Workload.
 	c.Workload.Asm = spec.Workload.Asm
@@ -281,19 +221,6 @@ func Canonicalize(spec JobSpec) (JobSpec, error) {
 	return c, nil
 }
 
-// canonicalBusName renders a parsed bus kind in the spelling the
-// canonical spec uses.
-func canonicalBusName(k bus.Kind) string {
-	switch k {
-	case bus.Bus1:
-		return "1bus"
-	case bus.XBar:
-		return "xbar"
-	default:
-		return "nbus"
-	}
-}
-
 // keySpec is the exact observable surface of a job: the fields whose
 // values can change a *completed* result. Everything else — the
 // extrapolation engine (bit-identical by contract), wall-clock
@@ -346,53 +273,8 @@ func Key(c JobSpec) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// machdefSpec translates the service's machine vocabulary into the
-// declarative machine-definition layer (internal/machdef), which owns
-// validation, canonicalization, and construction. The service spec is
-// a strict subset of machdef's — Units is machdef's Width — so the
-// translation is a field mapping, and canonicalizing it cannot fail
-// on a spec that already passed Canonicalize above.
-func (m MachineSpec) machdefSpec() (machdef.Spec, error) {
-	s, err := machdef.Canonicalize(machdef.Spec{
-		Kind:     m.Kind,
-		Mem:      m.Mem,
-		Br:       m.Br,
-		Width:    m.Units,
-		Bus:      m.Bus,
-		RUU:      m.RUU,
-		Stations: m.Stations,
-	})
-	if err != nil {
-		return s, &SpecError{Msg: err.Error()}
-	}
-	return s, nil
-}
-
-// config assembles the core.Config of a canonical machine spec.
-func (m MachineSpec) config() core.Config {
-	s, err := m.machdefSpec()
-	if err == nil {
-		var cfg core.Config
-		if cfg, err = s.Config(); err == nil {
-			return cfg
-		}
-	}
-	// Unreachable on a canonical spec; keep the old direct mapping as
-	// the fallback so a labeling helper can never panic.
-	return core.Config{MemLatency: m.Mem, BranchLatency: m.Br}
-}
-
-// newMachine constructs the machine of a canonical spec through the
-// machdef layer. Construction errors surface as structured errors,
-// never panics.
-func (m MachineSpec) newMachine() (core.Machine, error) {
-	s, err := m.machdefSpec()
-	if err != nil {
-		return nil, err
-	}
-	mach, err := s.New()
-	if err != nil {
-		return nil, &SpecError{Msg: err.Error()}
-	}
-	return mach, nil
+// def maps the wire struct onto machdef's vocabulary, where units is
+// the issue width. A canonical MachineSpec maps to a canonical Spec.
+func (m MachineSpec) def() machdef.Spec {
+	return machdef.Spec{Kind: m.Kind, Mem: m.Mem, Br: m.Br, Width: m.Units, Bus: m.Bus, RUU: m.RUU, Stations: m.Stations}
 }

@@ -146,7 +146,7 @@ func TestKeyTracksObservableFields(t *testing.T) {
 		"mem":         {Machine: MachineSpec{Kind: "ruu", Mem: 5}, Workload: WorkloadSpec{Loops: "1"}},
 		"br":          {Machine: MachineSpec{Kind: "ruu", Br: 2}, Workload: WorkloadSpec{Loops: "1"}},
 		"units":       {Machine: MachineSpec{Kind: "ruu", Units: 4}, Workload: WorkloadSpec{Loops: "1"}},
-		"bus":         {Machine: MachineSpec{Kind: "ruu", Bus: "xbar"}, Workload: WorkloadSpec{Loops: "1"}},
+		"bus":         {Machine: MachineSpec{Kind: "ruu", Bus: "1bus"}, Workload: WorkloadSpec{Loops: "1"}},
 		"ruu":         {Machine: MachineSpec{Kind: "ruu", RUU: 8}, Workload: WorkloadSpec{Loops: "1"}},
 		"kind":        {Machine: MachineSpec{Kind: "ooo"}, Workload: WorkloadSpec{Loops: "1"}},
 		"loops":       {Machine: MachineSpec{Kind: "ruu"}, Workload: WorkloadSpec{Loops: "2"}},
@@ -206,6 +206,7 @@ func TestCanonicalizeRejections(t *testing.T) {
 		"negative units":    {Machine: MachineSpec{Kind: "multi", Units: -2}},
 		"bad bus":           {Machine: MachineSpec{Kind: "multi", Bus: "ring"}},
 		"ruu under units":   {Machine: MachineSpec{Kind: "ruu", Units: 8, RUU: 2}},
+		"ruu crossbar":      {Machine: MachineSpec{Kind: "ruu", Bus: "xbar"}},
 		"loops and asm":     {Machine: MachineSpec{Kind: "cray"}, Workload: WorkloadSpec{Loops: "1", Asm: tinyProgram}},
 		"bad loop spec":     {Machine: MachineSpec{Kind: "cray"}, Workload: WorkloadSpec{Loops: "1,,2"}},
 		"unknown loop":      {Machine: MachineSpec{Kind: "cray"}, Workload: WorkloadSpec{Loops: "99"}},
