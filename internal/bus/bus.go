@@ -65,35 +65,16 @@ type slot struct {
 	count int
 }
 
-// NewTracker builds a tracker for kind k with n issue stations. It
-// panics on an invalid configuration; NewTrackerChecked is the
-// error-returning form.
-func NewTracker(k Kind, n int) *Tracker {
-	t, err := NewTrackerChecked(k, n)
-	if err != nil {
-		panic(err.Error())
-	}
-	return t
-}
-
-// NewTrackerChecked builds a tracker for kind k with n issue
-// stations, validating the configuration instead of panicking. The
-// crossbar gets one bus per station, as in the paper; use
-// NewTrackerCheckedBuses to decouple the two.
-func NewTrackerChecked(k Kind, n int) (*Tracker, error) {
-	return NewTrackerCheckedBuses(k, n, 0)
-}
-
-// NewTrackerCheckedBuses builds a tracker for kind k with stations
-// issue stations and an explicit shared-bus count. buses == 0 keeps
-// the paper's defaults (one bus per station for the crossbar); a
-// positive count sizes the XBar's per-cycle result capacity
-// independently of the station count, which is the design-space knob
-// a sweep varies. BusN is per-station by definition and Bus1 has
-// exactly one bus, so for those kinds a positive buses must restate
-// the implied count — anything else is a configuration error, not a
-// silent reinterpretation.
-func NewTrackerCheckedBuses(k Kind, stations, buses int) (*Tracker, error) {
+// NewTracker builds a tracker for kind k with stations issue stations
+// and an explicit shared-bus count. buses == 0 keeps the paper's
+// defaults (one bus per station for the crossbar); a positive count
+// sizes the XBar's per-cycle result capacity independently of the
+// station count, which is the design-space knob a sweep varies. BusN
+// is per-station by definition and Bus1 has exactly one bus, so for
+// those kinds a positive buses must restate the implied count —
+// anything else is a configuration error, not a silent
+// reinterpretation.
+func NewTracker(k Kind, stations, buses int) (*Tracker, error) {
 	if stations < 1 {
 		return nil, fmt.Errorf("bus: need at least 1 station, got %d", stations)
 	}

@@ -6,8 +6,18 @@ import (
 	"testing/quick"
 )
 
+// mustTracker builds a tracker with the paper's default bus count.
+func mustTracker(t *testing.T, k Kind, stations int) *Tracker {
+	t.Helper()
+	tr, err := NewTracker(k, stations, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 func TestBus1SingleResultPerCycle(t *testing.T) {
-	tr := NewTracker(Bus1, 4)
+	tr := mustTracker(t, Bus1, 4)
 	if !tr.Free(0, 10) {
 		t.Fatal("fresh tracker not free")
 	}
@@ -21,7 +31,7 @@ func TestBus1SingleResultPerCycle(t *testing.T) {
 }
 
 func TestXBarCapacityIsN(t *testing.T) {
-	tr := NewTracker(XBar, 3)
+	tr := mustTracker(t, XBar, 3)
 	for i := 0; i < 3; i++ {
 		if !tr.Free(i, 5) {
 			t.Fatalf("X-Bar rejected result %d of 3", i+1)
@@ -34,7 +44,7 @@ func TestXBarCapacityIsN(t *testing.T) {
 }
 
 func TestBusNPerStation(t *testing.T) {
-	tr := NewTracker(BusN, 2)
+	tr := mustTracker(t, BusN, 2)
 	tr.Reserve(0, 7)
 	if tr.Free(0, 7) {
 		t.Error("station 0's bus double-booked")
@@ -45,7 +55,7 @@ func TestBusNPerStation(t *testing.T) {
 }
 
 func TestEarliestIssueSlides(t *testing.T) {
-	tr := NewTracker(Bus1, 1)
+	tr := mustTracker(t, Bus1, 1)
 	tr.Reserve(0, 10) // cycle 10 taken
 	// An op issued at 3 with latency 7 would land on 10; it must slide
 	// to issue at 4.
@@ -59,7 +69,7 @@ func TestEarliestIssueSlides(t *testing.T) {
 }
 
 func TestWindowWraparound(t *testing.T) {
-	tr := NewTracker(Bus1, 1)
+	tr := mustTracker(t, Bus1, 1)
 	tr.Reserve(0, 5)
 	// Cycle 5+window maps to the same slot but is a different cycle;
 	// the stale reservation must not block it.
@@ -69,7 +79,7 @@ func TestWindowWraparound(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	tr := NewTracker(BusN, 2)
+	tr := mustTracker(t, BusN, 2)
 	tr.Reserve(1, 3)
 	tr.Reset()
 	if !tr.Free(1, 3) {
@@ -84,12 +94,9 @@ func TestKindString(t *testing.T) {
 }
 
 func TestNewTrackerPanicsOnZeroStations(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewTracker(Bus1, 0) did not panic")
-		}
-	}()
-	NewTracker(Bus1, 0)
+	if _, err := NewTracker(Bus1, 0, 0); err == nil {
+		t.Error("NewTracker(Bus1, 0, 0) accepted zero stations")
+	}
 }
 
 // Property: against a naive map-based model, the ring-buffer tracker
@@ -100,7 +107,7 @@ func TestTrackerMatchesNaiveModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		kind := []Kind{XBar, BusN, Bus1}[rng.Intn(3)]
 		n := 1 + rng.Intn(4)
-		tr := NewTracker(kind, n)
+		tr := mustTracker(t, kind, n)
 
 		type key struct {
 			station int
@@ -144,7 +151,7 @@ func TestTrackerMatchesNaiveModel(t *testing.T) {
 func TestXBarExplicitBusCount(t *testing.T) {
 	// A 4-station crossbar with only 2 shared buses: two results may
 	// share a cycle, a third must not.
-	tr, err := NewTrackerCheckedBuses(XBar, 4, 2)
+	tr, err := NewTracker(XBar, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +173,7 @@ func TestBusCountDefaults(t *testing.T) {
 		kind  Kind
 		buses int
 	}{{XBar, 4}, {BusN, 4}, {Bus1, 1}} {
-		tr, err := NewTrackerCheckedBuses(tc.kind, 4, 0)
+		tr, err := NewTracker(tc.kind, 4, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.kind, err)
 		}
@@ -177,13 +184,13 @@ func TestBusCountDefaults(t *testing.T) {
 }
 
 func TestBusCountContradictionsRejected(t *testing.T) {
-	if _, err := NewTrackerCheckedBuses(BusN, 4, 2); err == nil {
+	if _, err := NewTracker(BusN, 4, 2); err == nil {
 		t.Error("BusN with 2 buses for 4 stations accepted")
 	}
-	if _, err := NewTrackerCheckedBuses(Bus1, 4, 3); err == nil {
+	if _, err := NewTracker(Bus1, 4, 3); err == nil {
 		t.Error("Bus1 with 3 buses accepted")
 	}
-	if _, err := NewTrackerCheckedBuses(XBar, 4, -1); err == nil {
+	if _, err := NewTracker(XBar, 4, -1); err == nil {
 		t.Error("negative bus count accepted")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -326,6 +327,23 @@ func ClampRetryAfter(min time.Duration, max time.Duration) time.Duration {
 	return min
 }
 
+// parseRetryAfter reads a peer's Retry-After header as delay-seconds.
+// An absent, malformed, zero or negative value reads as 1s. A value
+// too large for a time.Duration saturates instead of wrapping, so
+// ClampRetryAfter turns it into the cap rather than a fast retry.
+func parseRetryAfter(h string) time.Duration {
+	// ParseInt returns 0 for a malformed value and saturates an
+	// out-of-range one at ±MaxInt64, so the value alone decides.
+	s, _ := strconv.ParseInt(h, 10, 64)
+	switch {
+	case s <= 0:
+		return time.Second
+	case s > int64(math.MaxInt64/time.Second):
+		return time.Duration(math.MaxInt64)
+	}
+	return time.Duration(s) * time.Second
+}
+
 // delivered is a worker's definitive answer, forwarded verbatim.
 type delivered struct {
 	peer   *peer
@@ -407,10 +425,7 @@ func (rt *Router) attempt(ctx context.Context, p *peer, hedge bool, method, path
 	switch {
 	case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
 		out.shed, out.shedStatus = true, resp.StatusCode
-		out.retryAfter = time.Second
-		if s, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && s > 0 {
-			out.retryAfter = time.Duration(s) * time.Second
-		}
+		out.retryAfter = parseRetryAfter(resp.Header.Get("Retry-After"))
 	case resp.StatusCode >= 500:
 		out.err = fmt.Errorf("peer %s: HTTP %d: %.120s", p.url, resp.StatusCode, b)
 	default:

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/big"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -253,26 +254,35 @@ func TestHedgeWinsAgainstSlowPeer(t *testing.T) {
 }
 
 func TestAllPeersShed429AggregatesMinimumRetryAfter(t *testing.T) {
-	a, b := newStubPeer(t), newStubPeer(t)
-	a.shed(http.StatusTooManyRequests, 7)
-	b.shed(http.StatusTooManyRequests, 3)
-	rt := newTestRouter(t, Config{}, a, b)
+	for _, c := range []struct {
+		a, b, want int
+	}{
+		{7, 3, 3}, // the fleet minimum
+		// Past what a time.Duration holds (about 292 years): must not
+		// wrap into a fast retry, so the 60s cap.
+		{9223372037, 9223372037, 60},
+	} {
+		a, b := newStubPeer(t), newStubPeer(t)
+		a.shed(http.StatusTooManyRequests, c.a)
+		b.shed(http.StatusTooManyRequests, c.b)
+		rt := newTestRouter(t, Config{}, a, b)
 
-	w := post(t, rt.Handler(), "/v1/jobs?wait=1", jobDoc)
-	if w.Code != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429: %s", w.Code, w.Body)
-	}
-	if got := w.Header().Get("Retry-After"); got != "3" {
-		t.Errorf("Retry-After %q, want the fleet minimum 3", got)
-	}
-	var er struct {
-		RetryAfter int `json:"retry_after"`
-	}
-	if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || er.RetryAfter != 3 {
-		t.Errorf("body retry_after = %d (%v), want 3", er.RetryAfter, err)
-	}
-	if st := rt.Snapshot(); st.ShedAllPeers != 1 {
-		t.Errorf("shed_all_peers = %d, want 1", st.ShedAllPeers)
+		w := post(t, rt.Handler(), "/v1/jobs?wait=1", jobDoc)
+		if w.Code != http.StatusTooManyRequests {
+			t.Fatalf("peers %d/%d: status %d, want 429: %s", c.a, c.b, w.Code, w.Body)
+		}
+		if got, want := w.Header().Get("Retry-After"), fmt.Sprint(c.want); got != want {
+			t.Errorf("peers %d/%d: Retry-After %q, want %s", c.a, c.b, got, want)
+		}
+		var er struct {
+			RetryAfter int `json:"retry_after"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || er.RetryAfter != c.want {
+			t.Errorf("peers %d/%d: body retry_after = %d (%v), want %d", c.a, c.b, er.RetryAfter, err, c.want)
+		}
+		if st := rt.Snapshot(); st.ShedAllPeers != 1 {
+			t.Errorf("peers %d/%d: shed_all_peers = %d, want 1", c.a, c.b, st.ShedAllPeers)
+		}
 	}
 }
 
@@ -310,6 +320,38 @@ func TestClampRetryAfter(t *testing.T) {
 			t.Errorf("ClampRetryAfter(%v, %v) = %v, want %v", c.min, c.max, got, c.want)
 		}
 	}
+}
+
+// FuzzRetryAfter feeds a peer's raw Retry-After header through the
+// router's parse and ClampRetryAfter. The forwarded interval always
+// lies in [1s, cap], and a positive delay-seconds header forwards
+// exactly the smaller of itself and the cap, however many digits it
+// has.
+func FuzzRetryAfter(f *testing.F) {
+	for _, h := range []string{
+		"", "0", "1", "3", "60", "61", "-5", "+7", " 7", "2.5", "abc",
+		"9223372036", "9223372037", "18446744080", "99999999999999999999999",
+	} {
+		f.Add(h)
+	}
+	const limit = 60 * time.Second
+	f.Fuzz(func(t *testing.T, h string) {
+		got := ClampRetryAfter(parseRetryAfter(h), limit)
+		if got < time.Second || got > limit {
+			t.Fatalf("Retry-After %q forwards %v, outside [1s, %v]", h, got, limit)
+		}
+		n, ok := new(big.Int).SetString(h, 10)
+		if !ok || n.Sign() <= 0 {
+			return
+		}
+		want := limit
+		if n.Cmp(big.NewInt(int64(limit/time.Second))) < 0 {
+			want = time.Duration(n.Int64()) * time.Second
+		}
+		if got != want {
+			t.Fatalf("Retry-After %q forwards %v, want %v", h, got, want)
+		}
+	})
 }
 
 func TestPeerDialFaultFailsOver(t *testing.T) {

@@ -143,7 +143,7 @@ func (c Config) newPool() *fu.Pool {
 // machines: IssueUnits stations under the Bus organization, with
 // BusCount shared crossbar buses (0 = one per station).
 func (c Config) newBusTracker() (*bus.Tracker, error) {
-	return bus.NewTrackerCheckedBuses(c.Bus, c.IssueUnits, c.BusCount)
+	return bus.NewTracker(c.Bus, c.IssueUnits, c.BusCount)
 }
 
 // WithIssue returns c with the multiple-issue parameters set.

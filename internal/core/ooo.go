@@ -580,7 +580,7 @@ func (m *multiIssueOOO) scanBufferObserved(t *trace.Trace, p *trace.Prepared, g 
 }
 
 // hazardReason reruns entry i's buffer-hazard scan to name the first
-// blocking dependence, mirroring the scan in scanBufferProbed term
+// blocking dependence, mirroring the scan in scanBufferObserved term
 // for term. Classification lives here so the scan itself carries no
 // per-entry attribution state.
 func (m *multiIssueOOO) hazardReason(t *trace.Trace, p *trace.Prepared, pos, i int, issued []bool) probe.Reason {

@@ -244,13 +244,13 @@ func TestRetryStopsOnCancelledContext(t *testing.T) {
 
 func TestRetriesOffIsSeedBehavior(t *testing.T) {
 	// With no faults and no retries, results must match a plain run.
-	task, _ := retryTestTask(t)
+	task, tr := retryTestTask(t)
 	out, _, errs := RunCheckedStats(context.Background(), Options{Parallel: 1}, []Task{task})
 	if len(errs) != 0 {
 		t.Fatalf("healthy run failed: %v", errs)
 	}
-	ref := Run(1, []Task{task})
-	if out[0][0] != ref[0][0] {
-		t.Errorf("checked result %+v differs from plain run %+v", out[0][0], ref[0][0])
+	ref := task.New().Run(tr)
+	if out[0][0] != ref {
+		t.Errorf("checked result %+v differs from plain run %+v", out[0][0], ref)
 	}
 }

@@ -121,19 +121,6 @@ func Each(parallel, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Run executes every task on Workers(parallel) goroutines and returns
-// the results in task order: out[i][j] is tasks[i] run on its j-th
-// trace, regardless of how the cells were scheduled. Any cell failure
-// (panic or simulation error) panics with the first failure; use
-// RunChecked to collect failures instead.
-func Run(parallel int, tasks []Task) [][]core.Result {
-	out, errs := RunChecked(context.Background(), Options{Parallel: parallel}, tasks)
-	if len(errs) > 0 {
-		panic(errs[0])
-	}
-	return out
-}
-
 // ErrSkipped marks a cell that never ran because the sweep was
 // cancelled first (fail-fast after another cell's failure, or the
 // caller's context ending).
@@ -180,7 +167,7 @@ type Options struct {
 	Parallel int
 
 	// Limits bounds every cell's simulation (cycle budget, stall
-	// watchdog, wall-clock deadline). Zero = unbounded, matching Run.
+	// watchdog, wall-clock deadline). Zero = unbounded.
 	Limits core.Limits
 
 	// FailFast cancels the sweep after the first cell failure:
@@ -234,23 +221,20 @@ func Safe(fn func()) (err error) {
 	return nil
 }
 
-// RunChecked executes every task like Run, but isolates failures: a
-// cell that returns a simulation error or panics produces a CellError
-// and a zero Result in its slot, while every other cell completes
-// normally (unless opts.FailFast cancels them). Cancelling ctx stops
-// the sweep the same way. Errors are reported sorted by (Task, Trace),
-// deterministically at any worker count. len(out) == len(tasks) and
-// len(out[i]) == len(tasks[i].Traces) always hold.
-func RunChecked(ctx context.Context, opts Options, tasks []Task) ([][]core.Result, []*CellError) {
-	out, _, errs := RunCheckedStats(ctx, opts, tasks)
-	return out, errs
-}
-
-// RunCheckedStats is RunChecked with per-task telemetry: the third
-// return value, indexed like tasks, reports each cell's wall-clock
-// time, simulated cycle total, and recorder event counts. The
-// telemetry is observational — results and errors are identical to
-// RunChecked's.
+// RunCheckedStats executes every task on Workers(opts.Parallel)
+// goroutines and returns the results in task order: out[i][j] is
+// tasks[i] run on its j-th trace, regardless of how the cells were
+// scheduled. Failures are isolated: a cell that returns a simulation
+// error or panics produces a CellError and a zero Result in its slot,
+// while every other cell completes normally (unless opts.FailFast
+// cancels them). Cancelling ctx stops the sweep the same way. Errors
+// are reported sorted by (Task, Trace), deterministically at any
+// worker count. len(out) == len(tasks) and len(out[i]) ==
+// len(tasks[i].Traces) always hold.
+//
+// The second return value, indexed like tasks, reports each cell's
+// wall-clock time, simulated cycle total, and recorder event counts.
+// The telemetry is observational: it never changes results or errors.
 //
 // Structurally invalid Options (opts.Validate) run nothing: the
 // single reported CellError carries coordinates (-1, -1) and unwraps

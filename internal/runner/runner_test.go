@@ -49,6 +49,17 @@ func TestEachCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
+// run executes tasks on parallel workers and fails the test on any
+// cell error.
+func run(t *testing.T, parallel int, tasks []Task) [][]core.Result {
+	t.Helper()
+	out, _, errs := RunCheckedStats(context.Background(), Options{Parallel: parallel}, tasks)
+	if len(errs) != 0 {
+		t.Fatalf("unexpected cell errors: %v", errs)
+	}
+	return out
+}
+
 // TestRunDeterministic runs a real simulation grid serially and with
 // many workers and requires identical results in identical order.
 func TestRunDeterministic(t *testing.T) {
@@ -63,8 +74,8 @@ func TestRunDeterministic(t *testing.T) {
 			Traces: traces,
 		})
 	}
-	serial := Run(1, tasks)
-	parallel := Run(8, tasks)
+	serial := run(t, 1, tasks)
+	parallel := run(t, 8, tasks)
 	if len(serial) != len(tasks) || len(parallel) != len(tasks) {
 		t.Fatalf("result lengths %d, %d; want %d", len(serial), len(parallel), len(tasks))
 	}
@@ -122,10 +133,10 @@ func TestRunCheckedIsolatesPanics(t *testing.T) {
 		{New: mk, Traces: traces},
 		{New: healthy, Traces: traces},
 	}
-	want := Run(1, []Task{{New: healthy, Traces: traces}})[0]
+	want := run(t, 1, []Task{{New: healthy, Traces: traces}})[0]
 
 	for _, workers := range []int{1, 4} {
-		out, errs := RunChecked(context.Background(), Options{Parallel: workers}, tasks)
+		out, _, errs := RunCheckedStats(context.Background(), Options{Parallel: workers}, tasks)
 		if len(errs) != 1 {
 			t.Fatalf("workers=%d: %d errors, want 1: %v", workers, len(errs), errs)
 		}
@@ -162,7 +173,7 @@ func TestRunCheckedIsolatesPanics(t *testing.T) {
 func TestRunCheckedConstructionFailure(t *testing.T) {
 	traces := []*trace.Trace{loops.ByClass(loops.Scalar)[0].SharedTrace()}
 	tasks := []Task{{New: func() core.Machine { panic("bad constructor") }, Traces: traces}}
-	out, errs := RunChecked(context.Background(), Options{}, tasks)
+	out, _, errs := RunCheckedStats(context.Background(), Options{}, tasks)
 	if len(errs) != 1 || errs[0].Trace != -1 {
 		t.Fatalf("errs = %v, want one construction error with Trace -1", errs)
 	}
@@ -192,13 +203,13 @@ func TestRunCheckedFailFast(t *testing.T) {
 	}
 
 	// Keep-going (default): exactly the one injected failure.
-	_, errs := RunChecked(context.Background(), Options{Parallel: 1}, tasks)
+	_, _, errs := RunCheckedStats(context.Background(), Options{Parallel: 1}, tasks)
 	if len(errs) != 1 {
 		t.Fatalf("keep-going: %d errors, want 1: %v", len(errs), errs)
 	}
 
 	// Fail-fast with one worker: everything after task 0 is skipped.
-	_, errs = RunChecked(context.Background(), Options{Parallel: 1, FailFast: true}, tasks)
+	_, _, errs = RunCheckedStats(context.Background(), Options{Parallel: 1, FailFast: true}, tasks)
 	if len(errs) != len(tasks) {
 		t.Fatalf("fail-fast: %d errors, want %d", len(errs), len(tasks))
 	}
@@ -219,7 +230,7 @@ func TestRunCheckedCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	tasks := []Task{{New: func() core.Machine { return core.NewBasic(core.CRAYLike, core.M11BR5) }, Traces: traces}}
-	_, errs := RunChecked(ctx, Options{}, tasks)
+	_, _, errs := RunCheckedStats(ctx, Options{}, tasks)
 	if len(errs) != 1 || !errors.Is(errs[0], ErrSkipped) {
 		t.Fatalf("errs = %v, want one ErrSkipped", errs)
 	}
@@ -230,7 +241,7 @@ func TestRunCheckedCancelledContext(t *testing.T) {
 func TestRunCheckedCellTimeout(t *testing.T) {
 	traces := []*trace.Trace{loops.ByClass(loops.Scalar)[0].SharedTrace()}
 	tasks := []Task{{New: func() core.Machine { return core.NewBasic(core.CRAYLike, core.M11BR5) }, Traces: traces}}
-	_, errs := RunChecked(context.Background(), Options{CellTimeout: time.Nanosecond}, tasks)
+	_, _, errs := RunCheckedStats(context.Background(), Options{CellTimeout: time.Nanosecond}, tasks)
 	if len(errs) != 1 {
 		t.Fatalf("errs = %v, want one deadline error", errs)
 	}
@@ -256,7 +267,7 @@ func TestSafe(t *testing.T) {
 
 // TestRunCheckedStatsTelemetry: RunCheckedStats fills per-task
 // wall-clock, cycle, and event telemetry, attaches recorders to the
-// machines, and leaves the results identical to RunChecked's.
+// machines, and leaves the results identical to an unrecorded run's.
 func TestRunCheckedStatsTelemetry(t *testing.T) {
 	var traces []*trace.Trace
 	for _, k := range loops.ByClass(loops.Scalar) {
@@ -304,16 +315,13 @@ func TestRunCheckedStatsTelemetry(t *testing.T) {
 		t.Errorf("bare task reports event telemetry %d/%d", stats[1].Events, stats[1].EventsDropped)
 	}
 
-	// RunChecked's delegation returns the same results.
-	plain, perrs := RunChecked(context.Background(), Options{Parallel: 1}, []Task{
+	// The same task without a recorder returns the same results.
+	plain := run(t, 1, []Task{
 		{New: func() core.Machine { return core.NewBasic(core.CRAYLike, core.M11BR5) }, Traces: traces},
 	})
-	if len(perrs) != 0 {
-		t.Fatalf("unexpected cell errors: %v", perrs)
-	}
 	for j := range plain[0] {
 		if plain[0][j] != out[0][j] {
-			t.Errorf("trace %d: RunChecked %+v != RunCheckedStats %+v", j, plain[0][j], out[0][j])
+			t.Errorf("trace %d: unrecorded %+v != recorded %+v", j, plain[0][j], out[0][j])
 		}
 	}
 }

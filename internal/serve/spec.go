@@ -16,7 +16,7 @@
 //     job queue shed load explicitly (429 + Retry-After) instead of
 //     collapsing under it, and every accepted job carries a deadline
 //     plumbed into the simulation guard (internal/simerr);
-//   - fault containment: jobs run through runner.RunChecked (per-cell
+//   - fault containment: jobs run through runner.RunCheckedStats (per-cell
 //     recover, transient retry with backoff), and a circuit breaker
 //     quarantines a (machine, workload) pair after repeated permanent
 //     failures instead of re-burning cycles on it;

@@ -11,9 +11,10 @@
 // trace, and the cycle at which the run was cut off, plus — for
 // stalls — a snapshot of the stalled in-flight instructions.
 //
-// The type lives in its own leaf package so that both internal/core
-// and internal/ruu (which core wraps, and therefore cannot import
-// core) report failures with the same error value.
+// The package is a leaf that imports only the standard library. The
+// machine models in internal/core raise its errors (core.SimError is
+// an alias), and internal/runner classifies them by Kind to decide
+// which failed cells to retry.
 package simerr
 
 import (

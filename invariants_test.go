@@ -63,7 +63,7 @@ func TestCrossModelInvariants(t *testing.T) {
 				Traces: traces,
 			})
 		}
-		out, errs := runner.RunChecked(context.Background(),
+		out, _, errs := runner.RunCheckedStats(context.Background(),
 			runner.Options{Parallel: 8, Limits: mfup.DefaultSimLimits()}, tasks)
 		for _, e := range errs {
 			t.Errorf("%s: cell (%d,%d) failed: %v", cfg.Name(), e.Task, e.Trace, e)
