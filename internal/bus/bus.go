@@ -16,7 +16,10 @@
 // cycle its result will appear; if the slot is taken, issue stalls.
 package bus
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Kind selects the interconnect organization.
 type Kind uint8
@@ -41,23 +44,37 @@ func (k Kind) String() string {
 	return fmt.Sprintf("bus.Kind(%d)", uint8(k))
 }
 
-// window is the reservation horizon in cycles. Reservations are made
-// at issue for at most maxLatency cycles ahead, so a modest power of
-// two suffices.
-const window = 64
+// MaxHorizon is the longest horizon RingSize holds exactly. A longer
+// one gets the ring for MaxHorizon, which keeps a ring's memory
+// bounded under absurd latencies; bookings further ahead than
+// MaxHorizon cycles may then share a slot with a pending one.
+const MaxHorizon = 1<<12 - 1
+
+// RingSize returns the slot count of a cycle-indexed ring that holds
+// bookings up to horizon cycles ahead of the current cycle: the
+// smallest power of two above horizon (up to MaxHorizon). No two
+// pending cycles then share a slot, and a slot is found by masking
+// the cycle. The cycle-stepped machines size every such ring (result
+// buses, event lists) this way from their largest unit latency.
+func RingSize(horizon int) int { return 1 << bits.Len(uint(min(horizon, MaxHorizon))) }
 
 // Tracker schedules result-bus reservations. It exploits monotonic
 // time: a slot is identified by the absolute cycle stored in it, so
-// stale entries from window wrap-around are self-invalidating.
+// stale entries from ring wrap-around are self-invalidating, and a
+// ring of RingSize(horizon) slots never evicts a pending reservation.
 type Tracker struct {
 	kind  Kind
 	n     int
 	buses int // shared-cycle capacity for XBar; 1 for Bus1
 
-	// shared[c%window] counts results on cycle c (XBar, Bus1).
-	shared [window]slot
-	// perStation[i][c%window] marks station i's bus busy on cycle c.
-	perStation [][window]slot
+	// slots holds one ring of RingSize(horizon) slots for the shared
+	// kinds (XBar, Bus1), where slots[c&mask] counts results on cycle
+	// c, and one ring per station for BusN, where station i's bus is
+	// slots[i*stride+c&mask].
+	slots  []slot
+	mask   int64
+	stride int // ring length for BusN, 0 for the shared kinds
+	limit  int // results one slot may hold
 }
 
 type slot struct {
@@ -73,36 +90,43 @@ type slot struct {
 // is per-station by definition and Bus1 has exactly one bus, so for
 // those kinds a positive buses must restate the implied count —
 // anything else is a configuration error, not a silent
-// reinterpretation.
-func NewTracker(k Kind, stations, buses int) (*Tracker, error) {
+// reinterpretation. horizon is the furthest ahead of the current
+// cycle a result may be booked: the machine's largest unit latency.
+func NewTracker(k Kind, stations, buses, horizon int) (*Tracker, error) {
 	if stations < 1 {
 		return nil, fmt.Errorf("bus: need at least 1 station, got %d", stations)
 	}
 	if buses < 0 {
 		return nil, fmt.Errorf("bus: negative bus count %d", buses)
 	}
+	if horizon < 0 {
+		return nil, fmt.Errorf("bus: negative reservation horizon %d", horizon)
+	}
 	if k > Bus1 {
 		return nil, fmt.Errorf("bus: unknown interconnect kind %d", uint8(k))
 	}
-	t := &Tracker{kind: k, n: stations}
+	ring, rings := RingSize(horizon), 1
+	t := &Tracker{kind: k, n: stations, mask: int64(ring - 1), limit: 1}
 	switch k {
 	case XBar:
 		t.buses = buses
 		if t.buses == 0 {
 			t.buses = stations
 		}
+		t.limit = t.buses
 	case BusN:
 		if buses != 0 && buses != stations {
 			return nil, fmt.Errorf("bus: %s dedicates one bus per station; %d buses with %d stations is contradictory", k, buses, stations)
 		}
 		t.buses = stations
-		t.perStation = make([][window]slot, stations)
+		t.stride, rings = ring, stations
 	case Bus1:
 		if buses > 1 {
 			return nil, fmt.Errorf("bus: %s has exactly one bus, got %d", k, buses)
 		}
 		t.buses = 1
 	}
+	t.slots = make([]slot, rings*ring)
 	return t, nil
 }
 
@@ -114,43 +138,18 @@ func (t *Tracker) Buses() int { return t.buses }
 func (t *Tracker) Kind() Kind { return t.kind }
 
 // Reset clears all reservations.
-func (t *Tracker) Reset() {
-	t.shared = [window]slot{}
-	for i := range t.perStation {
-		t.perStation[i] = [window]slot{}
-	}
-}
-
-// capacity returns how many results may share one cycle.
-func (t *Tracker) capacity() int {
-	switch t.kind {
-	case XBar:
-		return t.buses
-	case Bus1:
-		return 1
-	}
-	return 1 // BusN: capacity is per station
-}
+func (t *Tracker) Reset() { clear(t.slots) }
 
 // Free reports whether station's bus can deliver a result on cycle c.
 func (t *Tracker) Free(station int, c int64) bool {
-	if t.kind == BusN {
-		s := &t.perStation[station][c%window]
-		return s.cycle != c || s.count == 0
-	}
-	s := &t.shared[c%window]
-	return s.cycle != c || s.count < t.capacity()
+	s := &t.slots[station*t.stride+int(c&t.mask)]
+	return s.cycle != c || s.count < t.limit
 }
 
 // Reserve books station's bus for a result on cycle c. The caller
 // must have checked Free.
 func (t *Tracker) Reserve(station int, c int64) {
-	var s *slot
-	if t.kind == BusN {
-		s = &t.perStation[station][c%window]
-	} else {
-		s = &t.shared[c%window]
-	}
+	s := &t.slots[station*t.stride+int(c&t.mask)]
 	if s.cycle != c {
 		s.cycle = c
 		s.count = 0

@@ -6,10 +6,13 @@ import (
 	"testing/quick"
 )
 
+// testHorizon covers every booking the fixed-cycle tests make.
+const testHorizon = 20
+
 // mustTracker builds a tracker with the paper's default bus count.
-func mustTracker(t *testing.T, k Kind, stations int) *Tracker {
+func mustTracker(t *testing.T, k Kind, stations, horizon int) *Tracker {
 	t.Helper()
-	tr, err := NewTracker(k, stations, 0)
+	tr, err := NewTracker(k, stations, 0, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,7 +20,7 @@ func mustTracker(t *testing.T, k Kind, stations int) *Tracker {
 }
 
 func TestBus1SingleResultPerCycle(t *testing.T) {
-	tr := mustTracker(t, Bus1, 4)
+	tr := mustTracker(t, Bus1, 4, testHorizon)
 	if !tr.Free(0, 10) {
 		t.Fatal("fresh tracker not free")
 	}
@@ -31,7 +34,7 @@ func TestBus1SingleResultPerCycle(t *testing.T) {
 }
 
 func TestXBarCapacityIsN(t *testing.T) {
-	tr := mustTracker(t, XBar, 3)
+	tr := mustTracker(t, XBar, 3, testHorizon)
 	for i := 0; i < 3; i++ {
 		if !tr.Free(i, 5) {
 			t.Fatalf("X-Bar rejected result %d of 3", i+1)
@@ -44,7 +47,7 @@ func TestXBarCapacityIsN(t *testing.T) {
 }
 
 func TestBusNPerStation(t *testing.T) {
-	tr := mustTracker(t, BusN, 2)
+	tr := mustTracker(t, BusN, 2, testHorizon)
 	tr.Reserve(0, 7)
 	if tr.Free(0, 7) {
 		t.Error("station 0's bus double-booked")
@@ -55,7 +58,7 @@ func TestBusNPerStation(t *testing.T) {
 }
 
 func TestEarliestIssueSlides(t *testing.T) {
-	tr := mustTracker(t, Bus1, 1)
+	tr := mustTracker(t, Bus1, 1, testHorizon)
 	tr.Reserve(0, 10) // cycle 10 taken
 	// An op issued at 3 with latency 7 would land on 10; it must slide
 	// to issue at 4.
@@ -69,17 +72,17 @@ func TestEarliestIssueSlides(t *testing.T) {
 }
 
 func TestWindowWraparound(t *testing.T) {
-	tr := mustTracker(t, Bus1, 1)
+	tr := mustTracker(t, Bus1, 1, testHorizon)
 	tr.Reserve(0, 5)
-	// Cycle 5+window maps to the same slot but is a different cycle;
+	// Cycle 5+RingSize maps to the same slot but is a different cycle;
 	// the stale reservation must not block it.
-	if !tr.Free(0, 5+window) {
+	if !tr.Free(0, 5+int64(RingSize(testHorizon))) {
 		t.Error("stale reservation blocked a wrapped cycle")
 	}
 }
 
 func TestReset(t *testing.T) {
-	tr := mustTracker(t, BusN, 2)
+	tr := mustTracker(t, BusN, 2, testHorizon)
 	tr.Reserve(1, 3)
 	tr.Reset()
 	if !tr.Free(1, 3) {
@@ -94,20 +97,23 @@ func TestKindString(t *testing.T) {
 }
 
 func TestNewTrackerPanicsOnZeroStations(t *testing.T) {
-	if _, err := NewTracker(Bus1, 0, 0); err == nil {
-		t.Error("NewTracker(Bus1, 0, 0) accepted zero stations")
+	if _, err := NewTracker(Bus1, 0, 0, testHorizon); err == nil {
+		t.Error("NewTracker accepted zero stations")
 	}
 }
 
 // Property: against a naive map-based model, the ring-buffer tracker
 // gives identical Free answers under random monotonically-advancing
-// reservation sequences (the usage pattern of the simulators).
+// reservation sequences (the usage pattern of the simulators), with
+// bookings up to a random horizon of as much as 300 cycles ahead, so
+// a ring that evicted a pending booking would answer wrongly.
 func TestTrackerMatchesNaiveModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		kind := []Kind{XBar, BusN, Bus1}[rng.Intn(3)]
 		n := 1 + rng.Intn(4)
-		tr := mustTracker(t, kind, n)
+		horizon := 1 + rng.Intn(300)
+		tr := mustTracker(t, kind, n, horizon)
 
 		type key struct {
 			station int
@@ -121,7 +127,7 @@ func TestTrackerMatchesNaiveModel(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			now += int64(rng.Intn(3)) // time advances slowly
 			st := rng.Intn(n)
-			c := now + int64(rng.Intn(20)) // reserve within the horizon
+			c := now + int64(rng.Intn(horizon+1)) // reserve within the horizon
 			var naiveFree bool
 			if kind == BusN {
 				naiveFree = naivePer[key{st, c}] < capacity
@@ -129,7 +135,7 @@ func TestTrackerMatchesNaiveModel(t *testing.T) {
 				naiveFree = naiveShared[c] < capacity
 			}
 			if got := tr.Free(st, c); got != naiveFree {
-				t.Logf("kind=%s n=%d station=%d cycle=%d: Free=%v naive=%v", kind, n, st, c, got, naiveFree)
+				t.Logf("kind=%s n=%d horizon=%d station=%d cycle=%d: Free=%v naive=%v", kind, n, horizon, st, c, got, naiveFree)
 				return false
 			}
 			if naiveFree && rng.Intn(2) == 0 {
@@ -151,7 +157,7 @@ func TestTrackerMatchesNaiveModel(t *testing.T) {
 func TestXBarExplicitBusCount(t *testing.T) {
 	// A 4-station crossbar with only 2 shared buses: two results may
 	// share a cycle, a third must not.
-	tr, err := NewTracker(XBar, 4, 2)
+	tr, err := NewTracker(XBar, 4, 2, testHorizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +179,7 @@ func TestBusCountDefaults(t *testing.T) {
 		kind  Kind
 		buses int
 	}{{XBar, 4}, {BusN, 4}, {Bus1, 1}} {
-		tr, err := NewTracker(tc.kind, 4, 0)
+		tr, err := NewTracker(tc.kind, 4, 0, testHorizon)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.kind, err)
 		}
@@ -184,13 +190,24 @@ func TestBusCountDefaults(t *testing.T) {
 }
 
 func TestBusCountContradictionsRejected(t *testing.T) {
-	if _, err := NewTracker(BusN, 4, 2); err == nil {
+	if _, err := NewTracker(BusN, 4, 2, testHorizon); err == nil {
 		t.Error("BusN with 2 buses for 4 stations accepted")
 	}
-	if _, err := NewTracker(Bus1, 4, 3); err == nil {
+	if _, err := NewTracker(Bus1, 4, 3, testHorizon); err == nil {
 		t.Error("Bus1 with 3 buses accepted")
 	}
-	if _, err := NewTracker(XBar, 4, -1); err == nil {
+	if _, err := NewTracker(XBar, 4, -1, testHorizon); err == nil {
 		t.Error("negative bus count accepted")
+	}
+}
+
+func TestRingSize(t *testing.T) {
+	for _, tc := range []struct{ horizon, want int }{
+		{0, 1}, {1, 2}, {14, 16}, {15, 16}, {16, 32}, {63, 64}, {64, 128}, {200, 256},
+		{MaxHorizon, MaxHorizon + 1}, {MaxHorizon + 1, MaxHorizon + 1}, {1 << 26, MaxHorizon + 1},
+	} {
+		if got := RingSize(tc.horizon); got != tc.want {
+			t.Errorf("RingSize(%d) = %d, want %d", tc.horizon, got, tc.want)
+		}
 	}
 }

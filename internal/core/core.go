@@ -139,11 +139,19 @@ func (c Config) newPool() *fu.Pool {
 	return p
 }
 
+// horizon is the furthest ahead of its issue cycle an operation can
+// complete: the largest latency in the configuration's table. The
+// cycle-indexed rings are sized from it (bus.RingSize).
+func (c Config) horizon() int {
+	l := c.Latencies()
+	return l.Max()
+}
+
 // newBusTracker builds the result-bus tracker for the multiple-issue
 // machines: IssueUnits stations under the Bus organization, with
 // BusCount shared crossbar buses (0 = one per station).
 func (c Config) newBusTracker() (*bus.Tracker, error) {
-	return bus.NewTracker(c.Bus, c.IssueUnits, c.BusCount)
+	return bus.NewTracker(c.Bus, c.IssueUnits, c.BusCount, c.horizon())
 }
 
 // WithIssue returns c with the multiple-issue parameters set.

@@ -104,6 +104,7 @@ func (m *multiIssueOOO) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 		lastDone  int64
 		issuedAt  = make([]int64, w)
 		issued    = make([]bool, w)
+		blockers  = make([]int, w)
 	)
 
 	// reasons[i] is the stall reason recorded for the i-th buffer entry
@@ -126,13 +127,23 @@ func (m *multiIssueOOO) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 		for i := 0; i < size; i++ {
 			issued[i] = false
 		}
+		countBlockers(t, p, pos, size, blockers)
+		snapshot := func(max int) []string {
+			var snap []string
+			for i := 0; i < size && len(snap) < max; i++ {
+				if !issued[i] {
+					snap = append(snap, t.Ops[pos+i].String())
+				}
+			}
+			return snap
+		}
 
 		var maxIssue int64
 		if m.probe != nil || m.rec != nil {
 			// The observed copy of the buffer scan lives in its own
 			// method so this loop carries no attribution or event
 			// bookkeeping.
-			mi, ld, err := m.scanBufferObserved(t, p, &g, pos, size, nextFetch, issued, issuedAt, reasons, lastDone)
+			mi, ld, err := m.scanBufferObserved(t, p, &g, pos, size, nextFetch, issued, issuedAt, blockers, snapshot, reasons, lastDone)
 			if err != nil {
 				return Result{}, err
 			}
@@ -145,17 +156,10 @@ func (m *multiIssueOOO) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 			// issue earlier (no speculation).
 			var brGate int64
 			brGateIdx := -1 // buffer index of that branch
+			oldest := 0     // buffer index of the oldest unissued entry
 
 			for c := nextFetch; remaining > 0; c++ {
-				if err := g.Stalled(c, int64(pos), func(max int) []string {
-					var snap []string
-					for i := 0; i < size && len(snap) < max; i++ {
-						if !issued[i] {
-							snap = append(snap, t.Ops[pos+i].String())
-						}
-					}
-					return snap
-				}); err != nil {
+				if err := g.Stalled(c, int64(pos), snapshot); err != nil {
 					return Result{}, err
 				}
 				if err := g.Over(c, int64(pos)); err != nil {
@@ -164,78 +168,30 @@ func (m *multiIssueOOO) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 				if err := g.Tick(c, int64(pos)); err != nil {
 					return Result{}, err
 				}
-				for i := 0; i < size; i++ {
+				for i := oldest; i < size; i++ {
 					if issued[i] {
 						continue
 					}
-					op := &t.Ops[pos+i]
-					po := &p.Ops[pos+i]
-					isBranch := po.Flags.Has(trace.FlagBranch)
-					reads := po.Reads()
-
 					if i > brGateIdx && brGate > c {
 						// Waiting on an earlier branch's resolution; so is
 						// everything younger.
 						break
 					}
-
-					// Hazards against earlier unissued buffer entries.
-					blocked := false
-					for j := 0; j < i; j++ {
-						if issued[j] {
-							continue
-						}
-						pj := &t.Ops[pos+j]
-						pf := p.Ops[pos+j].Flags
-						if pf.Has(trace.FlagBranch) {
-							// May not issue past an unissued branch.
-							blocked = true
-							break
-						}
-						if pf.Has(trace.FlagHasDst) {
-							if op.Dst == pj.Dst { // WAW
-								blocked = true
-								break
-							}
-							for _, r := range reads { // RAW
-								if r == pj.Dst {
-									blocked = true
-									break
-								}
-							}
-							if blocked {
-								break
-							}
-						}
-						if pf.Has(trace.FlagStore) && po.Flags.Has(trace.FlagMemory) && op.Addr == pj.Addr {
-							// Memory RAW/WAW: neither a load nor a store
-							// may pass an unissued store to its address.
-							blocked = true
-							break
-						}
-					}
-					if blocked {
+					// An older unissued entry holds this one back, or
+					// this is a branch with older entries still to go:
+					// a branch issues only as the oldest unissued
+					// instruction.
+					po := &p.Ops[pos+i]
+					isBranch := po.Flags.Has(trace.FlagBranch)
+					if blockers[i] > 0 || (isBranch && i != oldest) {
 						continue
-					}
-					if isBranch && i > 0 {
-						// A branch issues only as the oldest unissued
-						// instruction: everything before it must be gone.
-						allOlder := true
-						for j := 0; j < i; j++ {
-							if !issued[j] {
-								allOlder = false
-								break
-							}
-						}
-						if !allOlder {
-							continue
-						}
 					}
 
 					// Resource checks: everything must be satisfiable at
 					// exactly cycle c, else the instruction waits.
+					op := &t.Ops[pos+i]
 					if !(isBranch && m.cfg.PerfectBranches) &&
-						m.sb.EarliestFor(c, op.Dst, reads...) > c {
+						m.sb.EarliestFor(c, op.Dst, po.Reads()...) > c {
 						continue
 					}
 					if m.pool.EarliestAccept(op.Unit, c) > c {
@@ -272,6 +228,10 @@ func (m *multiIssueOOO) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 					issued[i] = true
 					issuedAt[i] = c
 					remaining--
+					releaseBlockers(t, p, pos, i, size, blockers)
+					for oldest < size && issued[oldest] {
+						oldest++
+					}
 					g.Progress(c)
 					if c > maxIssue {
 						maxIssue = c
@@ -327,12 +287,13 @@ func (m *multiIssueOOO) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 // idle station) and every lifecycle event with the recorder; either
 // observer may be nil, not both — reasons is non-nil exactly when the
 // probe is. The duplication is deliberate — the unobserved loop in
-// RunChecked stays the seed computation with no attribution or event
-// bookkeeping, which is what keeps the nil path at seed speed. Any
-// timing change must be made to both copies; the probe and trace
-// invariant tests compare their cycle counts across all machines and
-// loops.
-func (m *multiIssueOOO) scanBufferObserved(t *trace.Trace, p *trace.Prepared, g *simerr.Guard, pos, size int, nextFetch int64, issued []bool, issuedAt []int64, reasons []probe.Reason, lastDone int64) (int64, int64, error) {
+// RunChecked carries no attribution or event bookkeeping, which keeps
+// the nil path fast. Both loops take the buffer's hazards from the
+// same blocker counts (countBlockers, releaseBlockers) and must stay
+// cycle-identical: any timing change goes into both copies, and the
+// probe and trace invariant tests and testdata/machines.golden
+// compare their cycle counts.
+func (m *multiIssueOOO) scanBufferObserved(t *trace.Trace, p *trace.Prepared, g *simerr.Guard, pos, size int, nextFetch int64, issued []bool, issuedAt []int64, blockers []int, snapshot func(int) []string, reasons []probe.Reason, lastDone int64) (int64, int64, error) {
 	w := m.cfg.IssueUnits
 	brLat := int64(m.cfg.BranchLatency)
 
@@ -350,17 +311,10 @@ func (m *multiIssueOOO) scanBufferObserved(t *trace.Trace, p *trace.Prepared, g 
 	// issue earlier (no speculation).
 	var brGate int64
 	brGateIdx := -1 // buffer index of that branch
+	oldest := 0     // buffer index of the oldest unissued entry
 
 	for c := nextFetch; remaining > 0; c++ {
-		if err := g.Stalled(c, int64(pos), func(max int) []string {
-			var snap []string
-			for i := 0; i < size && len(snap) < max; i++ {
-				if !issued[i] {
-					snap = append(snap, t.Ops[pos+i].String())
-				}
-			}
-			return snap
-		}); err != nil {
+		if err := g.Stalled(c, int64(pos), snapshot); err != nil {
 			return 0, 0, err
 		}
 		if err := g.Over(c, int64(pos)); err != nil {
@@ -381,7 +335,7 @@ func (m *multiIssueOOO) scanBufferObserved(t *trace.Trace, p *trace.Prepared, g 
 				}
 			}
 		}
-		for i := 0; i < size; i++ {
+		for i := oldest; i < size; i++ {
 			if issued[i] {
 				continue
 			}
@@ -397,62 +351,19 @@ func (m *multiIssueOOO) scanBufferObserved(t *trace.Trace, p *trace.Prepared, g 
 			}
 
 			// Hazards against earlier unissued buffer entries.
-			blocked := false
-			for j := 0; j < i; j++ {
-				if issued[j] {
-					continue
-				}
-				pj := &t.Ops[pos+j]
-				pf := p.Ops[pos+j].Flags
-				if pf.Has(trace.FlagBranch) {
-					// May not issue past an unissued branch.
-					blocked = true
-					break
-				}
-				if pf.Has(trace.FlagHasDst) {
-					if op.Dst == pj.Dst { // WAW
-						blocked = true
-						break
-					}
-					for _, r := range reads { // RAW
-						if r == pj.Dst {
-							blocked = true
-							break
-						}
-					}
-					if blocked {
-						break
-					}
-				}
-				if pf.Has(trace.FlagStore) && po.Flags.Has(trace.FlagMemory) && op.Addr == pj.Addr {
-					// Memory RAW/WAW: neither a load nor a store
-					// may pass an unissued store to its address.
-					blocked = true
-					break
-				}
-			}
-			if blocked {
+			if blockers[i] > 0 {
 				if reasons != nil {
 					reasons[i] = m.hazardReason(t, p, pos, i, issued)
 				}
 				continue
 			}
-			if isBranch && i > 0 {
+			if isBranch && i != oldest {
 				// A branch issues only as the oldest unissued
 				// instruction: everything before it must be gone.
-				allOlder := true
-				for j := 0; j < i; j++ {
-					if !issued[j] {
-						allOlder = false
-						break
-					}
+				if reasons != nil {
+					reasons[i] = probe.ReasonBranch
 				}
-				if !allOlder {
-					if reasons != nil {
-						reasons[i] = probe.ReasonBranch
-					}
-					continue
-				}
+				continue
 			}
 
 			// Resource checks: everything must be satisfiable at
@@ -518,6 +429,10 @@ func (m *multiIssueOOO) scanBufferObserved(t *trace.Trace, p *trace.Prepared, g 
 			issued[i] = true
 			issuedAt[i] = c
 			remaining--
+			releaseBlockers(t, p, pos, i, size, blockers)
+			for oldest < size && issued[oldest] {
+				oldest++
+			}
 			if m.probe != nil {
 				m.probe.Writeback(done, op.Unit, done-c)
 				if isBranch {
@@ -579,10 +494,61 @@ func (m *multiIssueOOO) scanBufferObserved(t *trace.Trace, p *trace.Prepared, g 
 	return maxIssue, lastDone, nil
 }
 
+// holdsBack reports whether an older buffer entry (oj, with flags
+// fj), while unissued, keeps the younger entry (oi, pi) from issuing:
+// the older one is a branch, the younger rewrites (WAW) or reads (RAW)
+// its destination, or it is a store to the address the younger loads
+// or stores. The relation depends only on the two instructions, so it
+// is fixed for the buffer's lifetime.
+func holdsBack(oj *trace.Op, fj trace.OpFlags, oi *trace.Op, pi *trace.PreparedOp) bool {
+	if fj.Has(trace.FlagBranch) {
+		return true
+	}
+	if fj.Has(trace.FlagHasDst) {
+		if oi.Dst == oj.Dst {
+			return true
+		}
+		for _, r := range pi.Reads() {
+			if r == oj.Dst {
+				return true
+			}
+		}
+	}
+	return fj.Has(trace.FlagStore) && pi.Flags.Has(trace.FlagMemory) && oi.Addr == oj.Addr
+}
+
+// countBlockers sets blockers[i], for each entry of the buffer of size
+// entries at pos, to the number of older entries that hold it back.
+// Entry i may issue only once its count is zero; releaseBlockers
+// lowers the counts as entries issue.
+func countBlockers(t *trace.Trace, p *trace.Prepared, pos, size int, blockers []int) {
+	for i := 0; i < size; i++ {
+		oi, pi := &t.Ops[pos+i], &p.Ops[pos+i]
+		n := 0
+		for j := pos; j < pos+i; j++ {
+			if holdsBack(&t.Ops[j], p.Ops[j].Flags, oi, pi) {
+				n++
+			}
+		}
+		blockers[i] = n
+	}
+}
+
+// releaseBlockers lowers the blocker counts of the younger entries
+// that buffer entry j, now issued, was holding back.
+func releaseBlockers(t *trace.Trace, p *trace.Prepared, pos, j, size int, blockers []int) {
+	oj, fj := &t.Ops[pos+j], p.Ops[pos+j].Flags
+	for i := j + 1; i < size; i++ {
+		if holdsBack(oj, fj, &t.Ops[pos+i], &p.Ops[pos+i]) {
+			blockers[i]--
+		}
+	}
+}
+
 // hazardReason reruns entry i's buffer-hazard scan to name the first
-// blocking dependence, mirroring the scan in scanBufferObserved term
-// for term. Classification lives here so the scan itself carries no
-// per-entry attribution state.
+// blocking dependence, mirroring holdsBack term for term.
+// Classification lives here so the scan itself carries no per-entry
+// attribution state.
 func (m *multiIssueOOO) hazardReason(t *trace.Trace, p *trace.Prepared, pos, i int, issued []bool) probe.Reason {
 	op := &t.Ops[pos+i]
 	po := &p.Ops[pos+i]

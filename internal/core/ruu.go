@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"mfup/internal/bus"
 	"mfup/internal/events"
@@ -15,94 +14,71 @@ import (
 
 // entry is one RUU slot in flight. Entries live in a fixed slab of
 // cfg.RUUSize slots (the architectural bound on in-flight instructions)
-// and are recycled through a free list as instructions commit, so a
-// run performs no per-instruction allocation.
+// after the sentinel slot 0 (see ref), and are recycled through a free
+// list as instructions commit, so a run performs no per-instruction
+// allocation.
 type entry struct {
-	seq     int64
-	op      *trace.Op
-	flags   trace.OpFlags // decoded classification, from the prepared trace
-	addrID  int32         // dense memory-address id (-1 for non-memory ops)
-	bank    int
-	issueAt int64
+	seq    int64
+	op     *trace.Op
+	flags  trace.OpFlags // decoded classification, from the prepared trace
+	addrID int32         // dense memory-address id (-1 for non-memory ops)
+	unit   isa.Unit      // op.Unit, cached at issue
+	bank   int
+	lat    int64 // the unit's latency, cached at issue
 
 	depCount   int
-	waiters    []*entry
+	waiters    []ref
 	readyAt    int64
 	dispatched bool
 	done       bool
-	doneAt     int64
 }
 
-// eventWindow is the scheduling horizon ring size; it must exceed the
-// largest functional-unit latency plus pipeline slack.
-const eventWindow = 64
+// ref names an RUU entry by its index in the slab. Index 0 is a
+// sentinel that is never allocated, so the zero ref means "no entry"
+// and zeroed tables need no initialization. Indices instead of
+// pointers keep the cycle loop's stores free of GC write barriers.
+type ref int32
 
 // cycleList is a ring of per-cycle entry lists with self-invalidating
-// cycle tags (same trick as internal/bus).
+// cycle tags (same trick as internal/bus). It holds
+// bus.RingSize(horizon) slots, so every cycle up to the machine's
+// largest latency ahead has a slot of its own, and it keeps each
+// list's capacity across runs.
 type cycleList struct {
-	cycle   [eventWindow]int64
-	entries [eventWindow][]*entry
+	mask    int64
+	cycle   []int64
+	entries [][]ref
 }
 
-func (l *cycleList) add(c int64, e *entry) {
-	i := c % eventWindow
+func newCycleList(horizon int) cycleList {
+	n := bus.RingSize(horizon)
+	return cycleList{mask: int64(n - 1), cycle: make([]int64, n), entries: make([][]ref, n)}
+}
+
+// reset empties every slot.
+func (l *cycleList) reset() {
+	for i := range l.cycle {
+		l.cycle[i] = -1
+		l.entries[i] = l.entries[i][:0]
+	}
+}
+
+func (l *cycleList) add(c int64, r ref) {
+	i := c & l.mask
 	if l.cycle[i] != c {
 		l.cycle[i] = c
 		l.entries[i] = l.entries[i][:0]
 	}
-	l.entries[i] = append(l.entries[i], e)
+	l.entries[i] = append(l.entries[i], r)
 }
 
-func (l *cycleList) take(c int64) []*entry {
-	i := c % eventWindow
+func (l *cycleList) take(c int64) []ref {
+	i := c & l.mask
 	if l.cycle[i] != c {
 		return nil
 	}
 	l.cycle[i] = -1
 	return l.entries[i]
-}
-
-// seqHeap is a min-heap of entries ordered by age (issue sequence):
-// dispatch prefers the oldest ready instruction.
-type seqHeap []*entry
-
-func (h *seqHeap) push(e *entry) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if (*h)[p].seq <= (*h)[i].seq {
-			break
-		}
-		(*h)[p], (*h)[i] = (*h)[i], (*h)[p]
-		i = p
-	}
-}
-
-func (h *seqHeap) pop() *entry {
-	old := *h
-	e := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = nil
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < n && (*h)[l].seq < (*h)[s].seq {
-			s = l
-		}
-		if r < n && (*h)[r].seq < (*h)[s].seq {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		(*h)[i], (*h)[s] = (*h)[s], (*h)[i]
-		i = s
-	}
-	return e
 }
 
 // ruuMachine implements §5.3: multiple issue units with full
@@ -138,7 +114,7 @@ type ruuMachine struct {
 	capacity []int // slots per bank
 	free     []int
 
-	regProducer [isa.NumRegs]*entry
+	regProducer [isa.NumRegs]ref
 	regReadyAt  [isa.NumRegs]int64
 
 	// Memory-carried dependences, renamed per address exactly like
@@ -146,24 +122,25 @@ type ruuMachine struct {
 	// the latest in-flight store to their address; there is no
 	// store-to-load forwarding in the base machine. Indexed by the
 	// dense trace.PreparedOp.AddrID, so access is a slice index.
-	memProducer []*entry
+	memProducer []ref
 	memReadyAt  []int64
 
-	slab    []entry  // all entry storage; recycled between instructions
-	freeEnt []*entry // free-list stack over slab
+	slab    []entry // all entry storage, slab[1:]; recycled between instructions
+	freeEnt []ref   // free-list stack over slab
 
-	fifo     []*entry // ring buffer of in-flight entries in program order
+	fifo     []ref // ring buffer of in-flight entries in program order
 	fifoHead int
+	fifoTail int
 	fifoLen  int
 
-	ready []seqHeap
-	retry []*entry
+	// ready[b] holds bank b's entries whose operands are available,
+	// in age order (ages are unique), so dispatch scans oldest first.
+	ready [][]ref
 
-	readyEvents cycleList
-	broadcasts  cycleList
-	results     *bus.Tracker // FU -> RUU result bus slots
-	commitSeen  []bool       // per-bank commit-bus use, reset each cycle
-	memBanks    *mem.Banks
+	broadcasts cycleList    // entries by the cycle their result returns
+	results    *bus.Tracker // FU -> RUU result bus slots
+	commitAt   []int64      // per bank: the last cycle its commit bus carried a commit
+	memBanks   *mem.Banks
 
 	probe probe.Probe
 	rec   *events.Recorder
@@ -201,21 +178,23 @@ func NewRUUChecked(cfg Config) (Machine, error) {
 	if cfg.Bus == bus.BusN {
 		s.banks = cfg.IssueUnits
 	}
-	results, err := bus.NewTracker(cfg.Bus, s.banks, 0)
+	horizon := cfg.horizon()
+	results, err := bus.NewTracker(cfg.Bus, s.banks, 0, horizon)
 	if err != nil {
 		return nil, err
 	}
 	s.results = results
+	s.broadcasts = newCycleList(horizon)
 	s.capacity = make([]int, s.banks)
 	for i := 0; i < cfg.RUUSize; i++ {
 		s.capacity[i%s.banks]++
 	}
 	s.free = make([]int, s.banks)
-	s.slab = make([]entry, cfg.RUUSize)
-	s.freeEnt = make([]*entry, 0, cfg.RUUSize)
-	s.fifo = make([]*entry, cfg.RUUSize)
-	s.ready = make([]seqHeap, s.banks)
-	s.commitSeen = make([]bool, s.banks)
+	s.slab = make([]entry, cfg.RUUSize+1)
+	s.freeEnt = make([]ref, 0, cfg.RUUSize)
+	s.fifo = make([]ref, cfg.RUUSize)
+	s.ready = make([][]ref, s.banks)
+	s.commitAt = make([]int64, s.banks)
 	s.memBanks = mem.NewBanks(cfg.MemBanks, cfg.MemLatency)
 	return s, nil
 }
@@ -224,10 +203,10 @@ func (s *ruuMachine) reset(numAddrs int) {
 	s.pool.Reset()
 	s.memBanks.Reset()
 	copy(s.free, s.capacity)
-	s.regProducer = [isa.NumRegs]*entry{}
+	s.regProducer = [isa.NumRegs]ref{}
 	s.regReadyAt = [isa.NumRegs]int64{}
 	if cap(s.memProducer) < numAddrs {
-		s.memProducer = make([]*entry, numAddrs)
+		s.memProducer = make([]ref, numAddrs)
 		s.memReadyAt = make([]int64, numAddrs)
 	} else {
 		s.memProducer = s.memProducer[:numAddrs]
@@ -236,15 +215,15 @@ func (s *ruuMachine) reset(numAddrs int) {
 		clear(s.memReadyAt)
 	}
 	s.freeEnt = s.freeEnt[:0]
-	for i := range s.slab {
-		s.freeEnt = append(s.freeEnt, &s.slab[i])
+	for r := ref(len(s.slab) - 1); r > 0; r-- {
+		s.freeEnt = append(s.freeEnt, r)
 	}
-	s.fifoHead, s.fifoLen = 0, 0
+	s.fifoHead, s.fifoTail, s.fifoLen = 0, 0, 0
 	for i := range s.ready {
 		s.ready[i] = s.ready[i][:0]
+		s.commitAt[i] = -1
 	}
-	s.readyEvents = cycleList{}
-	s.broadcasts = cycleList{}
+	s.broadcasts.reset()
 	s.results.Reset()
 }
 
@@ -265,7 +244,7 @@ func (s *ruuMachine) snapshot(max int) []string {
 			out = append(out, fmt.Sprintf("... and %d more", s.fifoLen-max))
 			break
 		}
-		e := s.fifo[(s.fifoHead+i)%len(s.fifo)]
+		e := &s.slab[s.fifo[(s.fifoHead+i)%len(s.fifo)]]
 		state := "waiting"
 		switch {
 		case e.done:
@@ -301,6 +280,7 @@ func (s *ruuMachine) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 	var (
 		pos       int   // next trace op to issue
 		seq       int64 // issue sequence counter
+		seqBank   int   // seq mod s.banks: the bank instruction seq goes to
 		issueGate int64 // no issue before this cycle (branch resolution)
 		lastEvent int64
 	)
@@ -309,9 +289,18 @@ func (s *ruuMachine) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 			lastEvent = c
 		}
 	}
+	// next advances the issue sequence past one instruction.
+	next := func() {
+		pos++
+		seq++
+		if seqBank++; seqBank == s.banks {
+			seqBank = 0
+		}
+	}
+	snapshot := s.snapshot
 
 	for c := int64(0); pos < len(t.Ops) || s.fifoLen > 0; c++ {
-		if err := g.Stalled(c, int64(pos), s.snapshot); err != nil {
+		if err := g.Stalled(c, int64(pos), snapshot); err != nil {
 			return Result{}, err
 		}
 		if err := g.Over(max(c, lastEvent), int64(pos)); err != nil {
@@ -324,81 +313,77 @@ func (s *ruuMachine) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 			s.probe.Occupancy(s.fifoLen, 1)
 		}
 		// 1. Results returning this cycle: mark done, wake waiters.
-		for _, e := range s.broadcasts.take(c) {
+		for _, r := range s.broadcasts.take(c) {
+			e := &s.slab[r]
 			e.done = true
-			e.doneAt = c
 			if s.probe != nil {
-				s.probe.Writeback(c, e.op.Unit, int64(s.pool.Latency(e.op.Unit)))
+				s.probe.Writeback(c, e.unit, e.lat)
 			}
 			if s.rec != nil {
-				s.rec.RecordWriteback(e.op.Seq, c, e.op.Unit)
+				s.rec.RecordWriteback(e.op.Seq, c, e.unit)
 			}
 			bump(c)
 			g.Progress(c)
-			if e.flags.Has(trace.FlagHasDst) && s.regProducer[e.op.Dst] == e {
-				s.regProducer[e.op.Dst] = nil
+			if e.flags.Has(trace.FlagHasDst) && s.regProducer[e.op.Dst] == r {
+				s.regProducer[e.op.Dst] = 0
 				s.regReadyAt[e.op.Dst] = c
 			}
-			if e.flags.Has(trace.FlagStore) && s.memProducer[e.addrID] == e {
-				s.memProducer[e.addrID] = nil
+			if e.flags.Has(trace.FlagStore) && s.memProducer[e.addrID] == r {
+				s.memProducer[e.addrID] = 0
 				s.memReadyAt[e.addrID] = c
 			}
-			for _, w := range e.waiters {
+			// A waiter issued in an earlier cycle than this one (it
+			// found e in flight), so its last operand makes it ready
+			// now, in time for this cycle's dispatch.
+			for _, wr := range e.waiters {
+				w := &s.slab[wr]
 				w.depCount--
 				if w.depCount == 0 {
 					w.readyAt = c
-					if w.issueAt+1 > w.readyAt {
-						w.readyAt = w.issueAt + 1
-					}
-					s.schedule(w)
+					s.insertReady(wr)
 				}
 			}
 			e.waiters = e.waiters[:0]
 		}
 
-		// 2. Entries whose operands became available at cycle c.
-		for _, e := range s.readyEvents.take(c) {
-			s.ready[e.bank].push(e)
-		}
-
-		// 3. Commit from the head, in program order, one per
-		// commit-bus domain per cycle.
-		commitBudget := 1
-		if s.cfg.Bus == bus.BusN {
-			commitBudget = s.banks // one per bank; heads rotate banks
-		}
-		for i := range s.commitSeen {
-			s.commitSeen[i] = false
-		}
-		for s.fifoLen > 0 && commitBudget > 0 {
-			head := s.fifo[s.fifoHead]
-			if !head.done || s.commitSeen[head.bank] {
+		// 2. Commit from the head, in program order, one per
+		// commit-bus domain per cycle: one per bank on N-Bus, whose
+		// heads rotate banks, and one in all on 1-Bus, which has a
+		// single bank.
+		for s.fifoLen > 0 {
+			headRef := s.fifo[s.fifoHead]
+			head := &s.slab[headRef]
+			if !head.done || s.commitAt[head.bank] == c {
 				break
 			}
-			s.commitSeen[head.bank] = true
-			commitBudget--
+			s.commitAt[head.bank] = c
 			if s.rec != nil {
 				s.rec.RecordCommit(head.op.Seq, c)
 			}
 			s.free[head.bank]++
-			s.fifo[s.fifoHead] = nil
-			s.fifoHead = (s.fifoHead + 1) % len(s.fifo)
+			if s.fifoHead++; s.fifoHead == len(s.fifo) {
+				s.fifoHead = 0
+			}
 			s.fifoLen--
-			s.freeEnt = append(s.freeEnt, head) // recycle the slot
+			s.freeEnt = append(s.freeEnt, headRef) // recycle the slot
 			bump(c)
 			g.Progress(c)
 		}
 
-		// 4. Dispatch ready entries, oldest first, one per dispatch-
+		// 3. Dispatch ready entries, oldest first, one per dispatch-
 		// bus domain per cycle, subject to functional-unit acceptance
 		// and a free result slot at completion.
-		for b := 0; b < s.banks; b++ {
-			if s.dispatchBank(b, c, &lastEvent) {
+		for b, ready := range s.ready {
+			if len(ready) == 0 {
+				continue
+			}
+			if done, ok := s.dispatchBank(b, c); ok {
+				bump(done)
 				g.Progress(c)
 			}
 		}
 
-		// 5. Issue up to N instructions into the RUU, in program
+		// 4. Issue up to N instructions into the RUU, in program
 		// order, stopping at a branch or a full bank. When probed, the
 		// cycle's unfilled issue slots are blamed on whatever stopped
 		// the loop; slots with no instructions left are the drain,
@@ -426,13 +411,12 @@ func (s *ruuMachine) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 						}
 						bump(c)
 						g.Progress(c)
-						pos++
-						seq++
+						next()
 						continue
 					}
 					a0 := int64(0)
 					if po.Flags.Has(trace.FlagConditional) {
-						if s.regProducer[isa.A0] != nil {
+						if s.regProducer[isa.A0] != 0 {
 							stallReason = probe.ReasonBranch
 							break // A0 still in flight; retry next cycle
 						}
@@ -454,26 +438,26 @@ func (s *ruuMachine) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 					}
 					bump(issueGate)
 					g.Progress(c)
-					pos++
-					seq++
+					next()
 					break // nothing issues past an unresolved branch
 				}
 
-				bank := int(seq) % s.banks
+				bank := seqBank
 				if s.free[bank] == 0 {
 					stallReason = probe.ReasonBufferFull
 					break // RUU (bank) full: in-order issue stalls
 				}
 				issuedNow++
 				s.free[bank]--
-				e := s.freeEnt[len(s.freeEnt)-1]
+				r := s.freeEnt[len(s.freeEnt)-1]
 				s.freeEnt = s.freeEnt[:len(s.freeEnt)-1]
+				e := &s.slab[r]
 				// Field-wise reinitialization (not a struct literal):
 				// the literal compiles to a full-size copy on every
 				// issued instruction, and this is the hottest store in
 				// the simulator.
 				e.seq, e.op, e.flags, e.addrID = seq, op, po.Flags, po.AddrID
-				e.bank, e.issueAt = bank, c
+				e.unit, e.bank, e.lat = op.Unit, bank, int64(s.pool.Latency(op.Unit))
 				if s.rec != nil {
 					s.rec.RecordAlloc(op.Seq, c)
 					s.rec.RecordIssue(op.Seq, c)
@@ -481,39 +465,41 @@ func (s *ruuMachine) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 				e.depCount, e.readyAt = 0, 0
 				e.waiters = e.waiters[:0] // keep the recycled capacity
 				e.dispatched, e.done = false, false
-				e.doneAt = math.MaxInt64
-				seq++
-				pos++
-				s.fifo[(s.fifoHead+s.fifoLen)%len(s.fifo)] = e
+				next()
+				s.fifo[s.fifoTail] = r
+				if s.fifoTail++; s.fifoTail == len(s.fifo) {
+					s.fifoTail = 0
+				}
 				s.fifoLen++
 
-				for _, r := range po.Reads() {
-					if prod := s.regProducer[r]; prod != nil {
-						prod.waiters = append(prod.waiters, e)
+				for _, reg := range po.Reads() {
+					if prod := s.regProducer[reg]; prod != 0 {
+						s.slab[prod].waiters = append(s.slab[prod].waiters, r)
 						e.depCount++
-					} else if s.regReadyAt[r] > e.readyAt {
-						e.readyAt = s.regReadyAt[r]
+					} else if s.regReadyAt[reg] > e.readyAt {
+						e.readyAt = s.regReadyAt[reg]
 					}
 				}
 				if po.Flags.Has(trace.FlagMemory) {
-					if prod := s.memProducer[po.AddrID]; prod != nil {
-						prod.waiters = append(prod.waiters, e)
+					if prod := s.memProducer[po.AddrID]; prod != 0 {
+						s.slab[prod].waiters = append(s.slab[prod].waiters, r)
 						e.depCount++
 					} else if d := s.memReadyAt[po.AddrID]; d > e.readyAt {
 						e.readyAt = d
 					}
 				}
 				if po.Flags.Has(trace.FlagHasDst) {
-					s.regProducer[op.Dst] = e
+					s.regProducer[op.Dst] = r
 				}
 				if po.Flags.Has(trace.FlagStore) {
-					s.memProducer[po.AddrID] = e
+					s.memProducer[po.AddrID] = r
 				}
 				if e.depCount == 0 {
-					if e.issueAt+1 > e.readyAt {
-						e.readyAt = e.issueAt + 1
-					}
-					s.schedule(e)
+					// Every available operand returned by this cycle,
+					// so the entry is ready from the next: it joins its
+					// ready list after this cycle's dispatch.
+					e.readyAt = c + 1
+					s.insertReady(r)
 				}
 				bump(c)
 				g.Progress(c)
@@ -544,63 +530,63 @@ func (s *ruuMachine) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 	}, nil
 }
 
-// schedule queues e for dispatch at e.readyAt.
-func (s *ruuMachine) schedule(e *entry) {
-	s.readyEvents.add(e.readyAt, e)
+// insertReady files entry r in its bank's age-ordered ready list.
+// Arrivals come nearly in age order, so the search runs from the
+// tail.
+func (s *ruuMachine) insertReady(r ref) {
+	e := &s.slab[r]
+	l := append(s.ready[e.bank], r)
+	i := len(l) - 1
+	for ; i > 0 && s.slab[l[i-1]].seq > e.seq; i-- {
+		l[i] = l[i-1]
+	}
+	l[i] = r
+	s.ready[e.bank] = l
 }
 
-// dispatchBank sends at most one ready entry from bank b to the
-// functional units at cycle c and reports whether it dispatched one.
-// Entries that fail a structural check (unit busy, result slot taken)
-// stay queued.
-func (s *ruuMachine) dispatchBank(b int, c int64, lastEvent *int64) bool {
-	h := &s.ready[b]
-	s.retry = s.retry[:0]
-	dispatched := false
-	for len(*h) > 0 && !dispatched {
-		e := h.pop()
-		unit := e.op.Unit
-		if s.pool.EarliestAccept(unit, c) > c {
-			s.retry = append(s.retry, e)
+// dispatchBank sends the oldest ready entry of bank b that passes the
+// structural checks (unit free, memory bank free, result slot free at
+// completion) to the functional units at cycle c. It reports the
+// completion cycle and whether it dispatched one; the entries it
+// passes over stay queued in place.
+func (s *ruuMachine) dispatchBank(b int, c int64) (int64, bool) {
+	ready := s.ready[b]
+	for i, r := range ready {
+		e := &s.slab[r]
+		if s.pool.EarliestAccept(e.unit, c) > c {
 			continue
 		}
 		isMem := e.flags.Has(trace.FlagMemory)
 		if isMem && s.memBanks.EarliestAccept(e.op.Addr, c) > c {
-			s.retry = append(s.retry, e)
 			continue
 		}
-		done := c + int64(s.pool.Latency(unit))
+		done := c + e.lat
 		needsBus := e.flags.Has(trace.FlagHasDst)
 		if needsBus && !s.results.Free(b, done) {
-			s.retry = append(s.retry, e)
 			continue
 		}
-		s.pool.Accept(unit, c)
+		s.pool.Accept(e.unit, c)
 		if isMem {
 			s.memBanks.Accept(e.op.Addr, c)
 		}
 		e.dispatched = true
 		if s.rec != nil {
-			s.rec.RecordExec(e.op.Seq, c, unit, done-c)
+			s.rec.RecordExec(e.op.Seq, c, e.unit, done-c)
 		}
 		if needsBus {
 			if s.rec != nil {
 				s.rec.RecordResultBus(e.op.Seq, done, b)
 			}
 			s.results.Reserve(b, done)
-			s.broadcasts.add(done, e)
-		} else {
-			// Stores: the memory operation completes without a
-			// register result; the entry is committable at completion.
-			s.broadcasts.add(done, e)
 		}
-		if done > *lastEvent {
-			*lastEvent = done
+		// Stores complete without a register result; the entry is
+		// committable at completion either way.
+		s.broadcasts.add(done, r)
+		for ; i < len(ready)-1; i++ {
+			ready[i] = ready[i+1]
 		}
-		dispatched = true
+		s.ready[b] = ready[:i]
+		return done, true
 	}
-	for _, e := range s.retry {
-		h.push(e)
-	}
-	return dispatched
+	return 0, false
 }

@@ -7,6 +7,7 @@ import (
 
 	"mfup/internal/bus"
 	"mfup/internal/isa"
+	"mfup/internal/loops"
 	"mfup/internal/trace"
 )
 
@@ -224,5 +225,51 @@ func TestRUURandomTracesTerminateAndRespectWidth(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRUULatenciesPast64 runs the RUU with unit latencies of 65 cycles
+// and more, which book completions and result-bus slots further ahead
+// than a 64-slot ring holds. Every run must complete under the stall
+// watchdog, with the cycle counts of a model whose rings are far
+// larger than any latency here.
+func TestRUULatenciesPast64(t *testing.T) {
+	kernel := func(n int) *trace.Trace {
+		k, err := loops.Get(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k.SharedTrace()
+	}
+	lfk1, lfk5 := kernel(1), kernel(5)
+	fulat70 := M11BR5.WithIssue(4, bus.BusN).WithRUU(50)
+	fulat70.FULat[isa.FloatAdd] = 70
+	for _, tc := range []struct {
+		cfg        Config
+		lfk1, lfk5 int64
+	}{
+		{Config{MemLatency: 65, BranchLatency: 5}.WithIssue(4, bus.BusN).WithRUU(50), 3991, 2593},
+		{Config{MemLatency: 100, BranchLatency: 5}.WithIssue(4, bus.BusN).WithRUU(50), 5746, 3783},
+		{Config{MemLatency: 200, BranchLatency: 5}.WithIssue(4, bus.BusN).WithRUU(50), 10758, 7183},
+		{fulat70, 4487, 7747},
+		{Config{MemLatency: 200, BranchLatency: 5}.WithIssue(2, bus.Bus1).WithRUU(50), 9059, 7081},
+	} {
+		m, err := NewRUUChecked(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range []struct {
+			tr   *trace.Trace
+			want int64
+		}{{lfk1, tc.lfk1}, {lfk5, tc.lfk5}} {
+			r, err := m.RunChecked(run.tr, Limits{StallCycles: 100_000})
+			if err != nil {
+				t.Errorf("%s, %s: %v", m.Name(), tc.cfg.Name(), err)
+				continue
+			}
+			if r.Cycles != run.want {
+				t.Errorf("%s, %s on %s: %d cycles, want %d", m.Name(), tc.cfg.Name(), run.tr.Name, r.Cycles, run.want)
+			}
+		}
 	}
 }

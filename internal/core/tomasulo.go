@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"mfup/internal/bus"
 	"mfup/internal/events"
 	"mfup/internal/fu"
 	"mfup/internal/isa"
@@ -40,7 +41,12 @@ type tomasulo struct {
 	memTag   []*tomEntry // by trace.PreparedOp.AddrID
 	memReady []int64
 
-	cdb     [64]int64 // self-invalidating per-cycle reservation ring
+	// cdb is the common data bus's self-invalidating reservation
+	// ring: cdb[c&cdbMask] == c marks cycle c booked. It holds
+	// bus.RingSize(cfg.horizon()) slots, so no pending booking is
+	// ever evicted by a later one.
+	cdb     []int64
+	cdbMask int64
 	pending []*tomEntry
 	probe   probe.Probe
 	rec     *events.Recorder
@@ -81,7 +87,8 @@ func NewTomasuloChecked(cfg Config) (Machine, error) {
 	}
 	pool := cfg.newPool()
 	pool.SegmentAll()
-	return &tomasulo{cfg: cfg, stations: stations, pool: pool}, nil
+	ring := bus.RingSize(cfg.horizon())
+	return &tomasulo{cfg: cfg, stations: stations, pool: pool, cdb: make([]int64, ring), cdbMask: int64(ring - 1)}, nil
 }
 
 func (m *tomasulo) Name() string {
@@ -102,7 +109,6 @@ func (m *tomasulo) reset(numAddrs int) {
 		clear(m.memTag)
 		clear(m.memReady)
 	}
-	m.cdb = [64]int64{}
 	for i := range m.cdb {
 		m.cdb[i] = -1
 	}
@@ -110,9 +116,9 @@ func (m *tomasulo) reset(numAddrs int) {
 }
 
 // cdbFree reports whether the common data bus is unreserved at cycle c.
-func (m *tomasulo) cdbFree(c int64) bool { return m.cdb[c%64] != c }
+func (m *tomasulo) cdbFree(c int64) bool { return m.cdb[c&m.cdbMask] != c }
 
-func (m *tomasulo) cdbReserve(c int64) { m.cdb[c%64] = c }
+func (m *tomasulo) cdbReserve(c int64) { m.cdb[c&m.cdbMask] = c }
 
 func (m *tomasulo) Run(t *trace.Trace) Result { return runUnchecked(m, t) }
 

@@ -350,6 +350,22 @@ func TestInstructionStringAllOpcodes(t *testing.T) {
 	}
 }
 
+func TestLatencyMax(t *testing.T) {
+	for _, tc := range []struct {
+		l    Latencies
+		want int
+	}{
+		{NewLatencies(11, 5), 14}, // Recip
+		{NewLatencies(65, 5), 65},
+		{NewLatencies(5, 200), 200},
+		{NewLatencies(11, 5).WithOverride(FloatAdd, 70), 70},
+	} {
+		if got := tc.l.Max(); got != tc.want {
+			t.Errorf("Max() = %d, want %d", got, tc.want)
+		}
+	}
+}
+
 func TestLatencyOverride(t *testing.T) {
 	base := NewLatencies(11, 5)
 	l := base.WithOverride(FloatMul, 4)

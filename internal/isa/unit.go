@@ -84,7 +84,20 @@ func NewLatencies(memory, branch int) Latencies {
 
 // Of returns the latency of unit u: the number of cycles from the
 // cycle an operation enters the unit until its result is available.
-func (l Latencies) Of(u Unit) int { return l.table[u] }
+// Every machine looks a latency up on each dispatch, so the receiver
+// is a pointer: the lookup indexes the table in place instead of
+// copying it.
+func (l *Latencies) Of(u Unit) int { return l.table[u] }
+
+// Max returns the largest latency in the table: the furthest ahead of
+// its issue cycle that any operation completes.
+func (l *Latencies) Max() int {
+	m := 0
+	for _, c := range l.table {
+		m = max(m, c)
+	}
+	return m
+}
 
 // DefaultLatency returns the fixed base-architecture latency of unit
 // u, or 0 for the machine-parameter units (Memory, Branch), whose

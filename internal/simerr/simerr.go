@@ -207,13 +207,20 @@ func (g *Guard) fail(kind Kind, cycle, instr int64) *SimError {
 
 // Over checks the cycle budget against the latest event time (which
 // must be nondecreasing across calls for the earliest-abort property).
+// Over, Stalled and Tick run on every simulated cycle, so each keeps
+// its common no-failure path small enough to inline and leaves the
+// rest to an outlined method.
 func (g *Guard) Over(cycle, instr int64) *SimError {
 	if g.maxCycles > 0 && cycle > g.maxCycles {
-		e := g.fail(KindCycleBudget, cycle, instr)
-		e.Msg = fmt.Sprintf("budget %d cycles", g.maxCycles)
-		return e
+		return g.overBudget(cycle, instr)
 	}
 	return nil
+}
+
+func (g *Guard) overBudget(cycle, instr int64) *SimError {
+	e := g.fail(KindCycleBudget, cycle, instr)
+	e.Msg = fmt.Sprintf("budget %d cycles", g.maxCycles)
+	return e
 }
 
 // Progress records that the machine did something at cycle c — issued,
@@ -236,6 +243,10 @@ func (g *Guard) Stalled(c, instr int64, snapshot func(max int) []string) *SimErr
 	if g.stallCycles <= 0 || c-g.lastProgress <= g.stallCycles {
 		return nil
 	}
+	return g.stalled(c, instr, snapshot)
+}
+
+func (g *Guard) stalled(c, instr int64, snapshot func(max int) []string) *SimError {
 	e := g.fail(KindStall, c, instr)
 	e.Msg = fmt.Sprintf("nothing issued or completed for %d cycles (last progress at cycle %d)",
 		g.stallCycles, g.lastProgress)
@@ -251,6 +262,13 @@ func (g *Guard) Stalled(c, instr int64, snapshot func(max int) []string) *SimErr
 // machine's main loop calls it, so injected panics, errors, and
 // stalls are scheduled in Tick ordinals.
 func (g *Guard) Tick(cycle, instr int64) *SimError {
+	if !g.armed && !g.timed {
+		return nil
+	}
+	return g.tick(cycle, instr)
+}
+
+func (g *Guard) tick(cycle, instr int64) *SimError {
 	if g.armed {
 		if e := g.injected(cycle, instr); e != nil {
 			return e
