@@ -118,30 +118,30 @@ func benchMachine(b *testing.B, m core.Machine) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, t := range ts {
-			m.Run(t)
+			must(m.RunChecked(t, core.Limits{}))
 		}
 	}
 	b.ReportMetric(float64(ops*int64(b.N))/b.Elapsed().Seconds(), "instrs/s")
 }
 
 func BenchmarkSimulatorSimple(b *testing.B) {
-	benchMachine(b, core.NewBasic(core.Simple, core.M11BR5))
+	benchMachine(b, must(core.NewBasic(core.Simple, core.M11BR5)))
 }
 
 func BenchmarkSimulatorCRAYLike(b *testing.B) {
-	benchMachine(b, core.NewBasic(core.CRAYLike, core.M11BR5))
+	benchMachine(b, must(core.NewBasic(core.CRAYLike, core.M11BR5)))
 }
 
 func BenchmarkSimulatorMultiIssue(b *testing.B) {
-	benchMachine(b, core.NewMultiIssue(core.M11BR5.WithIssue(4, mfup.BusN)))
+	benchMachine(b, must(core.NewMultiIssue(core.M11BR5.WithIssue(4, mfup.BusN))))
 }
 
 func BenchmarkSimulatorOOO(b *testing.B) {
-	benchMachine(b, core.NewMultiIssueOOO(core.M11BR5.WithIssue(4, mfup.BusN)))
+	benchMachine(b, must(core.NewMultiIssueOOO(core.M11BR5.WithIssue(4, mfup.BusN))))
 }
 
 func BenchmarkSimulatorRUU(b *testing.B) {
-	benchMachine(b, core.NewRUU(core.M11BR5.WithIssue(4, mfup.BusN).WithRUU(50)))
+	benchMachine(b, must(core.NewRUU(core.M11BR5.WithIssue(4, mfup.BusN).WithRUU(50))))
 }
 
 func BenchmarkTraceGeneration(b *testing.B) {
@@ -178,11 +178,11 @@ func BenchmarkAblationXBarVsNBus(b *testing.B) {
 	var xbar, nbus float64
 	for i := 0; i < b.N; i++ {
 		var rx, rn []float64
-		mx := core.NewMultiIssue(core.M11BR5.WithIssue(4, mfup.XBar))
-		mn := core.NewMultiIssue(core.M11BR5.WithIssue(4, mfup.BusN))
+		mx := must(core.NewMultiIssue(core.M11BR5.WithIssue(4, mfup.XBar)))
+		mn := must(core.NewMultiIssue(core.M11BR5.WithIssue(4, mfup.BusN)))
 		for _, t := range ts {
-			rx = append(rx, mx.Run(t).IssueRate())
-			rn = append(rn, mn.Run(t).IssueRate())
+			rx = append(rx, must(mx.RunChecked(t, core.Limits{})).IssueRate())
+			rn = append(rn, must(mn.RunChecked(t, core.Limits{})).IssueRate())
 		}
 		xbar, nbus = stats.HarmonicMean(rx), stats.HarmonicMean(rn)
 	}
@@ -198,10 +198,10 @@ func BenchmarkAblationMemoryVsPipelining(b *testing.B) {
 	var serial, interleaved, pipelined float64
 	for i := 0; i < b.N; i++ {
 		rate := func(o core.Organization) float64 {
-			m := core.NewBasic(o, core.M11BR5)
+			m := must(core.NewBasic(o, core.M11BR5))
 			var rs []float64
 			for _, t := range ts {
-				rs = append(rs, m.Run(t).IssueRate())
+				rs = append(rs, must(m.RunChecked(t, core.Limits{})).IssueRate())
 			}
 			return stats.HarmonicMean(rs)
 		}
@@ -220,12 +220,12 @@ func BenchmarkAblationRUUBankPartitioning(b *testing.B) {
 	ts := allTraces()
 	var banked, shared float64
 	for i := 0; i < b.N; i++ {
-		mb := core.NewRUU(core.M11BR5.WithIssue(4, mfup.BusN).WithRUU(40))
-		ms := core.NewRUU(core.M11BR5.WithIssue(4, mfup.Bus1).WithRUU(40))
+		mb := must(core.NewRUU(core.M11BR5.WithIssue(4, mfup.BusN).WithRUU(40)))
+		ms := must(core.NewRUU(core.M11BR5.WithIssue(4, mfup.Bus1).WithRUU(40)))
 		var rb, rs []float64
 		for _, t := range ts {
-			rb = append(rb, mb.Run(t).IssueRate())
-			rs = append(rs, ms.Run(t).IssueRate())
+			rb = append(rb, must(mb.RunChecked(t, core.Limits{})).IssueRate())
+			rs = append(rs, must(ms.RunChecked(t, core.Limits{})).IssueRate())
 		}
 		banked, shared = stats.HarmonicMean(rb), stats.HarmonicMean(rs)
 	}
@@ -241,10 +241,10 @@ func BenchmarkAblationMemoryBanks(b *testing.B) {
 	rates := map[int]float64{}
 	for i := 0; i < b.N; i++ {
 		for _, banks := range []int{0, 16, 4} {
-			m := core.NewBasic(core.CRAYLike, core.M11BR5.WithMemBanks(banks))
+			m := must(core.NewBasic(core.CRAYLike, core.M11BR5.WithMemBanks(banks)))
 			var rs []float64
 			for _, t := range ts {
-				rs = append(rs, m.Run(t).IssueRate())
+				rs = append(rs, must(m.RunChecked(t, core.Limits{})).IssueRate())
 			}
 			rates[banks] = stats.HarmonicMean(rs)
 		}
@@ -278,14 +278,14 @@ func BenchmarkAblationSoftwareScheduling(b *testing.B) {
 	hm := func(m core.Machine, ts []*trace.Trace) float64 {
 		var rs []float64
 		for _, t := range ts {
-			rs = append(rs, m.Run(t).IssueRate())
+			rs = append(rs, must(m.RunChecked(t, core.Limits{})).IssueRate())
 		}
 		return stats.HarmonicMean(rs)
 	}
 	var crayBase, craySched, ruuBase, ruuSched float64
 	for i := 0; i < b.N; i++ {
-		cray := core.NewBasic(core.CRAYLike, core.M11BR5)
-		ruu := core.NewRUU(core.M11BR5.WithIssue(2, mfup.BusN).WithRUU(40))
+		cray := must(core.NewBasic(core.CRAYLike, core.M11BR5))
+		ruu := must(core.NewRUU(core.M11BR5.WithIssue(2, mfup.BusN).WithRUU(40)))
 		crayBase, craySched = hm(cray, v.base), hm(cray, v.scheduled)
 		ruuBase, ruuSched = hm(ruu, v.base), hm(ruu, v.scheduled)
 	}
@@ -302,16 +302,16 @@ func BenchmarkAblationPerfectBranches(b *testing.B) {
 	hm := func(m core.Machine) float64 {
 		var rs []float64
 		for _, t := range ts {
-			rs = append(rs, m.Run(t).IssueRate())
+			rs = append(rs, must(m.RunChecked(t, core.Limits{})).IssueRate())
 		}
 		return stats.HarmonicMean(rs)
 	}
 	var crayGain, ruuGain float64
 	for i := 0; i < b.N; i++ {
-		crayGain = hm(core.NewBasic(core.CRAYLike, core.M11BR5.WithPerfectBranches())) /
-			hm(core.NewBasic(core.CRAYLike, core.M11BR5))
-		ruuGain = hm(core.NewRUU(core.M11BR5.WithIssue(4, mfup.BusN).WithRUU(50).WithPerfectBranches())) /
-			hm(core.NewRUU(core.M11BR5.WithIssue(4, mfup.BusN).WithRUU(50)))
+		crayGain = hm(must(core.NewBasic(core.CRAYLike, core.M11BR5.WithPerfectBranches()))) /
+			hm(must(core.NewBasic(core.CRAYLike, core.M11BR5)))
+		ruuGain = hm(must(core.NewRUU(core.M11BR5.WithIssue(4, mfup.BusN).WithRUU(50).WithPerfectBranches()))) /
+			hm(must(core.NewRUU(core.M11BR5.WithIssue(4, mfup.BusN).WithRUU(50))))
 	}
 	b.ReportMetric(crayGain, "cray-speedup")
 	b.ReportMetric(ruuGain, "ruu-speedup")
@@ -332,9 +332,9 @@ func BenchmarkSection33(b *testing.B) {
 // the same computations as scalar code on the paper's strongest
 // multiple-issue machine. Reported metrics are mean cycle ratios.
 func BenchmarkAblationVectorVsSuperscalar(b *testing.B) {
-	vec := core.NewVector(core.M11BR5)
-	ruu := core.NewRUU(core.M11BR5.WithIssue(4, mfup.BusN).WithRUU(100))
-	cray := core.NewBasic(core.CRAYLike, core.M11BR5)
+	vec := must(core.NewVector(core.M11BR5))
+	ruu := must(core.NewRUU(core.M11BR5.WithIssue(4, mfup.BusN).WithRUU(100)))
+	cray := must(core.NewBasic(core.CRAYLike, core.M11BR5))
 	var vsCray, vsRUU float64
 	for i := 0; i < b.N; i++ {
 		vsCray, vsRUU = 0, 0
@@ -345,9 +345,9 @@ func BenchmarkAblationVectorVsSuperscalar(b *testing.B) {
 				b.Fatal(err)
 			}
 			vtr := vk.MustTrace()
-			v := float64(vec.Run(vtr).Cycles)
-			vsCray += float64(cray.Run(sk.SharedTrace()).Cycles) / v
-			vsRUU += float64(ruu.Run(sk.SharedTrace()).Cycles) / v
+			v := float64(must(vec.RunChecked(vtr, core.Limits{})).Cycles)
+			vsCray += float64(must(cray.RunChecked(sk.SharedTrace(), core.Limits{})).Cycles) / v
+			vsRUU += float64(must(ruu.RunChecked(sk.SharedTrace(), core.Limits{})).Cycles) / v
 		}
 		vsCray /= float64(len(vks))
 		vsRUU /= float64(len(vks))
@@ -399,19 +399,19 @@ func BenchmarkExtrapolation(b *testing.B) {
 		b.Fatal(err)
 	}
 	tr := k.SharedTrace()
-	full := core.NewBasic(core.CRAYLike, core.M11BR5)
+	full := must(core.NewBasic(core.CRAYLike, core.M11BR5))
 	const fullRuns = 3
 	var fullInstr int64
 	start := time.Now()
 	for i := 0; i < fullRuns; i++ {
-		fullInstr = full.Run(tr).Instructions
+		fullInstr = must(full.RunChecked(tr, core.Limits{})).Instructions
 	}
 	fullPerInstr := time.Since(start).Seconds() / float64(fullRuns) / float64(fullInstr)
 
 	var last core.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := core.Extrapolate(core.NewBasic(core.CRAYLike, core.M11BR5)).
+		e := core.Extrapolate(must(core.NewBasic(core.CRAYLike, core.M11BR5))).
 			WithVirtual(map[string]int64{tr.Name: vw})
 		r, err := e.RunChecked(tr, core.DefaultLimits())
 		if err != nil {
@@ -437,8 +437,8 @@ func BenchmarkExtrapolationOverhead(b *testing.B) {
 	tr := k.SharedTrace()
 	tr.Prepared() // charge the one-time decode to neither side
 	var bare, wrapped time.Duration
-	m := core.NewBasic(core.CRAYLike, core.M11BR5)
-	e := core.Extrapolate(core.NewBasic(core.CRAYLike, core.M11BR5))
+	m := must(core.NewBasic(core.CRAYLike, core.M11BR5))
+	e := core.Extrapolate(must(core.NewBasic(core.CRAYLike, core.M11BR5)))
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
 		if _, err := m.RunChecked(tr, core.Limits{}); err != nil {

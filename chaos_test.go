@@ -66,16 +66,16 @@ func chaosMachines(t *testing.T) []chaosMachine {
 	multi := cfg.WithIssue(4, bus.BusN)
 	ruu := cfg.WithIssue(2, bus.BusN).WithRUU(30)
 	return []chaosMachine{
-		{name: "Simple", mk: func() core.Machine { return core.NewBasic(core.Simple, cfg) }, tr: scalar(5)},
-		{name: "SerialMemory", mk: func() core.Machine { return core.NewBasic(core.SerialMemory, cfg) }, tr: scalar(6)},
-		{name: "NonSegmented", mk: func() core.Machine { return core.NewBasic(core.NonSegmented, cfg) }, tr: scalar(11)},
-		{name: "CRAY-like", mk: func() core.Machine { return core.NewBasic(core.CRAYLike, cfg) }, tr: scalar(13)},
-		{name: "Scoreboard", mk: func() core.Machine { return core.NewScoreboard(cfg) }, tr: scalar(5)},
-		{name: "Tomasulo", mk: func() core.Machine { return core.NewTomasulo(cfg.WithRUU(4)) }, tr: scalar(14), livelocks: true},
-		{name: "MultiIssue", mk: func() core.Machine { return core.NewMultiIssue(multi) }, tr: scalar(5)},
-		{name: "MultiIssueOOO", mk: func() core.Machine { return core.NewMultiIssueOOO(multi) }, tr: scalar(13), livelocks: true},
-		{name: "RUU", mk: func() core.Machine { return core.NewRUU(ruu) }, tr: scalar(11), livelocks: true},
-		{name: "Vector", mk: func() core.Machine { return core.NewVector(cfg) }, tr: vk.SharedTrace()},
+		{name: "Simple", mk: func() core.Machine { return must(core.NewBasic(core.Simple, cfg)) }, tr: scalar(5)},
+		{name: "SerialMemory", mk: func() core.Machine { return must(core.NewBasic(core.SerialMemory, cfg)) }, tr: scalar(6)},
+		{name: "NonSegmented", mk: func() core.Machine { return must(core.NewBasic(core.NonSegmented, cfg)) }, tr: scalar(11)},
+		{name: "CRAY-like", mk: func() core.Machine { return must(core.NewBasic(core.CRAYLike, cfg)) }, tr: scalar(13)},
+		{name: "Scoreboard", mk: func() core.Machine { return must(core.NewScoreboard(cfg)) }, tr: scalar(5)},
+		{name: "Tomasulo", mk: func() core.Machine { return must(core.NewTomasulo(cfg.WithRUU(4))) }, tr: scalar(14), livelocks: true},
+		{name: "MultiIssue", mk: func() core.Machine { return must(core.NewMultiIssue(multi)) }, tr: scalar(5)},
+		{name: "MultiIssueOOO", mk: func() core.Machine { return must(core.NewMultiIssueOOO(multi)) }, tr: scalar(13), livelocks: true},
+		{name: "RUU", mk: func() core.Machine { return must(core.NewRUU(ruu)) }, tr: scalar(11), livelocks: true},
+		{name: "Vector", mk: func() core.Machine { return must(core.NewVector(cfg)) }, tr: vk.SharedTrace()},
 	}
 }
 

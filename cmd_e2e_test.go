@@ -450,6 +450,8 @@ func TestCommandLineErrorPaths(t *testing.T) {
 		{"mfusim zero ruu", mfusim, []string{"-machine", "ruu", "-ruu", "0"}, "-ruu 0"},
 		{"mfusim units on single-issue", mfusim, []string{"-machine", "cray", "-units", "4"}, "the cray machine is single-issue"},
 		{"mfusim ruu crossbar", mfusim, []string{"-machine", "ruu", "-bus", "xbar"}, `bus "xbar"`},
+		{"mfusim units past bound", mfusim, []string{"-machine", "multi", "-units", "200000000", "-loops", "1"}, "exceed the limit"},
+		{"mfusim mem past bound", mfusim, []string{"-machine", "cray", "-mem", "4611686018427387904", "-loops", "1"}, "exceeds the limit"},
 		{"mfusim over budget", mfusim, []string{"-machine", "tomasulo", "-loops", "5", "-maxcycles", "10"}, "cycle budget exceeded"},
 		{"mfusim expired timeout", mfusim, []string{"-machine", "cray", "-loops", "5", "-timeout", "1ns"}, "deadline exceeded"},
 

@@ -107,12 +107,22 @@ func main() {
 			v.name, tr.Len(), m.Float(qAddr))
 
 		cfg := mfup.M11BR5
-		cray := mfup.NewBasic(mfup.CRAYLike, cfg).Run(tr)
-		ruu := mfup.NewRUU(cfg.WithIssue(4, mfup.BusN).WithRUU(50)).Run(tr)
+		crayM := must(mfup.NewBasic(mfup.CRAYLike, cfg))
+		ruuM := must(mfup.NewRUU(cfg.WithIssue(4, mfup.BusN).WithRUU(50)))
+		cray := must(crayM.RunChecked(tr, mfup.SimLimits{}))
+		ruu := must(ruuM.RunChecked(tr, mfup.SimLimits{}))
 		lim := mfup.ComputeLimits(tr, cfg, mfup.Pure)
 		fmt.Printf("CRAY-like single issue:  %.3f/cycle\n", cray.IssueRate())
 		fmt.Printf("RUU 4 units, 50 entries: %.3f/cycle\n", ruu.IssueRate())
 		fmt.Printf("dataflow limit:          %.3f/cycle (critical path %d cycles)\n\n",
 			lim.Actual, lim.CriticalPath)
 	}
+}
+
+// must exits on a machine construction or run error.
+func must[T any](v T, err error) T {
+	if err != nil {
+		log.Fatal(err)
+	}
+	return v
 }

@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"mfup"
 )
@@ -32,7 +33,7 @@ func main() {
 		for _, kind := range []mfup.BusKind{mfup.BusN, mfup.Bus1} {
 			for _, units := range []int{1, 2, 3, 4} {
 				for _, size := range []int{10, 20, 40, 80} {
-					m := mfup.NewRUU(cfg.WithIssue(units, kind).WithRUU(size))
+					m := must(mfup.NewRUU(cfg.WithIssue(units, kind).WithRUU(size)))
 					p := point{units: units, size: size, kind: kind, rate: harmonic(m, kernels)}
 					pts = append(pts, p)
 					if p.rate > best.rate {
@@ -64,7 +65,15 @@ func main() {
 func harmonic(m mfup.Machine, kernels []*mfup.Kernel) float64 {
 	var invSum float64
 	for _, k := range kernels {
-		invSum += 1 / m.Run(k.SharedTrace()).IssueRate()
+		invSum += 1 / must(m.RunChecked(k.SharedTrace(), mfup.SimLimits{})).IssueRate()
 	}
 	return float64(len(kernels)) / invSum
+}
+
+// must exits on a machine construction or run error.
+func must[T any](v T, err error) T {
+	if err != nil {
+		log.Fatal(err)
+	}
+	return v
 }

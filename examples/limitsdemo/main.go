@@ -19,6 +19,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"mfup"
 )
@@ -57,9 +58,19 @@ func main() {
 	for _, k := range []*mfup.Kernel{rec, ind} {
 		tr := k.SharedTrace()
 		lim := mfup.ComputeLimits(tr, cfg, mfup.Pure).Actual
-		cray := mfup.NewBasic(mfup.CRAYLike, cfg).Run(tr).IssueRate()
-		ruu := mfup.NewRUU(cfg.WithIssue(4, mfup.BusN).WithRUU(100)).Run(tr).IssueRate()
+		crayM := must(mfup.NewBasic(mfup.CRAYLike, cfg))
+		ruuM := must(mfup.NewRUU(cfg.WithIssue(4, mfup.BusN).WithRUU(100)))
+		cray := must(crayM.RunChecked(tr, mfup.SimLimits{})).IssueRate()
+		ruu := must(ruuM.RunChecked(tr, mfup.SimLimits{})).IssueRate()
 		fmt.Printf("%-34s limit %.3f   CRAY-like %.3f (%2.0f%%)   RUU4/100 %.3f (%2.0f%%)\n",
 			k, lim, cray, 100*cray/lim, ruu, 100*ruu/lim)
 	}
+}
+
+// must exits on a machine construction or run error.
+func must[T any](v T, err error) T {
+	if err != nil {
+		log.Fatal(err)
+	}
+	return v
 }

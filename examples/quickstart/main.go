@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"mfup"
 )
@@ -27,7 +28,8 @@ func main() {
 	for _, org := range mfup.Organizations() {
 		fmt.Printf("%-14s", org)
 		for _, cfg := range mfup.BaseConfigs() {
-			r := mfup.NewBasic(org, cfg).Run(tr)
+			m := must(mfup.NewBasic(org, cfg))
+			r := must(m.RunChecked(tr, mfup.SimLimits{}))
 			fmt.Printf("%9.3f", r.IssueRate())
 		}
 		fmt.Println()
@@ -38,8 +40,17 @@ func main() {
 	fmt.Println()
 	for _, cfg := range mfup.BaseConfigs() {
 		lim := mfup.ComputeLimits(tr, cfg, mfup.Pure)
-		ruu := mfup.NewRUU(cfg.WithIssue(4, mfup.BusN).WithRUU(50)).Run(tr)
+		m := must(mfup.NewRUU(cfg.WithIssue(4, mfup.BusN).WithRUU(50)))
+		ruu := must(m.RunChecked(tr, mfup.SimLimits{}))
 		fmt.Printf("%s: dataflow limit %.3f, RUU(4 units, 50 entries) achieves %.3f (%.0f%%)\n",
 			cfg.Name(), lim.Actual, ruu.IssueRate(), 100*ruu.IssueRate()/lim.Actual)
 	}
+}
+
+// must exits on a machine construction or run error.
+func must[T any](v T, err error) T {
+	if err != nil {
+		log.Fatal(err)
+	}
+	return v
 }

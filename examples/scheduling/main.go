@@ -20,13 +20,13 @@ import (
 
 func main() {
 	cfg := mfup.M11BR5
-	cray := mfup.NewBasic(mfup.CRAYLike, cfg)
-	ruu := mfup.NewRUU(cfg.WithIssue(2, mfup.BusN).WithRUU(40))
+	cray := must(mfup.NewBasic(mfup.CRAYLike, cfg))
+	ruu := must(mfup.NewRUU(cfg.WithIssue(2, mfup.BusN).WithRUU(40)))
 
 	fmt.Printf("%-38s %10s %10s %7s %12s %12s\n",
 		"kernel", "cray", "cray+sched", "gain", "ruu", "ruu+sched")
 	for _, k := range mfup.Kernels() {
-		base := cray.Run(k.SharedTrace()).IssueRate()
+		base := must(cray.RunChecked(k.SharedTrace(), mfup.SimLimits{})).IssueRate()
 
 		scheduled := mfup.ScheduleProgram(k.Program(), cfg)
 		m := k.NewMachine()
@@ -38,10 +38,10 @@ func main() {
 		if err := k.Validate(m); err != nil {
 			log.Fatalf("%s: scheduled program wrong: %v", k, err)
 		}
-		after := cray.Run(tr).IssueRate()
+		after := must(cray.RunChecked(tr, mfup.SimLimits{})).IssueRate()
 
-		ruuBase := ruu.Run(k.SharedTrace()).IssueRate()
-		ruuAfter := ruu.Run(tr).IssueRate()
+		ruuBase := must(ruu.RunChecked(k.SharedTrace(), mfup.SimLimits{})).IssueRate()
+		ruuAfter := must(ruu.RunChecked(tr, mfup.SimLimits{})).IssueRate()
 
 		fmt.Printf("%-38s %10.3f %10.3f %+6.1f%% %12.3f %12.3f\n",
 			k, base, after, 100*(after-base)/base, ruuBase, ruuAfter)
@@ -49,4 +49,12 @@ func main() {
 	fmt.Println("\nHardware dependency resolution (RUU) and software scheduling chase")
 	fmt.Println("the same blockages; the RUU columns move far less because the")
 	fmt.Println("hardware already tolerates the latencies the scheduler hides.")
+}
+
+// must exits on a machine construction or run error.
+func must[T any](v T, err error) T {
+	if err != nil {
+		log.Fatal(err)
+	}
+	return v
 }

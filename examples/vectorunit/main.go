@@ -26,9 +26,9 @@ import (
 
 func main() {
 	cfg := mfup.M11BR5
-	cray := mfup.NewBasic(mfup.CRAYLike, cfg)
-	ruu := mfup.NewRUU(cfg.WithIssue(4, mfup.BusN).WithRUU(100))
-	vec := mfup.NewVector(cfg)
+	cray := must(mfup.NewBasic(mfup.CRAYLike, cfg))
+	ruu := must(mfup.NewRUU(cfg.WithIssue(4, mfup.BusN).WithRUU(100)))
+	vec := must(mfup.NewVector(cfg))
 
 	fmt.Printf("%-34s %12s %12s %12s %10s %10s\n",
 		"kernel (cycles, M11BR5)", "scalar CRAY", "RUU 4/100", "vector", "vec/cray", "vec/ruu")
@@ -41,9 +41,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		c := cray.Run(sk.SharedTrace()).Cycles
-		r := ruu.Run(sk.SharedTrace()).Cycles
-		v := vec.Run(vtr).Cycles
+		c := must(cray.RunChecked(sk.SharedTrace(), mfup.SimLimits{})).Cycles
+		r := must(ruu.RunChecked(sk.SharedTrace(), mfup.SimLimits{})).Cycles
+		v := must(vec.RunChecked(vtr, mfup.SimLimits{})).Cycles
 		fmt.Printf("%-34s %12d %12d %12d %9.1fx %9.1fx\n",
 			sk, c, r, v, float64(c)/float64(v), float64(r)/float64(v))
 	}
@@ -56,4 +56,12 @@ superscalar. The reductions are the exception: the inner product's
 serialize, and there the RUU machine wins. This is the trade §3.2
 gestures at when it discusses sharing pipelined functional units
 between scalar and vector work.`)
+}
+
+// must exits on a machine construction or run error.
+func must[T any](v T, err error) T {
+	if err != nil {
+		log.Fatal(err)
+	}
+	return v
 }

@@ -25,16 +25,16 @@ type matrixMachine struct {
 func matrixMachines() []matrixMachine {
 	wide := func(cfg mfup.Config) mfup.Config { return cfg.WithIssue(2, bus.BusN) }
 	return []matrixMachine{
-		{"Simple", func(cfg mfup.Config) mfup.Machine { return mfup.NewBasic(mfup.Simple, cfg) }},
-		{"SerialMemory", func(cfg mfup.Config) mfup.Machine { return mfup.NewBasic(mfup.SerialMemory, cfg) }},
-		{"NonSegmented", func(cfg mfup.Config) mfup.Machine { return mfup.NewBasic(mfup.NonSegmented, cfg) }},
-		{"CRAYLike", func(cfg mfup.Config) mfup.Machine { return mfup.NewBasic(mfup.CRAYLike, cfg) }},
-		{"Scoreboard", func(cfg mfup.Config) mfup.Machine { return mfup.NewScoreboard(cfg) }},
-		{"Tomasulo", func(cfg mfup.Config) mfup.Machine { return mfup.NewTomasulo(cfg) }},
-		{"MultiIssue", func(cfg mfup.Config) mfup.Machine { return mfup.NewMultiIssue(wide(cfg)) }},
-		{"MultiIssueOOO", func(cfg mfup.Config) mfup.Machine { return mfup.NewMultiIssueOOO(wide(cfg)) }},
-		{"RUU", func(cfg mfup.Config) mfup.Machine { return mfup.NewRUU(wide(cfg).WithRUU(20)) }},
-		{"Vector", func(cfg mfup.Config) mfup.Machine { return mfup.NewVector(cfg) }},
+		{"Simple", func(cfg mfup.Config) mfup.Machine { return must(mfup.NewBasic(mfup.Simple, cfg)) }},
+		{"SerialMemory", func(cfg mfup.Config) mfup.Machine { return must(mfup.NewBasic(mfup.SerialMemory, cfg)) }},
+		{"NonSegmented", func(cfg mfup.Config) mfup.Machine { return must(mfup.NewBasic(mfup.NonSegmented, cfg)) }},
+		{"CRAYLike", func(cfg mfup.Config) mfup.Machine { return must(mfup.NewBasic(mfup.CRAYLike, cfg)) }},
+		{"Scoreboard", func(cfg mfup.Config) mfup.Machine { return must(mfup.NewScoreboard(cfg)) }},
+		{"Tomasulo", func(cfg mfup.Config) mfup.Machine { return must(mfup.NewTomasulo(cfg)) }},
+		{"MultiIssue", func(cfg mfup.Config) mfup.Machine { return must(mfup.NewMultiIssue(wide(cfg))) }},
+		{"MultiIssueOOO", func(cfg mfup.Config) mfup.Machine { return must(mfup.NewMultiIssueOOO(wide(cfg))) }},
+		{"RUU", func(cfg mfup.Config) mfup.Machine { return must(mfup.NewRUU(wide(cfg).WithRUU(20))) }},
+		{"Vector", func(cfg mfup.Config) mfup.Machine { return must(mfup.NewVector(cfg)) }},
 	}
 }
 
@@ -213,7 +213,7 @@ func TestExtrapolationFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := mfup.Extrapolate(mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5)).
+	e := mfup.Extrapolate(must(mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5))).
 		WithVirtual(map[string]int64{k.SharedTrace().Name: vw})
 	r, err := e.RunChecked(k.SharedTrace(), mfup.DefaultSimLimits())
 	if err != nil {

@@ -173,7 +173,8 @@ func TestBadSpecRefusedAtRouter(t *testing.T) {
 	rt := newTestRouter(t, Config{}, a)
 	for _, doc := range []string{
 		`{"machine":{"kind":"no-such-kind"}}`,
-		`{"machine":{"kind":"ruu","bus":"xbar"}}`, // the RUU takes no crossbar
+		`{"machine":{"kind":"ruu","bus":"xbar"}}`,                                       // the RUU takes no crossbar
+		`{"machine":{"kind":"ruu","units":4,"ruu":200000000},"workload":{"loops":"1"}}`, // past the RUU size bound
 	} {
 		if w := post(t, rt.Handler(), "/v1/jobs", doc); w.Code != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", doc, w.Code)
@@ -182,8 +183,8 @@ func TestBadSpecRefusedAtRouter(t *testing.T) {
 	if a.hits.Load() != 0 {
 		t.Errorf("defective spec was dispatched %d times", a.hits.Load())
 	}
-	if st := rt.Snapshot(); st.BadSpec != 2 || st.Forwarded != 0 {
-		t.Errorf("stats %+v, want bad_spec=2 forwarded=0", st)
+	if st := rt.Snapshot(); st.BadSpec != 3 || st.Forwarded != 0 {
+		t.Errorf("stats %+v, want bad_spec=3 forwarded=0", st)
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 // out-of-order and in-order multiple-issue machines.
 func TestRunAllocations(t *testing.T) {
 	machines := []Machine{
-		NewRUU(M11BR5.WithIssue(4, bus.BusN).WithRUU(50)),
-		NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN)),
-		NewMultiIssue(M11BR5.WithIssue(4, bus.BusN)),
+		must(NewRUU(M11BR5.WithIssue(4, bus.BusN).WithRUU(50))),
+		must(NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN))),
+		must(NewMultiIssue(M11BR5.WithIssue(4, bus.BusN))),
 	}
 	for _, n := range []int{100, 4000} {
 		k, err := loops.Scaled(1, n)
@@ -24,8 +24,8 @@ func TestRunAllocations(t *testing.T) {
 		}
 		tr := k.MustTrace()
 		for _, m := range machines {
-			m.Run(tr) // warm: size the machine's buffers to the trace
-			allocs := testing.AllocsPerRun(3, func() { m.Run(tr) })
+			must(m.RunChecked(tr, Limits{})) // warm: size the machine's buffers to the trace
+			allocs := testing.AllocsPerRun(3, func() { must(m.RunChecked(tr, Limits{})) })
 			t.Logf("%s, n=%d (%d instructions): %.0f allocations per run", m.Name(), n, tr.Len(), allocs)
 			if n == 4000 && allocs*100 >= float64(tr.Len()) {
 				t.Errorf("%s: %.0f allocations re-running %d instructions, want fewer than one per 100", m.Name(), allocs, tr.Len())

@@ -3,15 +3,26 @@ package core
 import (
 	"errors"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"mfup/internal/asm"
 	"mfup/internal/bus"
 	"mfup/internal/emu"
+	"mfup/internal/isa"
 	"mfup/internal/simerr"
 	"mfup/internal/trace"
 )
+
+// must returns v, panicking on err: the machines a test builds and the
+// runs it makes are expected to succeed.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 // livelockTrace loads, assembles, and traces the committed watchdog
 // fixture: a loop whose iterations form one long serial dependence
@@ -37,16 +48,16 @@ func livelockTrace(t *testing.T) *trace.Trace {
 func everyMachine(cfg Config) []Machine {
 	w := cfg.WithIssue(2, bus.BusN)
 	return []Machine{
-		NewBasic(Simple, cfg),
-		NewBasic(SerialMemory, cfg),
-		NewBasic(NonSegmented, cfg),
-		NewBasic(CRAYLike, cfg),
-		NewScoreboard(cfg),
-		NewTomasulo(cfg),
-		NewMultiIssue(w),
-		NewMultiIssueOOO(w),
-		NewRUU(w.WithRUU(10)),
-		NewVector(cfg),
+		must(NewBasic(Simple, cfg)),
+		must(NewBasic(SerialMemory, cfg)),
+		must(NewBasic(NonSegmented, cfg)),
+		must(NewBasic(CRAYLike, cfg)),
+		must(NewScoreboard(cfg)),
+		must(NewTomasulo(cfg)),
+		must(NewMultiIssue(w)),
+		must(NewMultiIssueOOO(w)),
+		must(NewRUU(w.WithRUU(10))),
+		must(NewVector(cfg)),
 	}
 }
 
@@ -93,9 +104,9 @@ func TestStallWatchdogFiresOnCycleSteppedMachines(t *testing.T) {
 	w := cfg.WithIssue(2, bus.BusN)
 	const stall = 10_000
 	for _, m := range []Machine{
-		NewTomasulo(cfg),
-		NewMultiIssueOOO(w),
-		NewRUU(w.WithRUU(10)),
+		must(NewTomasulo(cfg)),
+		must(NewMultiIssueOOO(w)),
+		must(NewRUU(w.WithRUU(10))),
 	} {
 		_, err := m.RunChecked(tr, Limits{StallCycles: stall})
 		if err == nil {
@@ -123,7 +134,7 @@ func TestStallWatchdogFiresOnCycleSteppedMachines(t *testing.T) {
 // checked run with KindDeadline.
 func TestDeadlineFires(t *testing.T) {
 	tr := livelockTrace(t)
-	m := NewBasic(CRAYLike, M11BR5)
+	m := must(NewBasic(CRAYLike, M11BR5))
 	_, err := m.RunChecked(tr, Limits{Deadline: time.Now().Add(-time.Second)})
 	var serr *SimError
 	if !errors.As(err, &serr) || serr.Kind != simerr.KindDeadline {
@@ -131,54 +142,88 @@ func TestDeadlineFires(t *testing.T) {
 	}
 }
 
-// TestCheckedMatchesLegacyRun: with zero limits, RunChecked is
-// exactly the legacy Run on every machine — same cycle counts, no
-// error. This is the healthy-path byte-identity guarantee at the
+// TestZeroLimitsMatchDefaultLimits: on every machine and base
+// config, a run under zero Limits and one under DefaultLimits give the
+// same result and no error — the production defaults never fire on a
+// healthy run. This is the healthy-path byte-identity guarantee at the
 // Result level.
-func TestCheckedMatchesLegacyRun(t *testing.T) {
+func TestZeroLimitsMatchDefaultLimits(t *testing.T) {
 	tr := livelockTrace(t)
 	for _, cfg := range BaseConfigs() {
 		for _, m := range everyMachine(cfg) {
-			want := m.Run(tr)
-			got, err := m.RunChecked(tr, Limits{})
+			want, err := m.RunChecked(tr, Limits{})
 			if err != nil {
-				t.Errorf("%s %s: RunChecked: %v", m.Name(), cfg.Name(), err)
+				t.Errorf("%s %s: zero limits: %v", m.Name(), cfg.Name(), err)
 				continue
 			}
-			if got != want {
-				t.Errorf("%s %s: RunChecked %+v != Run %+v", m.Name(), cfg.Name(), got, want)
-			}
-			// The production defaults must not fire on a healthy run.
-			got2, err := m.RunChecked(tr, DefaultLimits())
+			got, err := m.RunChecked(tr, DefaultLimits())
 			if err != nil {
 				t.Errorf("%s %s: DefaultLimits fired on a healthy run: %v", m.Name(), cfg.Name(), err)
-			} else if got2 != want {
-				t.Errorf("%s %s: DefaultLimits changed the result: %+v != %+v", m.Name(), cfg.Name(), got2, want)
+			} else if got != want {
+				t.Errorf("%s %s: DefaultLimits changed the result: %+v != %+v", m.Name(), cfg.Name(), got, want)
 			}
 		}
 	}
 }
 
-// TestCheckedConstructorsRejectBadConfigs: every checked constructor
-// returns an error (instead of panicking) on an invalid
-// configuration.
+// TestCheckedConstructorsRejectBadConfigs: every constructor checks
+// its configuration and returns an error, never a panic, on one it
+// cannot build — one that is structurally impossible or past a
+// Config.Validate bound.
 func TestCheckedConstructorsRejectBadConfigs(t *testing.T) {
 	bad := Config{MemLatency: 0, BranchLatency: 5}
 	zeroUnits := Config{MemLatency: 11, BranchLatency: 5, IssueUnits: 0}
-	for name, build := range map[string]func() (Machine, error){
-		"basic bad latency":   func() (Machine, error) { return NewBasicChecked(CRAYLike, bad) },
-		"basic bad org":       func() (Machine, error) { return NewBasicChecked(Organization(99), M11BR5) },
-		"scoreboard":          func() (Machine, error) { return NewScoreboardChecked(bad) },
-		"tomasulo":            func() (Machine, error) { return NewTomasuloChecked(bad) },
-		"multi zero units":    func() (Machine, error) { return NewMultiIssueChecked(zeroUnits) },
-		"ooo zero units":      func() (Machine, error) { return NewMultiIssueOOOChecked(zeroUnits) },
-		"ruu size < units":    func() (Machine, error) { return NewRUUChecked(M11BR5.WithIssue(4, bus.BusN).WithRUU(2)) },
-		"vector bad latency":  func() (Machine, error) { return NewVectorChecked(bad) },
-		"multi bad interlink": func() (Machine, error) { return NewMultiIssueChecked(M11BR5.WithIssue(2, bus.Kind(99))) },
+	var overLat, overCopies Config
+	overLat.FULat[isa.FloatMul] = MaxLatency + 1
+	overCopies.FUCount[isa.FloatMul] = MaxUnitCopies + 1
+	for _, tc := range []struct {
+		name  string
+		build func() (Machine, error)
+		want  string // substring of the error
+	}{
+		{"basic bad latency", func() (Machine, error) { return NewBasic(CRAYLike, bad) }, "memory latency must be positive"},
+		{"basic bad org", func() (Machine, error) { return NewBasic(Organization(99), M11BR5) }, "unknown organization"},
+		{"scoreboard", func() (Machine, error) { return NewScoreboard(bad) }, "memory latency"},
+		{"tomasulo", func() (Machine, error) { return NewTomasulo(bad) }, "memory latency"},
+		{"multi zero units", func() (Machine, error) { return NewMultiIssue(zeroUnits) }, "IssueUnits >= 1"},
+		{"ooo zero units", func() (Machine, error) { return NewMultiIssueOOO(zeroUnits) }, "IssueUnits >= 1"},
+		{"ruu size < units", func() (Machine, error) { return NewRUU(M11BR5.WithIssue(4, bus.BusN).WithRUU(2)) }, "RUUSize >= IssueUnits"},
+		{"vector bad latency", func() (Machine, error) { return NewVector(bad) }, "memory latency"},
+		{"multi bad interlink", func() (Machine, error) { return NewMultiIssue(M11BR5.WithIssue(2, bus.Kind(99))) }, "unknown interconnect"},
+
+		// The construction bounds.
+		{"cray memory latency past bound", func() (Machine, error) {
+			return NewBasic(CRAYLike, Config{MemLatency: MaxLatency + 1, BranchLatency: 5})
+		}, "exceeds the limit"},
+		{"scoreboard branch latency past bound", func() (Machine, error) {
+			return NewScoreboard(Config{MemLatency: 11, BranchLatency: MaxLatency + 1})
+		}, "exceeds the limit"},
+		{"vector latency override past bound", func() (Machine, error) {
+			c := overLat
+			c.MemLatency, c.BranchLatency = 11, 5
+			return NewVector(c)
+		}, "exceeds the limit"},
+		{"multi width past bound", func() (Machine, error) {
+			return NewMultiIssue(M11BR5.WithIssue(MaxIssueUnits+1, bus.BusN))
+		}, "exceed the limit"},
+		{"ruu size past bound", func() (Machine, error) {
+			return NewRUU(M11BR5.WithIssue(4, bus.BusN).WithRUU(MaxRUUSize + 1))
+		}, "exceeds the limit"},
+		{"tomasulo stations past bound", func() (Machine, error) { return NewTomasulo(M11BR5.WithRUU(MaxRUUSize + 1)) }, "exceeds the limit"},
+		{"ooo banks past bound", func() (Machine, error) {
+			return NewMultiIssueOOO(M11BR5.WithIssue(2, bus.BusN).WithMemBanks(MaxMemBanks + 1))
+		}, "exceeds the limit"},
+		{"cray copies past bound", func() (Machine, error) {
+			c := overCopies
+			c.MemLatency, c.BranchLatency = 11, 5
+			return NewBasic(CRAYLike, c)
+		}, "exceeds the limit"},
 	} {
-		m, err := build()
+		m, err := tc.build()
 		if err == nil {
-			t.Errorf("%s: no error (got machine %v)", name, m.Name())
+			t.Errorf("%s: no error (got machine %v)", tc.name, m.Name())
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
 }

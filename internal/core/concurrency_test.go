@@ -18,16 +18,16 @@ func TestSharedTraceConcurrentMachines(t *testing.T) {
 	tr := loops.All()[0].SharedTrace()
 	cfg := M11BR5
 	makers := []func() Machine{
-		func() Machine { return NewBasic(CRAYLike, cfg) },
-		func() Machine { return NewMultiIssue(cfg.WithIssue(4, bus.BusN)) },
-		func() Machine { return NewMultiIssueOOO(cfg.WithIssue(4, bus.Bus1)) },
-		func() Machine { return NewScoreboard(cfg) },
-		func() Machine { return NewTomasulo(cfg) },
-		func() Machine { return NewRUU(cfg.WithIssue(2, bus.BusN).WithRUU(20)) },
+		func() Machine { return must(NewBasic(CRAYLike, cfg)) },
+		func() Machine { return must(NewMultiIssue(cfg.WithIssue(4, bus.BusN))) },
+		func() Machine { return must(NewMultiIssueOOO(cfg.WithIssue(4, bus.Bus1))) },
+		func() Machine { return must(NewScoreboard(cfg)) },
+		func() Machine { return must(NewTomasulo(cfg)) },
+		func() Machine { return must(NewRUU(cfg.WithIssue(2, bus.BusN).WithRUU(20))) },
 	}
 	want := make([]Result, len(makers))
 	for i, mk := range makers {
-		want[i] = mk().Run(tr)
+		want[i] = must(mk().RunChecked(tr, Limits{}))
 	}
 
 	const repeats = 4
@@ -38,7 +38,7 @@ func TestSharedTraceConcurrentMachines(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got[rep*len(makers)+i] = mk().Run(tr)
+				got[rep*len(makers)+i] = must(mk().RunChecked(tr, Limits{}))
 			}()
 		}
 	}
@@ -55,22 +55,22 @@ func TestSharedTraceConcurrentMachines(t *testing.T) {
 }
 
 // TestMachineReusableAfterRun checks the other half of the contract:
-// a single machine instance, used serially, is reusable — Run resets
+// a single machine instance, used serially, is reusable — RunChecked resets
 // all state, so back-to-back runs agree.
 func TestMachineReusableAfterRun(t *testing.T) {
 	tr := loops.All()[0].SharedTrace()
 	cfg := M5BR2
 	machines := []Machine{
-		NewBasic(Simple, cfg),
-		NewMultiIssue(cfg.WithIssue(2, bus.BusN)),
-		NewMultiIssueOOO(cfg.WithIssue(2, bus.BusN)),
-		NewScoreboard(cfg),
-		NewTomasulo(cfg),
-		NewRUU(cfg.WithIssue(1, bus.BusN).WithRUU(10)),
+		must(NewBasic(Simple, cfg)),
+		must(NewMultiIssue(cfg.WithIssue(2, bus.BusN))),
+		must(NewMultiIssueOOO(cfg.WithIssue(2, bus.BusN))),
+		must(NewScoreboard(cfg)),
+		must(NewTomasulo(cfg)),
+		must(NewRUU(cfg.WithIssue(1, bus.BusN).WithRUU(10))),
 	}
 	for _, m := range machines {
-		first := m.Run(tr)
-		second := m.Run(tr)
+		first := must(m.RunChecked(tr, Limits{}))
+		second := must(m.RunChecked(tr, Limits{}))
 		if first != second {
 			t.Errorf("%s: repeated runs differ: %+v then %+v", m.Name(), first, second)
 		}

@@ -23,6 +23,10 @@
 //     the instruction buffer (§5.2).
 //   - RUU: N issue units with dependency resolution and register
 //     renaming through a Register Update Unit (§5.3).
+//   - Scoreboard and Tomasulo: the single-issue dependency-resolution
+//     machines §3.3 cites (CDC 6600, IBM 360/91).
+//   - Vector: the CRAY-like machine plus a chaining vector unit, an
+//     extension beyond the paper.
 package core
 
 import (
@@ -180,37 +184,67 @@ func (c Config) WithMemBanks(banks int) Config {
 	return c
 }
 
-// Validate reports whether the configuration is structurally
-// possible. The checked constructors call it; the panicking ones
-// reach it through their checked twins.
+// The largest configuration a constructor builds, so that sizes and
+// latencies taken from an untrusted request can neither exhaust memory
+// nor wrap the clock. They are fixed limits, not options.
+const (
+	// MaxLatency bounds every latency. An instruction holds the clock
+	// back by about one latency at most, and a trace that fits in
+	// memory has under 1<<27 operations (the binary trace cap), so
+	// cycle counts stay below about 1<<57, far from int64's 1<<63.
+	MaxLatency = 1 << 30
+
+	// The sizes keep the largest machine of each kind under 64 MiB at
+	// construction: the N-Bus tracker holds up to 64 KiB of ring per
+	// issue unit, an RUU entry about 100 bytes, a bank or unit copy 8.
+	MaxIssueUnits = 256
+	MaxRUUSize    = 1 << 16 // RUU entries, or Tomasulo stations per unit
+	MaxMemBanks   = 1 << 16
+	MaxUnitCopies = 1 << 10 // FUCount; a dispatch scans every copy
+)
+
+// Validate reports whether the configuration is structurally possible
+// and within the bounds above. Every constructor calls it.
 func (c Config) Validate() error {
-	if c.MemLatency <= 0 {
-		return fmt.Errorf("core: config %s: memory latency must be positive, got %d", c.Name(), c.MemLatency)
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("core: config %s: "+format, append([]any{c.Name()}, args...)...)
 	}
-	if c.BranchLatency <= 0 {
-		return fmt.Errorf("core: config %s: branch latency must be positive, got %d", c.Name(), c.BranchLatency)
-	}
-	if c.IssueUnits < 0 {
-		return fmt.Errorf("core: config %s: negative issue units %d", c.Name(), c.IssueUnits)
-	}
-	if c.RUUSize < 0 {
-		return fmt.Errorf("core: config %s: negative RUU size %d", c.Name(), c.RUUSize)
-	}
-	if c.MemBanks < 0 {
-		return fmt.Errorf("core: config %s: negative memory bank count %d", c.Name(), c.MemBanks)
-	}
-	if c.BusCount < 0 {
-		return fmt.Errorf("core: config %s: negative result-bus count %d", c.Name(), c.BusCount)
+	switch {
+	case c.MemLatency <= 0:
+		return bad("memory latency must be positive, got %d", c.MemLatency)
+	case c.MemLatency > MaxLatency:
+		return bad("memory latency %d exceeds the limit of %d cycles", c.MemLatency, MaxLatency)
+	case c.BranchLatency <= 0:
+		return bad("branch latency must be positive, got %d", c.BranchLatency)
+	case c.BranchLatency > MaxLatency:
+		return bad("branch latency %d exceeds the limit of %d cycles", c.BranchLatency, MaxLatency)
+	case c.IssueUnits < 0:
+		return bad("negative issue units %d", c.IssueUnits)
+	case c.IssueUnits > MaxIssueUnits:
+		return bad("%d issue units exceed the limit of %d", c.IssueUnits, MaxIssueUnits)
+	case c.RUUSize < 0:
+		return bad("negative RUU size %d", c.RUUSize)
+	case c.RUUSize > MaxRUUSize:
+		return bad("RUU size %d exceeds the limit of %d entries", c.RUUSize, MaxRUUSize)
+	case c.MemBanks < 0:
+		return bad("negative memory bank count %d", c.MemBanks)
+	case c.MemBanks > MaxMemBanks:
+		return bad("memory bank count %d exceeds the limit of %d", c.MemBanks, MaxMemBanks)
+	case c.BusCount < 0:
+		return bad("negative result-bus count %d", c.BusCount)
 	}
 	for u := 0; u < isa.NumUnits; u++ {
-		if c.FULat[u] < 0 {
-			return fmt.Errorf("core: config %s: negative latency override %d for %s", c.Name(), c.FULat[u], isa.Unit(u))
-		}
-		if c.FULat[u] > 0 && (isa.Unit(u) == isa.Memory || isa.Unit(u) == isa.Branch) {
-			return fmt.Errorf("core: config %s: %s latency is a machine parameter; set MemLatency/BranchLatency, not FULat", c.Name(), isa.Unit(u))
-		}
-		if c.FUCount[u] < 0 {
-			return fmt.Errorf("core: config %s: negative copy count %d for %s", c.Name(), c.FUCount[u], isa.Unit(u))
+		switch unit, lat, n := isa.Unit(u), c.FULat[u], c.FUCount[u]; {
+		case lat < 0:
+			return bad("negative latency override %d for %s", lat, unit)
+		case lat > MaxLatency:
+			return bad("latency override %d for %s exceeds the limit of %d cycles", lat, unit, MaxLatency)
+		case lat > 0 && (unit == isa.Memory || unit == isa.Branch):
+			return bad("%s latency is a machine parameter; set MemLatency/BranchLatency, not FULat", unit)
+		case n < 0:
+			return bad("negative copy count %d for %s", n, unit)
+		case n > MaxUnitCopies:
+			return bad("copy count %d for %s exceeds the limit of %d", n, unit, MaxUnitCopies)
 		}
 	}
 	return nil
@@ -240,18 +274,17 @@ func (r Result) String() string {
 }
 
 // Machine is a timing model: it runs a trace and reports cycle
-// counts. Implementations are single-use-at-a-time but reusable:
-// Run and RunChecked fully reset internal state.
-//
-// RunChecked is the fault-tolerant entry point: the run is bounded by
-// lim (cycle budget, no-forward-progress watchdog, wall-clock
-// deadline) and every failure — including an unsimulatable trace —
-// comes back as a *SimError rather than a panic. Run is the legacy
-// unlimited form; it panics on unsimulatable traces and is kept as a
-// thin wrapper over RunChecked with zero Limits.
+// counts. Each machine has one constructor (NewBasic, NewScoreboard,
+// NewTomasulo, NewMultiIssue, NewMultiIssueOOO, NewRUU, NewVector),
+// which returns an error for a configuration it cannot build, and one
+// run method, RunChecked, which bounds the run by lim (cycle budget,
+// no-forward-progress watchdog, wall-clock deadline) and reports every
+// failure — including an unsimulatable trace — as a *SimError. Machines
+// are single-use-at-a-time but reusable: RunChecked fully resets
+// internal state.
 //
 // Concurrency contract: machines are stateful and NOT safe for
-// concurrent use — one instance must never execute Run on two
+// concurrent use — one instance must never execute RunChecked on two
 // goroutines at once. To run cells of an experiment grid in parallel,
 // construct a fresh machine per goroutine (internal/runner encodes
 // this by taking constructors, not instances). Traces, by contrast,
@@ -275,7 +308,6 @@ func (r Result) String() string {
 // must not be shared across concurrently running machines.
 type Machine interface {
 	Name() string
-	Run(t *trace.Trace) Result
 	RunChecked(t *trace.Trace, lim Limits) (Result, error)
 	SetProbe(p probe.Probe)
 	SetRecorder(r *events.Recorder)

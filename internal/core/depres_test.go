@@ -22,10 +22,10 @@ func TestScoreboardIssuesPastRAW(t *testing.T) {
 		op(isa.OpFMul, isa.S(2), isa.S(1), isa.S(1)).
 		load(isa.S(3), 100).
 		trace()
-	if got := cycles(t, NewBasic(CRAYLike, M11BR5), tr); got != 26 {
+	if got := cycles(t, must(NewBasic(CRAYLike, M11BR5)), tr); got != 26 {
 		t.Errorf("CRAY-like = %d cycles, want 26", got)
 	}
-	if got := cycles(t, NewScoreboard(M11BR5), tr); got != 21 {
+	if got := cycles(t, must(NewScoreboard(M11BR5)), tr); got != 21 {
 		t.Errorf("scoreboard = %d cycles, want 21", got)
 	}
 }
@@ -39,12 +39,12 @@ func TestScoreboardBlocksOnWAW(t *testing.T) {
 		op(isa.OpSImm, isa.S(1), isa.NoReg, isa.NoReg).
 		op(isa.OpSImm, isa.S(4), isa.NoReg, isa.NoReg).
 		trace()
-	if got := cycles(t, NewScoreboard(M11BR5), tr); got != 8 {
+	if got := cycles(t, must(NewScoreboard(M11BR5)), tr); got != 8 {
 		t.Errorf("scoreboard WAW = %d cycles, want 8", got)
 	}
 	// Tomasulo renames: the transfers issue at 1 and 2, execute at 2
 	// and 3; the FAdd's completion at 7 dominates.
-	if got := cycles(t, NewTomasulo(M11BR5), tr); got != 7 {
+	if got := cycles(t, must(NewTomasulo(M11BR5)), tr); got != 7 {
 		t.Errorf("Tomasulo WAW = %d cycles, want 7", got)
 	}
 }
@@ -59,7 +59,7 @@ func TestScoreboardBranchBehaviour(t *testing.T) {
 		trace()
 	// AAdd 0..2, branch issues 1 but waits for A0 (2), resolves 7,
 	// transfer 7..8.
-	if got := cycles(t, NewScoreboard(M11BR5), tr); got != 8 {
+	if got := cycles(t, must(NewScoreboard(M11BR5)), tr); got != 8 {
 		t.Errorf("scoreboard branch = %d cycles, want 8", got)
 	}
 }
@@ -70,7 +70,7 @@ func TestScoreboardStoreLoadDependence(t *testing.T) {
 		load(isa.S(2), 40).
 		trace()
 	// Store 0..11; dependent load waits: 11..22.
-	if got := cycles(t, NewScoreboard(M11BR5), st); got != 22 {
+	if got := cycles(t, must(NewScoreboard(M11BR5)), st); got != 22 {
 		t.Errorf("scoreboard store->load = %d cycles, want 22", got)
 	}
 }
@@ -84,10 +84,10 @@ func TestTomasuloCDBContention(t *testing.T) {
 		op(isa.OpFMul, isa.S(1), isa.S(0), isa.S(0)).
 		op(isa.OpFAdd, isa.S(2), isa.S(0), isa.S(0)).
 		trace()
-	if got := cycles(t, NewTomasulo(M11BR5), tr); got != 9 {
+	if got := cycles(t, must(NewTomasulo(M11BR5)), tr); got != 9 {
 		t.Errorf("Tomasulo CDB = %d cycles, want 9", got)
 	}
-	if got := cycles(t, NewScoreboard(M11BR5), tr); got != 7 {
+	if got := cycles(t, must(NewScoreboard(M11BR5)), tr); got != 7 {
 		t.Errorf("scoreboard = %d cycles, want 7", got)
 	}
 }
@@ -100,10 +100,10 @@ func TestTomasuloStationFullStalls(t *testing.T) {
 		op(isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)).
 		op(isa.OpFAdd, isa.S(2), isa.S(0), isa.S(0)).
 		trace()
-	if got := cycles(t, NewTomasulo(M11BR5.WithRUU(1)), tr); got != 14 {
+	if got := cycles(t, must(NewTomasulo(M11BR5.WithRUU(1))), tr); got != 14 {
 		t.Errorf("1 station = %d cycles, want 14", got)
 	}
-	if got := cycles(t, NewTomasulo(M11BR5.WithRUU(2)), tr); got != 8 {
+	if got := cycles(t, must(NewTomasulo(M11BR5.WithRUU(2))), tr); got != 8 {
 		t.Errorf("2 stations = %d cycles, want 8", got)
 	}
 }
@@ -116,7 +116,7 @@ func TestTomasuloBypassChain(t *testing.T) {
 		op(isa.OpSImm, isa.S(1), isa.NoReg, isa.NoReg).
 		op(isa.OpFAdd, isa.S(2), isa.S(1), isa.S(1)).
 		trace()
-	if got := cycles(t, NewTomasulo(M11BR5), tr); got != 8 {
+	if got := cycles(t, must(NewTomasulo(M11BR5)), tr); got != 8 {
 		t.Errorf("bypass chain = %d cycles, want 8", got)
 	}
 }
@@ -129,7 +129,7 @@ func TestTomasuloBranchWaitsForA0InFlight(t *testing.T) {
 		branch(isa.OpJAN, false).
 		op(isa.OpSImm, isa.S(1), isa.NoReg, isa.NoReg).
 		trace()
-	if got := cycles(t, NewTomasulo(M11BR5), tr); got != 10 {
+	if got := cycles(t, must(NewTomasulo(M11BR5)), tr); got != 10 {
 		t.Errorf("Tomasulo branch = %d cycles, want 10", got)
 	}
 }
@@ -142,10 +142,10 @@ func TestDependencyResolutionOrdering(t *testing.T) {
 	// first two steps are per-loop and the last is aggregate.
 	var sumTom, sumRUU float64
 	for _, k := range loops.All() {
-		cray := NewBasic(CRAYLike, M11BR5).Run(k.SharedTrace()).IssueRate()
-		sb := NewScoreboard(M11BR5).Run(k.SharedTrace()).IssueRate()
-		tom := NewTomasulo(M11BR5).Run(k.SharedTrace()).IssueRate()
-		ruu := NewRUU(M11BR5.WithIssue(1, bus.BusN).WithRUU(50)).Run(k.SharedTrace()).IssueRate()
+		cray := must(must(NewBasic(CRAYLike, M11BR5)).RunChecked(k.SharedTrace(), Limits{})).IssueRate()
+		sb := must(must(NewScoreboard(M11BR5)).RunChecked(k.SharedTrace(), Limits{})).IssueRate()
+		tom := must(must(NewTomasulo(M11BR5)).RunChecked(k.SharedTrace(), Limits{})).IssueRate()
+		ruu := must(must(NewRUU(M11BR5.WithIssue(1, bus.BusN).WithRUU(50))).RunChecked(k.SharedTrace(), Limits{})).IssueRate()
 		if sb < cray-1e-9 {
 			t.Errorf("%s: scoreboard (%.4f) below CRAY-like (%.4f)", k, sb, cray)
 		}
@@ -166,8 +166,8 @@ func TestDepResMachinesReusable(t *testing.T) {
 		branch(isa.OpJAN, false).
 		load(isa.S(2), 7).
 		trace()
-	for _, m := range []Machine{NewScoreboard(M11BR5), NewTomasulo(M11BR5)} {
-		if a, b := m.Run(tr).Cycles, m.Run(tr).Cycles; a != b {
+	for _, m := range []Machine{must(NewScoreboard(M11BR5)), must(NewTomasulo(M11BR5))} {
+		if a, b := must(m.RunChecked(tr, Limits{})).Cycles, must(m.RunChecked(tr, Limits{})).Cycles; a != b {
 			t.Errorf("%s: reruns differ (%d vs %d)", m.Name(), a, b)
 		}
 	}
@@ -181,7 +181,7 @@ func TestPerfectBranchesRemoveBranchStalls(t *testing.T) {
 		branch(isa.OpJAN, false).
 		op(isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)).
 		trace()
-	if got := cycles(t, NewBasic(CRAYLike, M11BR5.WithPerfectBranches()), tr); got != 7 {
+	if got := cycles(t, must(NewBasic(CRAYLike, M11BR5.WithPerfectBranches())), tr); got != 7 {
 		t.Errorf("perfect branches = %d cycles, want 7", got)
 	}
 	// The A0 wait disappears too.
@@ -192,7 +192,7 @@ func TestPerfectBranchesRemoveBranchStalls(t *testing.T) {
 		trace()
 	// AAdd 0..2; branch issues at 1 without waiting for A0; transfer
 	// at 2, done 3; the AAdd's completion at 2 < 3.
-	if got := cycles(t, NewBasic(CRAYLike, M11BR5.WithPerfectBranches()), tr3); got != 3 {
+	if got := cycles(t, must(NewBasic(CRAYLike, M11BR5.WithPerfectBranches())), tr3); got != 3 {
 		t.Errorf("perfect branches with A0 producer = %d cycles, want 3", got)
 	}
 }
@@ -201,16 +201,16 @@ func TestPerfectBranchesHelpEveryMachine(t *testing.T) {
 	for _, k := range loops.All() {
 		tr := k.SharedTrace()
 		mks := []func(Config) Machine{
-			func(c Config) Machine { return NewBasic(CRAYLike, c) },
-			func(c Config) Machine { return NewMultiIssue(c.WithIssue(4, bus.BusN)) },
-			func(c Config) Machine { return NewMultiIssueOOO(c.WithIssue(4, bus.BusN)) },
-			func(c Config) Machine { return NewRUU(c.WithIssue(2, bus.BusN).WithRUU(40)) },
-			NewScoreboard,
-			NewTomasulo,
+			func(c Config) Machine { return must(NewBasic(CRAYLike, c)) },
+			func(c Config) Machine { return must(NewMultiIssue(c.WithIssue(4, bus.BusN))) },
+			func(c Config) Machine { return must(NewMultiIssueOOO(c.WithIssue(4, bus.BusN))) },
+			func(c Config) Machine { return must(NewRUU(c.WithIssue(2, bus.BusN).WithRUU(40))) },
+			func(c Config) Machine { return must(NewScoreboard(c)) },
+			func(c Config) Machine { return must(NewTomasulo(c)) },
 		}
 		for i, mk := range mks {
-			base := mk(M11BR5).Run(tr)
-			ideal := mk(M11BR5.WithPerfectBranches()).Run(tr)
+			base := must(mk(M11BR5).RunChecked(tr, Limits{}))
+			ideal := must(mk(M11BR5.WithPerfectBranches()).RunChecked(tr, Limits{}))
 			// The greedy buffered machines admit small Graham-type
 			// anomalies (see TestRUULargelyMonotoneInSize); the
 			// blocking-issue machine does not.

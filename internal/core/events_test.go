@@ -21,22 +21,22 @@ var updateGolden = flag.Bool("update", false, "rewrite golden trace fixtures")
 // model, including the banked-memory and perfect-branch extensions.
 func traceMachines() []func() Machine {
 	return []func() Machine{
-		func() Machine { return NewBasic(Simple, M11BR5) },
-		func() Machine { return NewBasic(SerialMemory, M11BR5) },
-		func() Machine { return NewBasic(NonSegmented, M5BR2) },
-		func() Machine { return NewBasic(CRAYLike, M11BR5) },
-		func() Machine { return NewBasic(CRAYLike, M11BR5.WithPerfectBranches()) },
-		func() Machine { return NewBasic(CRAYLike, M11BR5.WithMemBanks(4)) },
-		func() Machine { return NewScoreboard(M11BR5) },
-		func() Machine { return NewTomasulo(M5BR5) },
-		func() Machine { return NewMultiIssue(M11BR5.WithIssue(4, bus.BusN)) },
-		func() Machine { return NewMultiIssue(M5BR2.WithIssue(3, bus.Bus1)) },
-		func() Machine { return NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN)) },
-		func() Machine { return NewMultiIssueOOO(M5BR2.WithIssue(3, bus.Bus1)) },
-		func() Machine { return NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN).WithMemBanks(2)) },
-		func() Machine { return NewRUU(M11BR5.WithIssue(2, bus.BusN).WithRUU(16)) },
-		func() Machine { return NewRUU(M5BR5.WithIssue(4, bus.Bus1).WithRUU(30)) },
-		func() Machine { return NewVector(M11BR5) },
+		func() Machine { return must(NewBasic(Simple, M11BR5)) },
+		func() Machine { return must(NewBasic(SerialMemory, M11BR5)) },
+		func() Machine { return must(NewBasic(NonSegmented, M5BR2)) },
+		func() Machine { return must(NewBasic(CRAYLike, M11BR5)) },
+		func() Machine { return must(NewBasic(CRAYLike, M11BR5.WithPerfectBranches())) },
+		func() Machine { return must(NewBasic(CRAYLike, M11BR5.WithMemBanks(4))) },
+		func() Machine { return must(NewScoreboard(M11BR5)) },
+		func() Machine { return must(NewTomasulo(M5BR5)) },
+		func() Machine { return must(NewMultiIssue(M11BR5.WithIssue(4, bus.BusN))) },
+		func() Machine { return must(NewMultiIssue(M5BR2.WithIssue(3, bus.Bus1))) },
+		func() Machine { return must(NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN))) },
+		func() Machine { return must(NewMultiIssueOOO(M5BR2.WithIssue(3, bus.Bus1))) },
+		func() Machine { return must(NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN).WithMemBanks(2))) },
+		func() Machine { return must(NewRUU(M11BR5.WithIssue(2, bus.BusN).WithRUU(16))) },
+		func() Machine { return must(NewRUU(M5BR5.WithIssue(4, bus.Bus1).WithRUU(30))) },
+		func() Machine { return must(NewVector(M11BR5)) },
 	}
 }
 
@@ -209,10 +209,10 @@ func TestTraceGoldenChromeCRAY(t *testing.T) {
 	tr := b.trace()
 	tr.Name = "golden"
 
-	m := NewBasic(CRAYLike, M11BR5)
+	m := must(NewBasic(CRAYLike, M11BR5))
 	rec := events.NewRecorder(64)
 	m.SetRecorder(rec)
-	m.Run(tr)
+	must(m.RunChecked(tr, Limits{}))
 	m.SetRecorder(nil)
 
 	var out strings.Builder
@@ -249,20 +249,20 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	}
 	tr := k.SharedTrace()
 	b.Run("nil", func(b *testing.B) {
-		m := NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN))
+		m := must(NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.Run(tr)
+			must(m.RunChecked(tr, Limits{}))
 		}
 	})
 	b.Run("recorder", func(b *testing.B) {
-		m := NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN))
+		m := must(NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN)))
 		rec := events.NewRecorder(0)
 		m.SetRecorder(rec)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			rec.Reset()
-			m.Run(tr)
+			must(m.RunChecked(tr, Limits{}))
 		}
 	})
 }

@@ -199,9 +199,6 @@ func (e *Extrapolator) SetProbe(p probe.Probe) { e.probe = p }
 // the complete stream, exactly as on the bare machine.
 func (e *Extrapolator) SetRecorder(r *events.Recorder) { e.rec = r }
 
-// Run simulates t unbounded, panicking on failure, like any Machine.
-func (e *Extrapolator) Run(t *trace.Trace) Result { return runUnchecked(e, t) }
-
 // RunChecked simulates t under lim, extrapolating the steady-state
 // middle of the loop when possible and falling back to a delegated
 // full run otherwise.

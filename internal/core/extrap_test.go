@@ -35,12 +35,12 @@ func TestExtrapolatorEngages(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := k.SharedTrace()
-	bare := NewBasic(CRAYLike, M11BR5)
+	bare := must(NewBasic(CRAYLike, M11BR5))
 	want, err := bare.RunChecked(tr, DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := Extrapolate(NewBasic(CRAYLike, M11BR5))
+	e := Extrapolate(must(NewBasic(CRAYLike, M11BR5)))
 	got, err := e.RunChecked(tr, DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestExtrapolatorEngages(t *testing.T) {
 // TestExtrapolatorIdempotentWrap checks that wrapping an Extrapolator
 // returns it unchanged rather than stacking engines.
 func TestExtrapolatorIdempotentWrap(t *testing.T) {
-	e := Extrapolate(NewBasic(CRAYLike, M11BR5))
+	e := Extrapolate(must(NewBasic(CRAYLike, M11BR5)))
 	if Extrapolate(e) != e {
 		t.Error("double wrap built a second engine")
 	}
@@ -77,11 +77,11 @@ func TestExtrapolatorIdempotentWrap(t *testing.T) {
 // machine, stats reporting why.
 func TestExtrapolatorFallbackNoPeriod(t *testing.T) {
 	tr := kernelTrace(t, 13)
-	want, err := NewBasic(CRAYLike, M11BR5).RunChecked(tr, DefaultLimits())
+	want, err := must(NewBasic(CRAYLike, M11BR5)).RunChecked(tr, DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := Extrapolate(NewBasic(CRAYLike, M11BR5))
+	e := Extrapolate(must(NewBasic(CRAYLike, M11BR5)))
 	got, err := e.RunChecked(tr, DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestExtrapolatorFallbackNoPeriod(t *testing.T) {
 func TestExtrapolatorFallbackRecorder(t *testing.T) {
 	tr := kernelTrace(t, 1)
 	ref := events.NewRecorder(0)
-	bare := NewBasic(CRAYLike, M11BR5)
+	bare := must(NewBasic(CRAYLike, M11BR5))
 	bare.SetRecorder(ref)
 	if _, err := bare.RunChecked(tr, DefaultLimits()); err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestExtrapolatorFallbackRecorder(t *testing.T) {
 	bare.SetRecorder(nil)
 
 	rec := events.NewRecorder(0)
-	e := Extrapolate(NewBasic(CRAYLike, M11BR5))
+	e := Extrapolate(must(NewBasic(CRAYLike, M11BR5)))
 	e.SetRecorder(rec)
 	if _, err := e.RunChecked(tr, DefaultLimits()); err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func (p *countingProbe) End(cycles int64)                                 {}
 func TestExtrapolatorFallbackProbeType(t *testing.T) {
 	tr := kernelTrace(t, 1)
 	var p countingProbe
-	e := Extrapolate(NewBasic(CRAYLike, M11BR5))
+	e := Extrapolate(must(NewBasic(CRAYLike, M11BR5)))
 	e.SetProbe(&p)
 	r, err := e.RunChecked(tr, DefaultLimits())
 	if err != nil {
@@ -159,13 +159,13 @@ func TestExtrapolatorFallbackProbeType(t *testing.T) {
 // though the engine never simulates past it.
 func TestExtrapolatorBudget(t *testing.T) {
 	tr := kernelTrace(t, 1)
-	full, err := NewBasic(CRAYLike, M11BR5).RunChecked(tr, DefaultLimits())
+	full, err := must(NewBasic(CRAYLike, M11BR5)).RunChecked(tr, DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
 	lim := DefaultLimits()
 	lim.MaxCycles = full.Cycles - 1
-	e := Extrapolate(NewBasic(CRAYLike, M11BR5))
+	e := Extrapolate(must(NewBasic(CRAYLike, M11BR5)))
 	_, err = e.RunChecked(tr, lim)
 	se, ok := err.(*SimError)
 	if !ok || se.Kind != simerr.KindCycleBudget {
@@ -200,7 +200,7 @@ func TestExtrapolatorVirtual(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range []Config{M11BR5, M5BR2} {
-		bare := NewBasic(CRAYLike, cfg)
+		bare := must(NewBasic(CRAYLike, cfg))
 		var wantC probe.Counters
 		bare.SetProbe(&wantC)
 		want, err := bare.RunChecked(kBig.SharedTrace(), DefaultLimits())
@@ -209,7 +209,7 @@ func TestExtrapolatorVirtual(t *testing.T) {
 		}
 		bare.SetProbe(nil)
 
-		e := Extrapolate(NewBasic(CRAYLike, cfg)).
+		e := Extrapolate(must(NewBasic(CRAYLike, cfg))).
 			WithVirtual(map[string]int64{kSmall.SharedTrace().Name: vw})
 		var gotC probe.Counters
 		e.SetProbe(&gotC)
@@ -235,7 +235,7 @@ func TestExtrapolatorVirtual(t *testing.T) {
 // simulating fewer iterations than asked.
 func TestExtrapolatorVirtualStrict(t *testing.T) {
 	tr := kernelTrace(t, 13) // no period
-	e := Extrapolate(NewBasic(CRAYLike, M11BR5)).
+	e := Extrapolate(must(NewBasic(CRAYLike, M11BR5))).
 		WithVirtual(map[string]int64{tr.Name: 1000})
 	_, err := e.RunChecked(tr, DefaultLimits())
 	se, ok := err.(*SimError)
@@ -249,11 +249,11 @@ func TestExtrapolatorVirtualStrict(t *testing.T) {
 // full simulation of the materialized trace instead of failing.
 func TestExtrapolatorVirtualBestEffort(t *testing.T) {
 	tr := kernelTrace(t, 13)
-	want, err := NewBasic(CRAYLike, M11BR5).RunChecked(tr, DefaultLimits())
+	want, err := must(NewBasic(CRAYLike, M11BR5)).RunChecked(tr, DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := Extrapolate(NewBasic(CRAYLike, M11BR5)).
+	e := Extrapolate(must(NewBasic(CRAYLike, M11BR5))).
 		WithVirtual(map[string]int64{tr.Name: 1000}).BestEffort()
 	got, err := e.RunChecked(tr, DefaultLimits())
 	if err != nil {
@@ -273,7 +273,7 @@ func TestExtrapolatorVirtualBestEffort(t *testing.T) {
 // untouched when only its issue-slot totals overflow.
 func TestExtrapolatorVirtualOverflow(t *testing.T) {
 	tr := kernelTrace(t, 1)
-	wide := NewMultiIssueOOO(M11BR5.WithIssue(8, bus.BusN))
+	wide := must(NewMultiIssueOOO(M11BR5.WithIssue(8, bus.BusN)))
 	for _, tc := range []struct {
 		name       string
 		m          Machine
@@ -282,9 +282,9 @@ func TestExtrapolatorVirtualOverflow(t *testing.T) {
 		probe      bool
 		want       string
 	}{
-		{"cycles", NewBasic(CRAYLike, M11BR5), 4_000_000_000_000_000_000, false, false, "instruction count overflows"},
-		{"best effort", NewBasic(CRAYLike, M11BR5), 4_000_000_000_000_000_000, true, false, "instruction count overflows"},
-		{"window count", NewBasic(CRAYLike, M11BR5), math.MaxInt64 - 10, false, false, "window count overflows"},
+		{"cycles", must(NewBasic(CRAYLike, M11BR5)), 4_000_000_000_000_000_000, false, false, "instruction count overflows"},
+		{"best effort", must(NewBasic(CRAYLike, M11BR5)), 4_000_000_000_000_000_000, true, false, "instruction count overflows"},
+		{"window count", must(NewBasic(CRAYLike, M11BR5)), math.MaxInt64 - 10, false, false, "window count overflows"},
 		{"probe slots", wide, 100_000_000_000_000_000, false, true, "stall-attribution total overflows"},
 	} {
 		e := Extrapolate(tc.m).WithVirtual(map[string]int64{tr.Name: tc.windows})

@@ -12,9 +12,9 @@ import (
 // internal/simerr for the full taxonomy.
 type SimError = simerr.SimError
 
-// Limits bounds a checked simulation run (Machine.RunChecked). The
-// zero value checks nothing, which makes RunChecked with Limits{}
-// behave exactly like the legacy Run.
+// Limits bounds a simulation run (Machine.RunChecked). The zero value
+// checks nothing: the run ends only when the trace does, or on an
+// unsimulatable trace.
 //
 // (Not to be confused with internal/limits, the paper's §4
 // performance bounds — these are execution guards, not performance
@@ -96,15 +96,4 @@ func scalarOnly(machine string, p *trace.Prepared) error {
 		}
 	}
 	return nil
-}
-
-// runUnchecked adapts RunChecked to the legacy Run contract: with no
-// limits the only possible failure is an unsimulatable trace, which
-// the legacy API reported by panicking.
-func runUnchecked(m Machine, t *trace.Trace) Result {
-	r, err := m.RunChecked(t, Limits{})
-	if err != nil {
-		panic(err)
-	}
-	return r
 }

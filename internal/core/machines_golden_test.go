@@ -30,13 +30,13 @@ type goldenMachine struct {
 func (g goldenMachine) build() (Machine, error) {
 	switch g.kind {
 	case "multi":
-		return NewMultiIssueChecked(g.cfg)
+		return NewMultiIssue(g.cfg)
 	case "ooo":
-		return NewMultiIssueOOOChecked(g.cfg)
+		return NewMultiIssueOOO(g.cfg)
 	case "ruu":
-		return NewRUUChecked(g.cfg)
+		return NewRUU(g.cfg)
 	case "tomasulo":
-		return NewTomasuloChecked(g.cfg)
+		return NewTomasulo(g.cfg)
 	}
 	return nil, fmt.Errorf("unknown kind %q", g.kind)
 }

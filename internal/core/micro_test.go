@@ -43,7 +43,7 @@ func (b *builder) trace() *trace.Trace { return &trace.Trace{Name: "micro", Ops:
 
 func cycles(t *testing.T, m Machine, tr *trace.Trace) int64 {
 	t.Helper()
-	r := m.Run(tr)
+	r := must(m.RunChecked(tr, Limits{}))
 	if r.Instructions != int64(len(tr.Ops)) {
 		t.Fatalf("%s: counted %d instructions, trace has %d", m.Name(), r.Instructions, len(tr.Ops))
 	}
@@ -55,7 +55,7 @@ func cycles(t *testing.T, m Machine, tr *trace.Trace) int64 {
 
 func TestCRAYLikeSingleOp(t *testing.T) {
 	tr := new(builder).op(isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)).trace()
-	if got := cycles(t, NewBasic(CRAYLike, M11BR5), tr); got != 6 {
+	if got := cycles(t, must(NewBasic(CRAYLike, M11BR5)), tr); got != 6 {
 		t.Errorf("one FloatAdd = %d cycles, want 6", got)
 	}
 }
@@ -66,7 +66,7 @@ func TestCRAYLikeSegmentedSameUnit(t *testing.T) {
 		op(isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)).
 		op(isa.OpFAdd, isa.S(2), isa.S(0), isa.S(0)).
 		trace()
-	if got := cycles(t, NewBasic(CRAYLike, M11BR5), tr); got != 7 {
+	if got := cycles(t, must(NewBasic(CRAYLike, M11BR5)), tr); got != 7 {
 		t.Errorf("two independent FloatAdds = %d cycles, want 7", got)
 	}
 }
@@ -77,7 +77,7 @@ func TestCRAYLikeRAWChain(t *testing.T) {
 		op(isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)).
 		op(isa.OpFAdd, isa.S(2), isa.S(1), isa.S(1)).
 		trace()
-	if got := cycles(t, NewBasic(CRAYLike, M11BR5), tr); got != 12 {
+	if got := cycles(t, must(NewBasic(CRAYLike, M11BR5)), tr); got != 12 {
 		t.Errorf("dependent FloatAdds = %d cycles, want 12", got)
 	}
 }
@@ -90,7 +90,7 @@ func TestCRAYLikeWAWBlocksIssue(t *testing.T) {
 		op(isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)).
 		op(isa.OpSImm, isa.S(1), isa.NoReg, isa.NoReg).
 		trace()
-	if got := cycles(t, NewBasic(CRAYLike, M11BR5), tr); got != 7 {
+	if got := cycles(t, must(NewBasic(CRAYLike, M11BR5)), tr); got != 7 {
 		t.Errorf("WAW pair = %d cycles, want 7", got)
 	}
 }
@@ -102,7 +102,7 @@ func TestNonSegmentedUnitBusy(t *testing.T) {
 		op(isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)).
 		op(isa.OpFAdd, isa.S(2), isa.S(0), isa.S(0)).
 		trace()
-	if got := cycles(t, NewBasic(NonSegmented, M11BR5), tr); got != 12 {
+	if got := cycles(t, must(NewBasic(NonSegmented, M11BR5)), tr); got != 12 {
 		t.Errorf("NonSegmented FloatAdds = %d cycles, want 12", got)
 	}
 }
@@ -111,10 +111,10 @@ func TestMemoryInterleavingDifference(t *testing.T) {
 	// Two independent loads. Serial memory: 11 + 11 = 22. Interleaved
 	// (NonSegmented machine): second load starts at 1, finishes 12.
 	tr := new(builder).load(isa.S(1), 100).load(isa.S(2), 200).trace()
-	if got := cycles(t, NewBasic(SerialMemory, M11BR5), tr); got != 22 {
+	if got := cycles(t, must(NewBasic(SerialMemory, M11BR5)), tr); got != 22 {
 		t.Errorf("SerialMemory loads = %d cycles, want 22", got)
 	}
-	if got := cycles(t, NewBasic(NonSegmented, M11BR5), tr); got != 12 {
+	if got := cycles(t, must(NewBasic(NonSegmented, M11BR5)), tr); got != 12 {
 		t.Errorf("NonSegmented loads = %d cycles, want 12", got)
 	}
 }
@@ -128,10 +128,10 @@ func TestSimpleMachineExclusiveExecution(t *testing.T) {
 		op(isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)).
 		op(isa.OpSImm, isa.S(2), isa.NoReg, isa.NoReg).
 		trace()
-	if got := cycles(t, NewBasic(Simple, M11BR5), tr); got != 7 {
+	if got := cycles(t, must(NewBasic(Simple, M11BR5)), tr); got != 7 {
 		t.Errorf("Simple = %d cycles, want 7", got)
 	}
-	if got := cycles(t, NewBasic(CRAYLike, M11BR5), tr); got != 6 {
+	if got := cycles(t, must(NewBasic(CRAYLike, M11BR5)), tr); got != 6 {
 		t.Errorf("CRAY-like = %d cycles, want 6", got)
 	}
 }
@@ -143,10 +143,10 @@ func TestBranchBlocksIssue(t *testing.T) {
 		branch(isa.OpJAN, false).
 		op(isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)).
 		trace()
-	if got := cycles(t, NewBasic(CRAYLike, M11BR5), tr); got != 11 {
+	if got := cycles(t, must(NewBasic(CRAYLike, M11BR5)), tr); got != 11 {
 		t.Errorf("BR5 = %d cycles, want 11", got)
 	}
-	if got := cycles(t, NewBasic(CRAYLike, M11BR2), tr); got != 8 {
+	if got := cycles(t, must(NewBasic(CRAYLike, M11BR2)), tr); got != 8 {
 		t.Errorf("BR2 = %d cycles, want 8", got)
 	}
 }
@@ -159,7 +159,7 @@ func TestConditionalBranchWaitsForA0(t *testing.T) {
 		branch(isa.OpJAN, false).
 		op(isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)).
 		trace()
-	if got := cycles(t, NewBasic(CRAYLike, M11BR5), tr); got != 13 {
+	if got := cycles(t, must(NewBasic(CRAYLike, M11BR5)), tr); got != 13 {
 		t.Errorf("cycles = %d, want 13", got)
 	}
 }
@@ -171,17 +171,17 @@ func TestUnconditionalBranchIgnoresA0(t *testing.T) {
 		branch(isa.OpJ, true).
 		trace()
 	// J issues at 1 (in-order, one per cycle), resolves at 6.
-	if got := cycles(t, NewBasic(CRAYLike, M11BR5), tr); got != 6 {
+	if got := cycles(t, must(NewBasic(CRAYLike, M11BR5)), tr); got != 6 {
 		t.Errorf("cycles = %d, want 6", got)
 	}
 }
 
 func TestMemoryLatencyConfig(t *testing.T) {
 	tr := new(builder).load(isa.S(1), 10).trace()
-	if got := cycles(t, NewBasic(CRAYLike, M11BR5), tr); got != 11 {
+	if got := cycles(t, must(NewBasic(CRAYLike, M11BR5)), tr); got != 11 {
 		t.Errorf("M11 load = %d cycles, want 11", got)
 	}
-	if got := cycles(t, NewBasic(CRAYLike, M5BR5), tr); got != 5 {
+	if got := cycles(t, must(NewBasic(CRAYLike, M5BR5)), tr); got != 5 {
 		t.Errorf("M5 load = %d cycles, want 5", got)
 	}
 }
@@ -197,7 +197,7 @@ func TestMultiIssueSameCycle(t *testing.T) {
 		op(isa.OpFMul, isa.S(1), isa.S(0), isa.S(0)).
 		op(isa.OpFAdd, isa.S(2), isa.S(0), isa.S(0)).
 		trace()
-	two := cycles(t, NewMultiIssue(M11BR5.WithIssue(2, bus.BusN)), tr)
+	two := cycles(t, must(NewMultiIssue(M11BR5.WithIssue(2, bus.BusN))), tr)
 	if two != 7 {
 		t.Errorf("2 stations = %d cycles, want 7", two)
 	}
@@ -210,7 +210,7 @@ func TestMultiIssueDependentNotSameCycle(t *testing.T) {
 		op(isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)).
 		op(isa.OpFMul, isa.S(2), isa.S(1), isa.S(1)).
 		trace()
-	if got := cycles(t, NewMultiIssue(M11BR5.WithIssue(2, bus.BusN)), tr); got != 13 {
+	if got := cycles(t, must(NewMultiIssue(M11BR5.WithIssue(2, bus.BusN))), tr); got != 13 {
 		t.Errorf("dependent pair = %d cycles, want 13", got)
 	}
 }
@@ -223,7 +223,7 @@ func TestMultiIssueInOrderBlocking(t *testing.T) {
 		op(isa.OpFMul, isa.S(2), isa.S(1), isa.S(1)).   // RAW: issues at 14
 		op(isa.OpSImm, isa.S(3), isa.NoReg, isa.NoReg). // independent but behind
 		trace()
-	got := cycles(t, NewMultiIssue(M11BR5.WithIssue(3, bus.BusN)), tr)
+	got := cycles(t, must(NewMultiIssue(M11BR5.WithIssue(3, bus.BusN))), tr)
 	// Recip at 0 (done 14), FMul at 14 (done 21), SImm at 14 (same
 	// cycle, station 2, done 15): total 21.
 	if got != 21 {
@@ -241,7 +241,7 @@ func TestMultiIssueBufferRefill(t *testing.T) {
 		op(isa.OpFMul, isa.S(2), isa.S(0), isa.S(0)).
 		op(isa.OpFAdd, isa.S(3), isa.S(0), isa.S(0)).
 		op(isa.OpFMul, isa.S(4), isa.S(0), isa.S(0))
-	got := cycles(t, NewMultiIssue(M11BR5.WithIssue(2, bus.BusN)), b.trace())
+	got := cycles(t, must(NewMultiIssue(M11BR5.WithIssue(2, bus.BusN))), b.trace())
 	if got != 8 {
 		t.Errorf("refill pattern = %d cycles, want 8", got)
 	}
@@ -254,7 +254,7 @@ func TestMultiIssueOneUnitPerClass(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		b.op(isa.OpSImm, isa.S(i), isa.NoReg, isa.NoReg)
 	}
-	got := cycles(t, NewMultiIssue(M11BR5.WithIssue(4, bus.BusN)), b.trace())
+	got := cycles(t, must(NewMultiIssue(M11BR5.WithIssue(4, bus.BusN))), b.trace())
 	if got != 4 { // issue 0,1,2,3; done 1,2,3,4
 		t.Errorf("transfer stream = %d cycles, want 4", got)
 	}
@@ -268,7 +268,7 @@ func TestMultiIssueTakenBranchEndsBuffer(t *testing.T) {
 		branch(isa.OpJAN, true).
 		op(isa.OpFAdd, isa.S(2), isa.S(0), isa.S(0)).
 		trace()
-	if got := cycles(t, NewMultiIssue(M11BR5.WithIssue(8, bus.BusN)), tr); got != 11 {
+	if got := cycles(t, must(NewMultiIssue(M11BR5.WithIssue(8, bus.BusN))), tr); got != 11 {
 		t.Errorf("taken branch = %d cycles, want 11", got)
 	}
 }
@@ -281,7 +281,7 @@ func TestMultiIssueUntakenBranchMidBuffer(t *testing.T) {
 		op(isa.OpSImm, isa.S(1), isa.NoReg, isa.NoReg).
 		trace()
 	// Branch at 0, resolution 5, transfer at 5, done 6.
-	if got := cycles(t, NewMultiIssue(M11BR5.WithIssue(2, bus.BusN)), tr); got != 6 {
+	if got := cycles(t, must(NewMultiIssue(M11BR5.WithIssue(2, bus.BusN))), tr); got != 6 {
 		t.Errorf("untaken branch = %d cycles, want 6", got)
 	}
 }
@@ -297,8 +297,8 @@ func TestMultiIssueResultBusConflict(t *testing.T) {
 		op(isa.OpFMul, isa.S(2), isa.S(0), isa.S(0)).
 		op(isa.OpFAdd, isa.S(3), isa.S(0), isa.S(0)).
 		trace()
-	oneBus := cycles(t, NewMultiIssue(M11BR5.WithIssue(3, bus.Bus1)), tr)
-	nBus := cycles(t, NewMultiIssue(M11BR5.WithIssue(3, bus.BusN)), tr)
+	oneBus := cycles(t, must(NewMultiIssue(M11BR5.WithIssue(3, bus.Bus1))), tr)
+	nBus := cycles(t, must(NewMultiIssue(M11BR5.WithIssue(3, bus.BusN))), tr)
 	if nBus != 8 {
 		t.Errorf("N-Bus = %d cycles, want 8", nBus)
 	}
@@ -316,7 +316,7 @@ func TestStoresAndBranchesSkipResultBus(t *testing.T) {
 		push(trace.Op{Code: isa.OpStoreS, Dst: isa.NoReg, Src1: isa.A(1), Src2: isa.S(0), Addr: 2}).
 		trace()
 	// Both stores pipeline through interleaved memory: 0..11, 1..12.
-	if got := cycles(t, NewMultiIssue(M11BR5.WithIssue(2, bus.Bus1)), tr); got != 12 {
+	if got := cycles(t, must(NewMultiIssue(M11BR5.WithIssue(2, bus.Bus1))), tr); got != 12 {
 		t.Errorf("stores on 1-Bus = %d cycles, want 12", got)
 	}
 }
@@ -334,8 +334,8 @@ func TestOOOBypassesBlockedInstruction(t *testing.T) {
 		op(isa.OpFMul, isa.S(2), isa.S(1), isa.S(1)).
 		load(isa.S(3), 100).
 		trace()
-	inOrder := cycles(t, NewMultiIssue(M11BR5.WithIssue(3, bus.BusN)), tr)
-	ooo := cycles(t, NewMultiIssueOOO(M11BR5.WithIssue(3, bus.BusN)), tr)
+	inOrder := cycles(t, must(NewMultiIssue(M11BR5.WithIssue(3, bus.BusN))), tr)
+	ooo := cycles(t, must(NewMultiIssueOOO(M11BR5.WithIssue(3, bus.BusN))), tr)
 	if inOrder != 25 {
 		t.Errorf("in-order = %d cycles, want 25", inOrder)
 	}
@@ -359,7 +359,7 @@ func TestOOORespectsWAWInBuffer(t *testing.T) {
 	// 14); FMul RAW-waits until 14 (done 21); SImm WAW vs unissued
 	// FMul until 14; at 14 FMul issues, SImm sees the scoreboard
 	// reservation (21) and issues at 21, done 22.
-	got := cycles(t, NewMultiIssueOOO(M11BR5.WithIssue(3, bus.BusN)), tr)
+	got := cycles(t, must(NewMultiIssueOOO(M11BR5.WithIssue(3, bus.BusN))), tr)
 	if got != 22 {
 		t.Errorf("WAW in buffer = %d cycles, want 22", got)
 	}
@@ -372,7 +372,7 @@ func TestOOORespectsRAWInBuffer(t *testing.T) {
 		op(isa.OpRecip, isa.S(1), isa.S(0), isa.NoReg). // done 14
 		op(isa.OpFAdd, isa.S(2), isa.S(1), isa.S(1)).   // needs S1
 		trace()
-	got := cycles(t, NewMultiIssueOOO(M11BR5.WithIssue(2, bus.BusN)), tr)
+	got := cycles(t, must(NewMultiIssueOOO(M11BR5.WithIssue(2, bus.BusN))), tr)
 	if got != 20 { // 14 + 6
 		t.Errorf("RAW in buffer = %d cycles, want 20", got)
 	}
@@ -385,7 +385,7 @@ func TestOOONoIssuePastBranch(t *testing.T) {
 		branch(isa.OpJAN, false).
 		op(isa.OpSImm, isa.S(1), isa.NoReg, isa.NoReg).
 		trace()
-	got := cycles(t, NewMultiIssueOOO(M11BR5.WithIssue(2, bus.BusN)), tr)
+	got := cycles(t, must(NewMultiIssueOOO(M11BR5.WithIssue(2, bus.BusN))), tr)
 	if got != 6 { // branch 0..5, transfer 5..6
 		t.Errorf("op crossed a branch = %d cycles, want 6", got)
 	}
@@ -400,7 +400,7 @@ func TestOOOBranchWaitsToBeOldest(t *testing.T) {
 		op(isa.OpFAdd, isa.S(2), isa.S(1), isa.S(1)).   // issues 14
 		branch(isa.OpJAN, true).                        // may not pass the FAdd
 		trace()
-	got := cycles(t, NewMultiIssueOOO(M11BR5.WithIssue(3, bus.BusN)), tr)
+	got := cycles(t, must(NewMultiIssueOOO(M11BR5.WithIssue(3, bus.BusN))), tr)
 	// FAdd issues at 14; branch at 15, resolves 20; FAdd done 20.
 	if got != 20 {
 		t.Errorf("branch reorder = %d cycles, want 20", got)
@@ -420,13 +420,13 @@ func TestRUURenamesWAW(t *testing.T) {
 		op(isa.OpSImm, isa.S(1), isa.NoReg, isa.NoReg).
 		op(isa.OpFAdd, isa.S(3), isa.S(1), isa.S(1)).
 		trace()
-	got := cycles(t, NewRUU(M11BR5.WithIssue(4, bus.BusN).WithRUU(8)), tr)
+	got := cycles(t, must(NewRUU(M11BR5.WithIssue(4, bus.BusN).WithRUU(8))), tr)
 	if got != 15 {
 		t.Errorf("RUU WAW = %d cycles, want 15", got)
 	}
 	// The CRAY-like machine, by contrast, WAW-blocks the transfer
 	// until 14 and the add until 15, finishing at 21.
-	if got := cycles(t, NewBasic(CRAYLike, M11BR5), tr); got != 21 {
+	if got := cycles(t, must(NewBasic(CRAYLike, M11BR5)), tr); got != 21 {
 		t.Errorf("CRAY-like WAW = %d cycles, want 21", got)
 	}
 }
@@ -438,7 +438,7 @@ func TestRUUBypassFeedsDependent(t *testing.T) {
 		op(isa.OpSImm, isa.S(1), isa.NoReg, isa.NoReg).
 		op(isa.OpFAdd, isa.S(2), isa.S(1), isa.S(1)).
 		trace()
-	got := cycles(t, NewRUU(M11BR5.WithIssue(2, bus.BusN).WithRUU(8)), tr)
+	got := cycles(t, must(NewRUU(M11BR5.WithIssue(2, bus.BusN).WithRUU(8))), tr)
 	if got != 8 {
 		t.Errorf("bypass chain = %d cycles, want 8", got)
 	}
@@ -453,7 +453,7 @@ func TestRUUBranchReadsA0ThroughBypass(t *testing.T) {
 		branch(isa.OpJAN, false).
 		op(isa.OpSImm, isa.S(1), isa.NoReg, isa.NoReg).
 		trace()
-	got := cycles(t, NewRUU(M11BR5.WithIssue(2, bus.BusN).WithRUU(8)), tr)
+	got := cycles(t, must(NewRUU(M11BR5.WithIssue(2, bus.BusN).WithRUU(8))), tr)
 	if got != 10 {
 		t.Errorf("branch through RUU = %d cycles, want 10", got)
 	}
@@ -469,8 +469,8 @@ func TestRUUFullStallsIssue(t *testing.T) {
 		b.op(isa.OpFAdd, isa.S(i%7), isa.S(7), isa.S(7))
 	}
 	tr := b.trace()
-	tiny := cycles(t, NewRUU(M11BR5.WithIssue(1, bus.Bus1).WithRUU(1)), tr)
-	roomy := cycles(t, NewRUU(M11BR5.WithIssue(1, bus.Bus1).WithRUU(8)), tr)
+	tiny := cycles(t, must(NewRUU(M11BR5.WithIssue(1, bus.Bus1).WithRUU(1))), tr)
+	roomy := cycles(t, must(NewRUU(M11BR5.WithIssue(1, bus.Bus1).WithRUU(8))), tr)
 	if tiny <= roomy {
 		t.Errorf("RUU size had no effect: size 1 = %d, size 8 = %d", tiny, roomy)
 	}
@@ -488,8 +488,8 @@ func TestRUU1BusDispatchThroughput(t *testing.T) {
 		b.op(isa.OpSAdd, isa.S(7), isa.S(0), isa.S(0))
 	}
 	tr := b.trace()
-	one := cycles(t, NewRUU(M11BR5.WithIssue(4, bus.Bus1).WithRUU(40)), tr)
-	four := cycles(t, NewRUU(M11BR5.WithIssue(4, bus.BusN).WithRUU(40)), tr)
+	one := cycles(t, must(NewRUU(M11BR5.WithIssue(4, bus.Bus1).WithRUU(40))), tr)
+	four := cycles(t, must(NewRUU(M11BR5.WithIssue(4, bus.BusN).WithRUU(40))), tr)
 	if one < 20 {
 		t.Errorf("1-Bus dispatched faster than one per cycle: %d cycles for 20 ops", one)
 	}
@@ -504,7 +504,7 @@ func TestRUUInstructionCountIncludesBranches(t *testing.T) {
 		branch(isa.OpJ, true).
 		op(isa.OpSImm, isa.S(2), isa.NoReg, isa.NoReg).
 		trace()
-	r := NewRUU(M11BR5.WithIssue(2, bus.BusN).WithRUU(8)).Run(tr)
+	r := must(must(NewRUU(M11BR5.WithIssue(2, bus.BusN).WithRUU(8))).RunChecked(tr, Limits{}))
 	if r.Instructions != 3 {
 		t.Errorf("instructions = %d, want 3", r.Instructions)
 	}
@@ -515,7 +515,7 @@ func TestRUUInstructionCountIncludesBranches(t *testing.T) {
 
 func TestMachinesAreReusable(t *testing.T) {
 	// Running the same machine twice must give identical results:
-	// Run fully resets state.
+	// RunChecked fully resets state.
 	tr := new(builder).
 		op(isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)).
 		op(isa.OpFMul, isa.S(2), isa.S(1), isa.S(1)).
@@ -523,17 +523,17 @@ func TestMachinesAreReusable(t *testing.T) {
 		load(isa.S(3), 100).
 		trace()
 	machines := []Machine{
-		NewBasic(Simple, M11BR5),
-		NewBasic(SerialMemory, M11BR5),
-		NewBasic(NonSegmented, M11BR5),
-		NewBasic(CRAYLike, M11BR5),
-		NewMultiIssue(M11BR5.WithIssue(4, bus.Bus1)),
-		NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN)),
-		NewRUU(M11BR5.WithIssue(2, bus.BusN).WithRUU(10)),
+		must(NewBasic(Simple, M11BR5)),
+		must(NewBasic(SerialMemory, M11BR5)),
+		must(NewBasic(NonSegmented, M11BR5)),
+		must(NewBasic(CRAYLike, M11BR5)),
+		must(NewMultiIssue(M11BR5.WithIssue(4, bus.Bus1))),
+		must(NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN))),
+		must(NewRUU(M11BR5.WithIssue(2, bus.BusN).WithRUU(10))),
 	}
 	for _, m := range machines {
-		a := m.Run(tr).Cycles
-		b := m.Run(tr).Cycles
+		a := must(m.RunChecked(tr, Limits{})).Cycles
+		b := must(m.RunChecked(tr, Limits{})).Cycles
 		if a != b {
 			t.Errorf("%s: second run %d cycles, first %d", m.Name(), b, a)
 		}
@@ -543,12 +543,12 @@ func TestMachinesAreReusable(t *testing.T) {
 func TestEmptyTraceRuns(t *testing.T) {
 	tr := &trace.Trace{Name: "empty"}
 	for _, m := range []Machine{
-		NewBasic(CRAYLike, M11BR5),
-		NewMultiIssue(M11BR5.WithIssue(2, bus.BusN)),
-		NewMultiIssueOOO(M11BR5.WithIssue(2, bus.BusN)),
-		NewRUU(M11BR5.WithIssue(2, bus.BusN).WithRUU(8)),
+		must(NewBasic(CRAYLike, M11BR5)),
+		must(NewMultiIssue(M11BR5.WithIssue(2, bus.BusN))),
+		must(NewMultiIssueOOO(M11BR5.WithIssue(2, bus.BusN))),
+		must(NewRUU(M11BR5.WithIssue(2, bus.BusN).WithRUU(8))),
 	} {
-		r := m.Run(tr)
+		r := must(m.RunChecked(tr, Limits{}))
 		if r.Instructions != 0 || r.Cycles != 0 {
 			t.Errorf("%s on empty trace: %+v", m.Name(), r)
 		}
@@ -557,12 +557,12 @@ func TestEmptyTraceRuns(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	for name, f := range map[string]func(){
-		"basic zero memory":    func() { NewBasic(CRAYLike, Config{MemLatency: 0, BranchLatency: 5}) },
-		"multi zero units":     func() { NewMultiIssue(Config{MemLatency: 11, BranchLatency: 5}) },
-		"ooo zero units":       func() { NewMultiIssueOOO(Config{MemLatency: 11, BranchLatency: 5}) },
-		"ruu undersized":       func() { NewRUU(Config{MemLatency: 11, BranchLatency: 5, IssueUnits: 4, RUUSize: 2}) },
-		"ruu zero units":       func() { NewRUU(Config{MemLatency: 11, BranchLatency: 5, RUUSize: 8}) },
-		"negative branch time": func() { NewBasic(Simple, Config{MemLatency: 11, BranchLatency: -1}) },
+		"basic zero memory":    func() { must(NewBasic(CRAYLike, Config{MemLatency: 0, BranchLatency: 5})) },
+		"multi zero units":     func() { must(NewMultiIssue(Config{MemLatency: 11, BranchLatency: 5})) },
+		"ooo zero units":       func() { must(NewMultiIssueOOO(Config{MemLatency: 11, BranchLatency: 5})) },
+		"ruu undersized":       func() { must(NewRUU(Config{MemLatency: 11, BranchLatency: 5, IssueUnits: 4, RUUSize: 2})) },
+		"ruu zero units":       func() { must(NewRUU(Config{MemLatency: 11, BranchLatency: 5, RUUSize: 8})) },
+		"negative branch time": func() { must(NewBasic(Simple, Config{MemLatency: 11, BranchLatency: -1})) },
 	} {
 		func() {
 			defer func() {
@@ -600,8 +600,8 @@ func TestMemoryBankConflicts(t *testing.T) {
 	// second waits for the bank (issue 11, done 22). A load to a
 	// different bank is unaffected.
 	same := new(builder).load(isa.S(1), 100).load(isa.S(2), 104).trace()
-	ideal := cycles(t, NewBasic(CRAYLike, M11BR5), same)
-	banked := cycles(t, NewBasic(CRAYLike, M11BR5.WithMemBanks(4)), same)
+	ideal := cycles(t, must(NewBasic(CRAYLike, M11BR5)), same)
+	banked := cycles(t, must(NewBasic(CRAYLike, M11BR5.WithMemBanks(4))), same)
 	if ideal != 12 {
 		t.Errorf("ideal = %d cycles, want 12", ideal)
 	}
@@ -609,7 +609,7 @@ func TestMemoryBankConflicts(t *testing.T) {
 		t.Errorf("banked same-bank = %d cycles, want 22", banked)
 	}
 	other := new(builder).load(isa.S(1), 100).load(isa.S(2), 101).trace()
-	if got := cycles(t, NewBasic(CRAYLike, M11BR5.WithMemBanks(4)), other); got != 12 {
+	if got := cycles(t, must(NewBasic(CRAYLike, M11BR5.WithMemBanks(4))), other); got != 12 {
 		t.Errorf("banked different-bank = %d cycles, want 12", got)
 	}
 }
@@ -626,15 +626,15 @@ func TestMemoryBanksAcrossMachines(t *testing.T) {
 			ideal, banked Machine
 			strict        bool
 		}{
-			{NewBasic(CRAYLike, M11BR5), NewBasic(CRAYLike, M11BR5.WithMemBanks(4)), true},
-			{NewBasic(NonSegmented, M11BR5), NewBasic(NonSegmented, M11BR5.WithMemBanks(4)), true},
-			{NewMultiIssue(M11BR5.WithIssue(4, bus.BusN)), NewMultiIssue(M11BR5.WithIssue(4, bus.BusN).WithMemBanks(4)), false},
-			{NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN)), NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN).WithMemBanks(4)), false},
-			{NewRUU(M11BR5.WithIssue(2, bus.BusN).WithRUU(30)), NewRUU(M11BR5.WithIssue(2, bus.BusN).WithRUU(30).WithMemBanks(4)), false},
+			{must(NewBasic(CRAYLike, M11BR5)), must(NewBasic(CRAYLike, M11BR5.WithMemBanks(4))), true},
+			{must(NewBasic(NonSegmented, M11BR5)), must(NewBasic(NonSegmented, M11BR5.WithMemBanks(4))), true},
+			{must(NewMultiIssue(M11BR5.WithIssue(4, bus.BusN))), must(NewMultiIssue(M11BR5.WithIssue(4, bus.BusN).WithMemBanks(4))), false},
+			{must(NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN))), must(NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN).WithMemBanks(4))), false},
+			{must(NewRUU(M11BR5.WithIssue(2, bus.BusN).WithRUU(30))), must(NewRUU(M11BR5.WithIssue(2, bus.BusN).WithRUU(30).WithMemBanks(4))), false},
 		}
 		for _, p := range pairs {
-			a := p.ideal.Run(tr).Cycles
-			c := p.banked.Run(tr).Cycles
+			a := must(p.ideal.RunChecked(tr, Limits{})).Cycles
+			c := must(p.banked.RunChecked(tr, Limits{})).Cycles
 			if p.strict && c < a {
 				t.Errorf("%s on %s: banked memory reduced cycles (%d -> %d)", k, p.ideal.Name(), a, c)
 			}

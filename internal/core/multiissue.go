@@ -38,19 +38,8 @@ type multiIssue struct {
 
 // NewMultiIssue builds the §5.1 machine: cfg.IssueUnits stations
 // (>= 1), cfg.Bus interconnect, CRAY-like (fully segmented) units and
-// interleaved memory. It panics on an invalid configuration;
-// NewMultiIssueChecked is the error-returning form.
-func NewMultiIssue(cfg Config) Machine {
-	m, err := NewMultiIssueChecked(cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return m
-}
-
-// NewMultiIssueChecked builds the §5.1 machine, validating the
-// configuration instead of panicking.
-func NewMultiIssueChecked(cfg Config) (Machine, error) {
+// interleaved memory. It reports an invalid configuration as an error.
+func NewMultiIssue(cfg Config) (Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -78,8 +67,6 @@ func (m *multiIssue) Name() string {
 // usesResultBus reports whether an op delivers a register result over
 // the interconnect. Branches and stores produce no register value.
 func usesResultBus(op *trace.Op) bool { return op.Dst.Valid() }
-
-func (m *multiIssue) Run(t *trace.Trace) Result { return runUnchecked(m, t) }
 
 func (m *multiIssue) SetProbe(p probe.Probe) { m.probe = p }
 

@@ -37,19 +37,10 @@ type multiIssueOOO struct {
 	rec   *events.Recorder
 }
 
-// NewMultiIssueOOO builds the §5.2 machine. It panics on an invalid
-// configuration; NewMultiIssueOOOChecked is the error-returning form.
-func NewMultiIssueOOO(cfg Config) Machine {
-	m, err := NewMultiIssueOOOChecked(cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return m
-}
-
-// NewMultiIssueOOOChecked builds the §5.2 machine, validating the
-// configuration instead of panicking.
-func NewMultiIssueOOOChecked(cfg Config) (Machine, error) {
+// NewMultiIssueOOO builds the §5.2 machine: cfg.IssueUnits stations
+// (>= 1) issuing out of order within the instruction buffer. It
+// reports an invalid configuration as an error.
+func NewMultiIssueOOO(cfg Config) (Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -73,8 +64,6 @@ func NewMultiIssueOOOChecked(cfg Config) (Machine, error) {
 func (m *multiIssueOOO) Name() string {
 	return fmt.Sprintf("MultiIssueOOO(%d,%s)", m.cfg.IssueUnits, m.cfg.Bus)
 }
-
-func (m *multiIssueOOO) Run(t *trace.Trace) Result { return runUnchecked(m, t) }
 
 func (m *multiIssueOOO) SetProbe(p probe.Probe) { m.probe = p }
 

@@ -15,10 +15,10 @@ import (
 func countersFor(t *testing.T, m Machine, b *builder) *probe.Counters {
 	t.Helper()
 	tr := b.trace()
-	bare := m.Run(tr)
+	bare := must(m.RunChecked(tr, Limits{}))
 	var c probe.Counters
 	m.SetProbe(&c)
-	got := m.Run(tr)
+	got := must(m.RunChecked(tr, Limits{}))
 	m.SetProbe(nil)
 	if got != bare {
 		t.Fatalf("%s: probed result %+v differs from unprobed %+v", m.Name(), got, bare)
@@ -35,7 +35,7 @@ func TestProbeCRAYLikeRAWChain(t *testing.T) {
 	b := new(builder).
 		op(isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)).
 		op(isa.OpFAdd, isa.S(2), isa.S(1), isa.S(1))
-	c := countersFor(t, NewBasic(CRAYLike, M11BR5), b)
+	c := countersFor(t, must(NewBasic(CRAYLike, M11BR5)), b)
 	if c.Issued != 2 || c.Slots != 12 {
 		t.Fatalf("issued %d slots %d, want 2/12", c.Issued, c.Slots)
 	}
@@ -54,7 +54,7 @@ func TestProbeCRAYLikeWAWPair(t *testing.T) {
 	b := new(builder).
 		op(isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)).
 		op(isa.OpSImm, isa.S(1), isa.NoReg, isa.NoReg)
-	c := countersFor(t, NewBasic(CRAYLike, M11BR5), b)
+	c := countersFor(t, must(NewBasic(CRAYLike, M11BR5)), b)
 	if c.Stalls[probe.ReasonWAW] != 5 {
 		t.Errorf("WAW stalls = %d, want 5 (breakdown: %s)", c.Stalls[probe.ReasonWAW], c)
 	}
@@ -70,7 +70,7 @@ func TestProbeSimpleExclusiveIsStructural(t *testing.T) {
 	b := new(builder).
 		op(isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)).
 		op(isa.OpFAdd, isa.S(2), isa.S(0), isa.S(0))
-	c := countersFor(t, NewBasic(Simple, M11BR5), b)
+	c := countersFor(t, must(NewBasic(Simple, M11BR5)), b)
 	if c.Stalls[probe.ReasonStructFU] != 10 || c.Stalls[probe.ReasonDrain] != 0 {
 		t.Errorf("structural %d drain %d, want 10/0 (breakdown: %s)",
 			c.Stalls[probe.ReasonStructFU], c.Stalls[probe.ReasonDrain], c)
@@ -82,7 +82,7 @@ func TestProbeBranchShadow(t *testing.T) {
 	// brLat-1 cycles; BR5 gives 4 branch-stall slots and one
 	// resolution.
 	b := new(builder).branch(isa.OpJ, true)
-	c := countersFor(t, NewBasic(CRAYLike, M11BR5), b)
+	c := countersFor(t, must(NewBasic(CRAYLike, M11BR5)), b)
 	if c.Stalls[probe.ReasonBranch] != 4 {
 		t.Errorf("branch stalls = %d, want 4 (breakdown: %s)", c.Stalls[probe.ReasonBranch], c)
 	}
@@ -98,7 +98,7 @@ func TestProbeScoreboardHidesRAW(t *testing.T) {
 	b := new(builder).
 		op(isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)).
 		op(isa.OpFAdd, isa.S(2), isa.S(1), isa.S(1))
-	c := countersFor(t, NewScoreboard(M11BR5), b)
+	c := countersFor(t, must(NewScoreboard(M11BR5)), b)
 	if c.Stalls[probe.ReasonRAW] != 0 {
 		t.Errorf("RAW stalls = %d, want 0 (breakdown: %s)", c.Stalls[probe.ReasonRAW], c)
 	}
@@ -110,7 +110,7 @@ func TestProbeScoreboardHidesRAW(t *testing.T) {
 	b = new(builder).
 		op(isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)).
 		op(isa.OpSImm, isa.S(1), isa.NoReg, isa.NoReg)
-	c = countersFor(t, NewScoreboard(M11BR5), b)
+	c = countersFor(t, must(NewScoreboard(M11BR5)), b)
 	if c.Stalls[probe.ReasonWAW] == 0 {
 		t.Errorf("WAW pair shows no WAW stalls (breakdown: %s)", c)
 	}
@@ -126,8 +126,8 @@ func TestProbeResultBusContention(t *testing.T) {
 			op(isa.OpAMul, isa.A(2), isa.A(1), isa.A(1)).
 			op(isa.OpFAdd, isa.S(2), isa.S(0), isa.S(0))
 	}
-	cn := countersFor(t, NewMultiIssue(M11BR5.WithIssue(2, bus.BusN)), mk())
-	c1 := countersFor(t, NewMultiIssue(M11BR5.WithIssue(2, bus.Bus1)), mk())
+	cn := countersFor(t, must(NewMultiIssue(M11BR5.WithIssue(2, bus.BusN))), mk())
+	c1 := countersFor(t, must(NewMultiIssue(M11BR5.WithIssue(2, bus.Bus1))), mk())
 	if cn.Stalls[probe.ReasonResultBus] != 0 {
 		t.Errorf("N-Bus shows %d result-bus stalls, want 0 (breakdown: %s)",
 			cn.Stalls[probe.ReasonResultBus], cn)
@@ -142,21 +142,21 @@ func TestProbeResultBusContention(t *testing.T) {
 // slot-accounting invariant and that probing never changes the result.
 func TestProbeInvariantAllMachines(t *testing.T) {
 	machines := []func() Machine{
-		func() Machine { return NewBasic(Simple, M11BR5) },
-		func() Machine { return NewBasic(SerialMemory, M11BR5) },
-		func() Machine { return NewBasic(NonSegmented, M5BR2) },
-		func() Machine { return NewBasic(CRAYLike, M11BR5) },
-		func() Machine { return NewScoreboard(M11BR5) },
-		func() Machine { return NewTomasulo(M5BR5) },
-		func() Machine { return NewMultiIssue(M11BR5.WithIssue(4, bus.BusN)) },
-		func() Machine { return NewMultiIssue(M5BR2.WithIssue(3, bus.Bus1)) },
-		func() Machine { return NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN)) },
-		func() Machine { return NewMultiIssueOOO(M5BR2.WithIssue(3, bus.Bus1)) },
-		func() Machine { return NewRUU(M11BR5.WithIssue(2, bus.BusN).WithRUU(16)) },
-		func() Machine { return NewRUU(M5BR5.WithIssue(4, bus.Bus1).WithRUU(30)) },
-		func() Machine { return NewVector(M11BR5) },
-		func() Machine { return NewBasic(CRAYLike, M11BR5.WithMemBanks(4)) },
-		func() Machine { return NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN).WithMemBanks(2)) },
+		func() Machine { return must(NewBasic(Simple, M11BR5)) },
+		func() Machine { return must(NewBasic(SerialMemory, M11BR5)) },
+		func() Machine { return must(NewBasic(NonSegmented, M5BR2)) },
+		func() Machine { return must(NewBasic(CRAYLike, M11BR5)) },
+		func() Machine { return must(NewScoreboard(M11BR5)) },
+		func() Machine { return must(NewTomasulo(M5BR5)) },
+		func() Machine { return must(NewMultiIssue(M11BR5.WithIssue(4, bus.BusN))) },
+		func() Machine { return must(NewMultiIssue(M5BR2.WithIssue(3, bus.Bus1))) },
+		func() Machine { return must(NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN))) },
+		func() Machine { return must(NewMultiIssueOOO(M5BR2.WithIssue(3, bus.Bus1))) },
+		func() Machine { return must(NewRUU(M11BR5.WithIssue(2, bus.BusN).WithRUU(16))) },
+		func() Machine { return must(NewRUU(M5BR5.WithIssue(4, bus.Bus1).WithRUU(30))) },
+		func() Machine { return must(NewVector(M11BR5)) },
+		func() Machine { return must(NewBasic(CRAYLike, M11BR5.WithMemBanks(4))) },
+		func() Machine { return must(NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN).WithMemBanks(2))) },
 	}
 	for _, k := range loops.All() {
 		tr := k.SharedTrace()
@@ -188,13 +188,13 @@ func TestProbeInvariantAllMachines(t *testing.T) {
 // TestProbeAccumulatesOverLoops mirrors how the tables attach one
 // Counters to a whole harmonic-mean cell.
 func TestProbeAccumulatesOverLoops(t *testing.T) {
-	m := NewBasic(CRAYLike, M11BR5)
+	m := must(NewBasic(CRAYLike, M11BR5))
 	var c probe.Counters
 	m.SetProbe(&c)
 	runs := 0
 	var cycles int64
 	for _, k := range loops.ByClass(loops.Scalar) {
-		r := m.Run(k.SharedTrace())
+		r := must(m.RunChecked(k.SharedTrace(), Limits{}))
 		cycles += r.Cycles
 		runs++
 	}
@@ -216,19 +216,19 @@ func BenchmarkProbeOverhead(b *testing.B) {
 	}
 	tr := k.SharedTrace()
 	b.Run("nil", func(b *testing.B) {
-		m := NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN))
+		m := must(NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.Run(tr)
+			must(m.RunChecked(tr, Limits{}))
 		}
 	})
 	b.Run("counters", func(b *testing.B) {
-		m := NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN))
+		m := must(NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN)))
 		var c probe.Counters
 		m.SetProbe(&c)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.Run(tr)
+			must(m.RunChecked(tr, Limits{}))
 		}
 	})
 }

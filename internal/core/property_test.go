@@ -9,9 +9,18 @@ import (
 	"mfup/internal/loops"
 )
 
+// must returns v, panicking on err: the machines a test builds and the
+// runs it makes are expected to succeed.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // rate runs m over kernel k's cached trace.
 func rate(m core.Machine, k *loops.Kernel) float64 {
-	return m.Run(k.SharedTrace()).IssueRate()
+	return must(m.RunChecked(k.SharedTrace(), core.Limits{})).IssueRate()
 }
 
 // TestOrganizationOrdering checks the paper's central §3 result on
@@ -22,7 +31,7 @@ func TestOrganizationOrdering(t *testing.T) {
 		for _, cfg := range core.BaseConfigs() {
 			var prev float64
 			for _, org := range core.Organizations() {
-				r := rate(core.NewBasic(org, cfg), k)
+				r := rate(must(core.NewBasic(org, cfg)), k)
 				if r < prev-1e-12 {
 					t.Errorf("%s %s: %s rate %.4f < previous organization %.4f",
 						k, cfg.Name(), org, r, prev)
@@ -38,7 +47,7 @@ func TestOrganizationOrdering(t *testing.T) {
 func TestSingleIssueBelowOne(t *testing.T) {
 	for _, k := range loops.All() {
 		for _, org := range core.Organizations() {
-			if r := rate(core.NewBasic(org, core.M5BR2), k); r > 1 {
+			if r := rate(must(core.NewBasic(org, core.M5BR2)), k); r > 1 {
 				t.Errorf("%s on %s: issue rate %.3f > 1", k, org, r)
 			}
 		}
@@ -50,8 +59,8 @@ func TestSingleIssueBelowOne(t *testing.T) {
 func TestFasterMemoryNeverHurts(t *testing.T) {
 	for _, k := range loops.All() {
 		for _, org := range core.Organizations() {
-			slow := rate(core.NewBasic(org, core.M11BR5), k)
-			fast := rate(core.NewBasic(org, core.M5BR5), k)
+			slow := rate(must(core.NewBasic(org, core.M11BR5)), k)
+			fast := rate(must(core.NewBasic(org, core.M5BR5)), k)
 			if fast < slow-1e-12 {
 				t.Errorf("%s on %s: M5 rate %.4f < M11 rate %.4f", k, org, fast, slow)
 			}
@@ -62,8 +71,8 @@ func TestFasterMemoryNeverHurts(t *testing.T) {
 func TestFasterBranchNeverHurts(t *testing.T) {
 	for _, k := range loops.All() {
 		for _, org := range core.Organizations() {
-			slow := rate(core.NewBasic(org, core.M11BR5), k)
-			fast := rate(core.NewBasic(org, core.M11BR2), k)
+			slow := rate(must(core.NewBasic(org, core.M11BR5)), k)
+			fast := rate(must(core.NewBasic(org, core.M11BR2)), k)
 			if fast < slow-1e-12 {
 				t.Errorf("%s on %s: BR2 rate %.4f < BR5 rate %.4f", k, org, fast, slow)
 			}
@@ -77,8 +86,8 @@ func TestFasterBranchNeverHurts(t *testing.T) {
 // most marginally slower and never faster.
 func TestMultiIssueOneStationMatchesCRAYLike(t *testing.T) {
 	for _, k := range loops.All() {
-		base := rate(core.NewBasic(core.CRAYLike, core.M11BR5), k)
-		multi := rate(core.NewMultiIssue(core.M11BR5.WithIssue(1, bus.BusN)), k)
+		base := rate(must(core.NewBasic(core.CRAYLike, core.M11BR5)), k)
+		multi := rate(must(core.NewMultiIssue(core.M11BR5.WithIssue(1, bus.BusN))), k)
 		if multi > base+1e-12 {
 			t.Errorf("%s: 1-station multi-issue (%.4f) beat the CRAY-like machine (%.4f)", k, multi, base)
 		}
@@ -91,8 +100,8 @@ func TestMultiIssueOneStationMatchesCRAYLike(t *testing.T) {
 // TestMoreStationsHelp: eight in-order stations never lose to one.
 func TestMoreStationsHelp(t *testing.T) {
 	for _, k := range loops.All() {
-		one := rate(core.NewMultiIssue(core.M11BR5.WithIssue(1, bus.BusN)), k)
-		eight := rate(core.NewMultiIssue(core.M11BR5.WithIssue(8, bus.BusN)), k)
+		one := rate(must(core.NewMultiIssue(core.M11BR5.WithIssue(1, bus.BusN))), k)
+		eight := rate(must(core.NewMultiIssue(core.M11BR5.WithIssue(8, bus.BusN))), k)
 		if eight < one-1e-12 {
 			t.Errorf("%s: 8 stations (%.4f) worse than 1 (%.4f)", k, eight, one)
 		}
@@ -106,8 +115,8 @@ func TestMoreStationsHelp(t *testing.T) {
 func TestOOOAtLeastInOrder(t *testing.T) {
 	for _, k := range loops.All() {
 		for _, n := range []int{2, 4, 8} {
-			in := rate(core.NewMultiIssue(core.M11BR5.WithIssue(n, bus.BusN)), k)
-			ooo := rate(core.NewMultiIssueOOO(core.M11BR5.WithIssue(n, bus.BusN)), k)
+			in := rate(must(core.NewMultiIssue(core.M11BR5.WithIssue(n, bus.BusN))), k)
+			ooo := rate(must(core.NewMultiIssueOOO(core.M11BR5.WithIssue(n, bus.BusN))), k)
 			if ooo < 0.98*in {
 				t.Errorf("%s N=%d: OOO rate %.4f below in-order %.4f", k, n, ooo, in)
 			}
@@ -119,8 +128,8 @@ func TestOOOAtLeastInOrder(t *testing.T) {
 // a reasonable RUU beats the plain CRAY-like machine on every loop.
 func TestRUUBeatsCRAYLike(t *testing.T) {
 	for _, k := range loops.All() {
-		base := rate(core.NewBasic(core.CRAYLike, core.M11BR5), k)
-		r := rate(core.NewRUU(core.M11BR5.WithIssue(1, bus.BusN).WithRUU(50)), k)
+		base := rate(must(core.NewBasic(core.CRAYLike, core.M11BR5)), k)
+		r := rate(must(core.NewRUU(core.M11BR5.WithIssue(1, bus.BusN).WithRUU(50))), k)
 		if r <= base {
 			t.Errorf("%s: RUU (%.4f) did not beat CRAY-like (%.4f)", k, r, base)
 		}
@@ -141,7 +150,7 @@ func TestRUULargelyMonotoneInSize(t *testing.T) {
 			var prev float64
 			var first, last float64
 			for i, size := range sizes {
-				r := rate(core.NewRUU(core.M11BR5.WithIssue(n, bus.BusN).WithRUU(size)), k)
+				r := rate(must(core.NewRUU(core.M11BR5.WithIssue(n, bus.BusN).WithRUU(size))), k)
 				if r < 0.95*prev {
 					t.Errorf("%s N=%d: RUU %d rate %.4f dips more than 5%% below %.4f",
 						k, n, size, r, prev)
@@ -168,10 +177,10 @@ func TestRatesRespectDataflowLimit(t *testing.T) {
 		for _, cfg := range core.BaseConfigs() {
 			lim := limits.Compute(tr, cfg.Latencies(), limits.Pure).Actual
 			machines := []core.Machine{
-				core.NewBasic(core.CRAYLike, cfg),
-				core.NewMultiIssue(cfg.WithIssue(8, bus.BusN)),
-				core.NewMultiIssueOOO(cfg.WithIssue(8, bus.BusN)),
-				core.NewRUU(cfg.WithIssue(4, bus.BusN).WithRUU(100)),
+				must(core.NewBasic(core.CRAYLike, cfg)),
+				must(core.NewMultiIssue(cfg.WithIssue(8, bus.BusN))),
+				must(core.NewMultiIssueOOO(cfg.WithIssue(8, bus.BusN))),
+				must(core.NewRUU(cfg.WithIssue(4, bus.BusN).WithRUU(100))),
 			}
 			for _, m := range machines {
 				if r := rate(m, k); r > lim+1e-9 {
@@ -189,8 +198,8 @@ func TestRatesRespectDataflowLimit(t *testing.T) {
 func TestXBarMatchesNBus(t *testing.T) {
 	for _, k := range loops.All() {
 		for _, n := range []int{2, 4, 8} {
-			nb := rate(core.NewMultiIssue(core.M11BR5.WithIssue(n, bus.BusN)), k)
-			xb := rate(core.NewMultiIssue(core.M11BR5.WithIssue(n, bus.XBar)), k)
+			nb := rate(must(core.NewMultiIssue(core.M11BR5.WithIssue(n, bus.BusN))), k)
+			xb := rate(must(core.NewMultiIssue(core.M11BR5.WithIssue(n, bus.XBar))), k)
 			if xb < nb-1e-12 {
 				t.Errorf("%s N=%d: X-Bar (%.4f) worse than N-Bus (%.4f)", k, n, xb, nb)
 			}
@@ -227,8 +236,8 @@ func TestIssueRatesStableInN(t *testing.T) {
 		8: 100, 9: 200, 10: 200, 11: 200, 12: 200, 13: 200, 14: 200,
 	}
 	machines := []core.Machine{
-		core.NewBasic(core.CRAYLike, core.M11BR5),
-		core.NewRUU(core.M11BR5.WithIssue(2, bus.BusN).WithRUU(30)),
+		must(core.NewBasic(core.CRAYLike, core.M11BR5)),
+		must(core.NewRUU(core.M11BR5.WithIssue(2, bus.BusN).WithRUU(30))),
 	}
 	for _, k := range loops.All() {
 		scaled, err := loops.Scaled(k.Number, double[k.Number])
@@ -237,8 +246,8 @@ func TestIssueRatesStableInN(t *testing.T) {
 		}
 		st := scaled.MustTrace()
 		for _, m := range machines {
-			base := m.Run(k.SharedTrace()).IssueRate()
-			big := m.Run(st).IssueRate()
+			base := must(m.RunChecked(k.SharedTrace(), core.Limits{})).IssueRate()
+			big := must(m.RunChecked(st, core.Limits{})).IssueRate()
 			if rel := (big - base) / base; rel > 0.10 || rel < -0.10 {
 				t.Errorf("%s on %s: rate moved %.1f%% when doubling loop length (%.4f -> %.4f)",
 					k, m.Name(), 100*rel, base, big)

@@ -151,19 +151,9 @@ func (s *ruuMachine) machineConfig() Config { return s.cfg }
 
 // NewRUU builds the §5.3 machine: cfg.IssueUnits issue units over a
 // cfg.RUUSize-entry Register Update Unit with the cfg.Bus
-// interconnect (bus.BusN or bus.Bus1). It panics on an invalid
-// configuration; NewRUUChecked is the error-returning form.
-func NewRUU(cfg Config) Machine {
-	m, err := NewRUUChecked(cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return m
-}
-
-// NewRUUChecked builds the §5.3 machine, validating the configuration
-// instead of panicking.
-func NewRUUChecked(cfg Config) (Machine, error) {
+// interconnect (bus.BusN or bus.Bus1). It reports an invalid
+// configuration as an error.
+func NewRUU(cfg Config) (Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -256,8 +246,6 @@ func (s *ruuMachine) snapshot(max int) []string {
 	}
 	return out
 }
-
-func (s *ruuMachine) Run(t *trace.Trace) Result { return runUnchecked(s, t) }
 
 // RunChecked simulates t under the limits. The machine steps cycle by
 // cycle, so all three checks apply: cycle budget, no-forward-progress

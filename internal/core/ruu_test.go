@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -23,7 +24,7 @@ func mkOp(seq int, code isa.Opcode, dst, s1, s2 isa.Reg) trace.Op {
 func TestRUUSingleInstruction(t *testing.T) {
 	tr := &trace.Trace{Ops: []trace.Op{mkOp(0, isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0))}}
 	// Issue at 0, dispatch at 1, result at 7.
-	if got := NewRUU(cfg115(1, 4, bus.Bus1)).Run(tr).Cycles; got != 7 {
+	if got := cycles(t, must(NewRUU(cfg115(1, 4, bus.Bus1))), tr); got != 7 {
 		t.Errorf("cycles = %d, want 7", got)
 	}
 }
@@ -33,7 +34,7 @@ func TestRUUChainThroughBypass(t *testing.T) {
 		mkOp(0, isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)), // dispatch 1, done 7
 		mkOp(1, isa.OpFAdd, isa.S(2), isa.S(1), isa.S(1)), // wakes at 7, done 13
 	}}
-	if got := NewRUU(cfg115(2, 8, bus.BusN)).Run(tr).Cycles; got != 13 {
+	if got := cycles(t, must(NewRUU(cfg115(2, 8, bus.BusN))), tr); got != 13 {
 		t.Errorf("cycles = %d, want 13", got)
 	}
 }
@@ -44,7 +45,7 @@ func TestRUUIndependentOpsOverlap(t *testing.T) {
 		mkOp(1, isa.OpFMul, isa.S(2), isa.S(0), isa.S(0)),
 	}}
 	// Both issue at 0, dispatch at 1; FMul completes at 8.
-	if got := NewRUU(cfg115(2, 8, bus.BusN)).Run(tr).Cycles; got != 8 {
+	if got := cycles(t, must(NewRUU(cfg115(2, 8, bus.BusN))), tr); got != 8 {
 		t.Errorf("cycles = %d, want 8", got)
 	}
 }
@@ -59,8 +60,8 @@ func TestRUUIssueWidthLimits(t *testing.T) {
 		mkOp(2, isa.OpAAdd, isa.A(1), isa.A(2), isa.A(3)),
 		mkOp(3, isa.OpSAdd, isa.S(3), isa.S(0), isa.S(0)),
 	}
-	narrow := NewRUU(cfg115(1, 8, bus.Bus1)).Run(&trace.Trace{Ops: ops}).Cycles
-	wide := NewRUU(cfg115(4, 8, bus.BusN)).Run(&trace.Trace{Ops: ops}).Cycles
+	narrow := cycles(t, must(NewRUU(cfg115(1, 8, bus.Bus1))), &trace.Trace{Ops: ops})
+	wide := cycles(t, must(NewRUU(cfg115(4, 8, bus.BusN))), &trace.Trace{Ops: ops})
 	if wide >= narrow {
 		t.Errorf("wide issue (%d cycles) not faster than narrow (%d)", wide, narrow)
 	}
@@ -78,8 +79,8 @@ func TestRUUFullBackpressure(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		ops = append(ops, mkOp(i, isa.OpFAdd, isa.S(1+i%7), isa.S(0), isa.S(0)))
 	}
-	small := NewRUU(cfg115(1, 2, bus.Bus1)).Run(&trace.Trace{Ops: ops}).Cycles
-	big := NewRUU(cfg115(1, 16, bus.Bus1)).Run(&trace.Trace{Ops: ops}).Cycles
+	small := cycles(t, must(NewRUU(cfg115(1, 2, bus.Bus1))), &trace.Trace{Ops: ops})
+	big := cycles(t, must(NewRUU(cfg115(1, 16, bus.Bus1))), &trace.Trace{Ops: ops})
 	if small <= big+4 {
 		t.Errorf("2-entry RUU (%d cycles) should be clearly slower than 16-entry (%d)", small, big)
 	}
@@ -94,7 +95,7 @@ func TestRUUInOrderCommit(t *testing.T) {
 		mkOp(1, isa.OpSImm, isa.S(2), isa.NoReg, isa.NoReg), // done 2, commits >= 15
 		mkOp(2, isa.OpSImm, isa.S(3), isa.NoReg, isa.NoReg),
 	}
-	got := NewRUU(cfg115(1, 2, bus.Bus1)).Run(&trace.Trace{Ops: ops}).Cycles
+	got := cycles(t, must(NewRUU(cfg115(1, 2, bus.Bus1))), &trace.Trace{Ops: ops})
 	// Recip: issue 0, dispatch 1, done 15, commits 15. SImm1: issue 1
 	// done 3. SImm2 needs a slot: only at 15 (recip commit) -> issue
 	// 15, dispatch 16, done 17.
@@ -108,7 +109,7 @@ func TestRUUBranchStallsIssue(t *testing.T) {
 		{Seq: 0, Code: isa.OpJ, Unit: isa.Branch, Parcels: 2, Dst: isa.NoReg, Src1: isa.NoReg, Src2: isa.NoReg, Taken: true},
 		mkOp(1, isa.OpSImm, isa.S(1), isa.NoReg, isa.NoReg),
 	}
-	got := NewRUU(cfg115(4, 16, bus.BusN)).Run(&trace.Trace{Ops: ops}).Cycles
+	got := cycles(t, must(NewRUU(cfg115(4, 16, bus.BusN))), &trace.Trace{Ops: ops})
 	// Branch at 0 resolves at 5; transfer issues 5, dispatches 6, done 7.
 	if got != 7 {
 		t.Errorf("cycles = %d, want 7", got)
@@ -123,7 +124,7 @@ func TestRUUStoreLoadDependence(t *testing.T) {
 	ldOther := mkOp(2, isa.OpLoadS, isa.S(3), isa.A(1), isa.NoReg)
 	ldOther.Addr = 65
 
-	got := NewRUU(cfg115(4, 16, bus.BusN)).Run(&trace.Trace{Ops: []trace.Op{st, ldSame, ldOther}}).Cycles
+	got := cycles(t, must(NewRUU(cfg115(4, 16, bus.BusN))), &trace.Trace{Ops: []trace.Op{st, ldSame, ldOther}})
 	// Store: issue 0, dispatch 1, completes 12. Dependent load wakes
 	// at 12, dispatches 12 (bypass), completes 23. Independent load
 	// dispatches at 2 (memory unit accepted the store at 1), done 13.
@@ -140,26 +141,37 @@ func TestRUUStoreStoreOrdering(t *testing.T) {
 	st1.Addr = 7
 	st2 := mkOp(1, isa.OpStoreS, isa.NoReg, isa.A(1), isa.S(2))
 	st2.Addr = 7
-	got := NewRUU(cfg115(2, 8, bus.BusN)).Run(&trace.Trace{Ops: []trace.Op{st1, st2}}).Cycles
+	got := cycles(t, must(NewRUU(cfg115(2, 8, bus.BusN))), &trace.Trace{Ops: []trace.Op{st1, st2}})
 	// st1: dispatch 1, done 12; st2 wakes 12, dispatches 12, done 23.
 	if got != 23 {
 		t.Errorf("cycles = %d, want 23", got)
 	}
 }
 
+// TestRUUBadConfigPanics covers the three RUU configurations whose
+// constructor once panicked: NewRUU now refuses each with an error
+// naming the fault, and building one never panics.
 func TestRUUBadConfigPanics(t *testing.T) {
-	for name, c := range map[string]Config{
-		"zero units":     {MemLatency: 11, BranchLatency: 5, RUUSize: 8, Bus: bus.Bus1},
-		"size too small": {MemLatency: 11, BranchLatency: 5, IssueUnits: 4, RUUSize: 2, Bus: bus.BusN},
-		"xbar":           {MemLatency: 11, BranchLatency: 5, IssueUnits: 2, RUUSize: 8, Bus: bus.XBar},
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string // substring of the error
+	}{
+		{"zero units", Config{MemLatency: 11, BranchLatency: 5, RUUSize: 8, Bus: bus.Bus1}, "IssueUnits >= 1"},
+		{"size too small", Config{MemLatency: 11, BranchLatency: 5, IssueUnits: 4, RUUSize: 2, Bus: bus.BusN}, "RUUSize >= IssueUnits"},
+		{"xbar", Config{MemLatency: 11, BranchLatency: 5, IssueUnits: 2, RUUSize: 8, Bus: bus.XBar}, "N-Bus or 1-Bus"},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: NewRUU did not panic", name)
+				if r := recover(); r != nil {
+					t.Errorf("%s: NewRUU panicked: %v", tc.name, r)
 				}
 			}()
-			NewRUU(c)
+			if _, err := NewRUU(tc.cfg); err == nil {
+				t.Errorf("%s: NewRUU accepted the config", tc.name)
+			} else if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+			}
 		}()
 	}
 }
@@ -169,8 +181,8 @@ func TestRUUReusable(t *testing.T) {
 		mkOp(0, isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)),
 		mkOp(1, isa.OpFMul, isa.S(2), isa.S(1), isa.S(1)),
 	}}
-	m := NewRUU(cfg115(2, 8, bus.BusN))
-	if a, b := m.Run(tr).Cycles, m.Run(tr).Cycles; a != b {
+	m := must(NewRUU(cfg115(2, 8, bus.BusN)))
+	if a, b := must(m.RunChecked(tr, Limits{})).Cycles, must(m.RunChecked(tr, Limits{})).Cycles; a != b {
 		t.Errorf("reruns differ: %d vs %d", a, b)
 	}
 }
@@ -218,8 +230,8 @@ func TestRUURandomTracesTerminateAndRespectWidth(t *testing.T) {
 			op.Seq = int64(i)
 			ops = append(ops, op)
 		}
-		cycles := NewRUU(Config{MemLatency: 11, BranchLatency: 5, IssueUnits: n, RUUSize: size, Bus: kind}).
-			Run(&trace.Trace{Ops: ops}).Cycles
+		m := must(NewRUU(Config{MemLatency: 11, BranchLatency: 5, IssueUnits: n, RUUSize: size, Bus: kind}))
+		cycles := must(m.RunChecked(&trace.Trace{Ops: ops}, Limits{})).Cycles
 		lower := int64((count + n - 1) / n)
 		return cycles >= lower
 	}
@@ -254,7 +266,7 @@ func TestRUULatenciesPast64(t *testing.T) {
 		{fulat70, 4487, 7747},
 		{Config{MemLatency: 200, BranchLatency: 5}.WithIssue(2, bus.Bus1).WithRUU(50), 9059, 7081},
 	} {
-		m, err := NewRUUChecked(tc.cfg)
+		m, err := NewRUU(tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

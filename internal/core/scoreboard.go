@@ -31,19 +31,8 @@ type scoreboard struct {
 }
 
 // NewScoreboard builds the CDC-6600-style single-issue machine of
-// §3.3. It panics on an invalid configuration; NewScoreboardChecked
-// is the error-returning form.
-func NewScoreboard(cfg Config) Machine {
-	m, err := NewScoreboardChecked(cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return m
-}
-
-// NewScoreboardChecked builds the §3.3 scoreboard machine, validating
-// the configuration instead of panicking.
-func NewScoreboardChecked(cfg Config) (Machine, error) {
+// §3.3. It reports an invalid configuration as an error.
+func NewScoreboard(cfg Config) (Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -57,8 +46,6 @@ func (m *scoreboard) Name() string { return "Scoreboard" }
 func (m *scoreboard) SetProbe(p probe.Probe) { m.probe = p }
 
 func (m *scoreboard) SetRecorder(r *events.Recorder) { m.rec = r }
-
-func (m *scoreboard) Run(t *trace.Trace) Result { return runUnchecked(m, t) }
 
 // RunChecked simulates t under the limits; issue times are computed
 // directly, so only the cycle budget and deadline apply.

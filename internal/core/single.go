@@ -66,20 +66,9 @@ func Organizations() []Organization {
 	return []Organization{Simple, SerialMemory, NonSegmented, CRAYLike}
 }
 
-// NewBasic builds one of the four basic single-issue machines. It
-// panics on an invalid configuration; NewBasicChecked is the
-// error-returning form.
-func NewBasic(o Organization, cfg Config) Machine {
-	m, err := NewBasicChecked(o, cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return m
-}
-
-// NewBasicChecked builds one of the four basic single-issue machines,
-// validating the configuration instead of panicking.
-func NewBasicChecked(o Organization, cfg Config) (Machine, error) {
+// NewBasic builds one of the four basic single-issue machines of §3.
+// It reports an invalid configuration or organization as an error.
+func NewBasic(o Organization, cfg Config) (Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -114,8 +103,6 @@ func (m *singleIssue) Name() string { return m.name }
 func (m *singleIssue) SetProbe(p probe.Probe) { m.probe = p }
 
 func (m *singleIssue) SetRecorder(r *events.Recorder) { m.rec = r }
-
-func (m *singleIssue) Run(t *trace.Trace) Result { return runUnchecked(m, t) }
 
 // RunChecked simulates t under the limits. Issue times are computed
 // directly (the machine cannot stall), so only the cycle budget and

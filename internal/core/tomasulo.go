@@ -66,18 +66,9 @@ type tomEntry struct {
 // NewTomasulo builds the §3.3 Tomasulo machine. cfg.RUUSize, when
 // positive, sets the reservation stations per functional unit
 // (total buffering is therefore RUUSize x the number of units);
-// otherwise DefaultStations is used.
-func NewTomasulo(cfg Config) Machine {
-	m, err := NewTomasuloChecked(cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return m
-}
-
-// NewTomasuloChecked builds the §3.3 Tomasulo machine, validating the
-// configuration instead of panicking.
-func NewTomasuloChecked(cfg Config) (Machine, error) {
+// otherwise DefaultStations is used. It reports an invalid
+// configuration as an error.
+func NewTomasulo(cfg Config) (Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -119,8 +110,6 @@ func (m *tomasulo) reset(numAddrs int) {
 func (m *tomasulo) cdbFree(c int64) bool { return m.cdb[c&m.cdbMask] != c }
 
 func (m *tomasulo) cdbReserve(c int64) { m.cdb[c&m.cdbMask] = c }
-
-func (m *tomasulo) Run(t *trace.Trace) Result { return runUnchecked(m, t) }
 
 func (m *tomasulo) SetProbe(p probe.Probe) { m.probe = p }
 

@@ -55,19 +55,9 @@ type vectorMachine struct {
 	rec   *events.Recorder
 }
 
-// NewVector builds the vector-extension machine. It panics on an
-// invalid configuration; NewVectorChecked is the error-returning form.
-func NewVector(cfg Config) Machine {
-	m, err := NewVectorChecked(cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return m
-}
-
-// NewVectorChecked builds the vector-extension machine, validating
-// the configuration instead of panicking.
-func NewVectorChecked(cfg Config) (Machine, error) {
+// NewVector builds the vector-extension machine. It reports an
+// invalid configuration as an error.
+func NewVector(cfg Config) (Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -96,8 +86,6 @@ func (m *vectorMachine) reset(numAddrs int) {
 func (m *vectorMachine) latency(u isa.Unit) int64 {
 	return int64(m.lat.Of(u))
 }
-
-func (m *vectorMachine) Run(t *trace.Trace) Result { return runUnchecked(m, t) }
 
 // RunChecked simulates t under the limits; issue times are computed
 // directly, so only the cycle budget and deadline apply.

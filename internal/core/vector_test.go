@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestVectorSingleOp(t *testing.T) {
 	// One 64-element FloatAdd: issue 0, first element at 6, last
 	// element at 6+64 = 70.
 	tr := new(builder).vop(isa.OpVFAdd, isa.V(1), isa.V(2), isa.V(3), 64).trace()
-	if got := cycles(t, NewVector(M11BR5), tr); got != 70 {
+	if got := cycles(t, must(NewVector(M11BR5)), tr); got != 70 {
 		t.Errorf("vector add = %d cycles, want 70", got)
 	}
 }
@@ -42,7 +43,7 @@ func TestVectorChaining(t *testing.T) {
 		vload(isa.V(1), 100, 1, 64).
 		vop(isa.OpVFMul, isa.V(2), isa.V(1), isa.V(1), 64).
 		trace()
-	if got := cycles(t, NewVector(M11BR5), tr); got != 83 {
+	if got := cycles(t, must(NewVector(M11BR5)), tr); got != 83 {
 		t.Errorf("chained multiply = %d cycles, want 83", got)
 	}
 }
@@ -55,7 +56,7 @@ func TestVectorUnitReservation(t *testing.T) {
 		vop(isa.OpVFAdd, isa.V(1), isa.V(2), isa.V(3), 64).
 		vop(isa.OpVFAdd, isa.V(4), isa.V(5), isa.V(6), 64).
 		trace()
-	if got := cycles(t, NewVector(M11BR5), tr); got != 134 {
+	if got := cycles(t, must(NewVector(M11BR5)), tr); got != 134 {
 		t.Errorf("unit reservation = %d cycles, want 134", got)
 	}
 	// Distinct units overlap: add and multiply together end at the
@@ -64,7 +65,7 @@ func TestVectorUnitReservation(t *testing.T) {
 		vop(isa.OpVFAdd, isa.V(1), isa.V(2), isa.V(3), 64).
 		vop(isa.OpVFMul, isa.V(4), isa.V(5), isa.V(6), 64).
 		trace()
-	if got := cycles(t, NewVector(M11BR5), tr2); got != 72 {
+	if got := cycles(t, must(NewVector(M11BR5)), tr2); got != 72 {
 		t.Errorf("distinct units = %d cycles, want 72", got)
 	}
 }
@@ -77,7 +78,7 @@ func TestVectorWARBlocksRewrite(t *testing.T) {
 		vop(isa.OpVFAdd, isa.V(1), isa.V(2), isa.V(3), 64).
 		vop(isa.OpVFMul, isa.V(2), isa.V(4), isa.V(5), 64).
 		trace()
-	if got := cycles(t, NewVector(M11BR5), tr); got != 135 {
+	if got := cycles(t, must(NewVector(M11BR5)), tr); got != 135 {
 		t.Errorf("WAR on vector register = %d cycles, want 135", got)
 	}
 }
@@ -89,7 +90,7 @@ func TestVectorElementReadWaitsForFullVector(t *testing.T) {
 		vop(isa.OpVFAdd, isa.V(1), isa.V(2), isa.V(3), 64).
 		vop(isa.OpMoveSV, isa.S(1), isa.V(1), isa.A(2), 0).
 		trace()
-	if got := cycles(t, NewVector(M11BR5), tr); got != 71 {
+	if got := cycles(t, must(NewVector(M11BR5)), tr); got != 71 {
 		t.Errorf("element read = %d cycles, want 71", got)
 	}
 }
@@ -102,7 +103,7 @@ func TestVectorScalarInterleave(t *testing.T) {
 		op(isa.OpAAdd, isa.A(2), isa.A(3), isa.A(4)).
 		op(isa.OpSImm, isa.S(1), isa.NoReg, isa.NoReg).
 		trace()
-	if got := cycles(t, NewVector(M11BR5), tr); got != 70 {
+	if got := cycles(t, must(NewVector(M11BR5)), tr); got != 70 {
 		t.Errorf("scalar under vector shadow = %d cycles, want 70", got)
 	}
 }
@@ -128,8 +129,8 @@ func TestVectorKernelsValidateAndBeatScalar(t *testing.T) {
 		if vk.Number == 2 || vk.Number == 4 {
 			factor = 2
 		}
-		vec := NewVector(M11BR5).Run(vtr)
-		cray := NewBasic(CRAYLike, M11BR5).Run(sk.SharedTrace())
+		vec := must(must(NewVector(M11BR5)).RunChecked(vtr, Limits{}))
+		cray := must(must(NewBasic(CRAYLike, M11BR5)).RunChecked(sk.SharedTrace(), Limits{}))
 		if vec.Cycles*factor > cray.Cycles {
 			t.Errorf("LFK %d: vector %d cycles vs scalar %d — less than %dx",
 				vk.Number, vec.Cycles, cray.Cycles, factor)
@@ -142,18 +143,18 @@ func TestVectorVsSuperscalarCrossover(t *testing.T) {
 	// (LFK 3) is where a 4-unit RUU machine catches up — its serial
 	// 64-lane reduction has no vector parallelism. This pins the
 	// qualitative crossover.
-	ruu := NewRUU(M11BR5.WithIssue(4, bus.BusN).WithRUU(100))
-	vec := NewVector(M11BR5)
+	ruu := must(NewRUU(M11BR5.WithIssue(4, bus.BusN).WithRUU(100)))
+	vec := must(NewVector(M11BR5))
 
 	k12, _ := loops.VectorKernel(12)
 	s12, _ := loops.Get(12)
-	if v, r := vec.Run(k12.MustTrace()).Cycles, ruu.Run(s12.SharedTrace()).Cycles; v >= r {
+	if v, r := must(vec.RunChecked(k12.MustTrace(), Limits{})).Cycles, must(ruu.RunChecked(s12.SharedTrace(), Limits{})).Cycles; v >= r {
 		t.Errorf("LFK 12: vector (%d) should beat the RUU machine (%d)", v, r)
 	}
 
 	k3, _ := loops.VectorKernel(3)
 	s3, _ := loops.Get(3)
-	if v, r := vec.Run(k3.MustTrace()).Cycles, ruu.Run(s3.SharedTrace()).Cycles; v <= r {
+	if v, r := must(vec.RunChecked(k3.MustTrace(), Limits{})).Cycles, must(ruu.RunChecked(s3.SharedTrace(), Limits{})).Cycles; v <= r {
 		t.Errorf("LFK 3: the RUU machine (%d) should beat the vector unit (%d) on a reduction", r, v)
 	}
 }
@@ -161,30 +162,17 @@ func TestVectorVsSuperscalarCrossover(t *testing.T) {
 func TestScalarMachinesRejectVectorTraces(t *testing.T) {
 	vtr := new(builder).vop(isa.OpVFAdd, isa.V(1), isa.V(2), isa.V(3), 64).trace()
 	for _, m := range []Machine{
-		NewBasic(CRAYLike, M11BR5),
-		NewMultiIssue(M11BR5.WithIssue(2, bus.BusN)),
-		NewMultiIssueOOO(M11BR5.WithIssue(2, bus.BusN)),
-		NewRUU(M11BR5.WithIssue(2, bus.BusN).WithRUU(10)),
-		NewScoreboard(M11BR5),
-		NewTomasulo(M11BR5),
+		must(NewBasic(CRAYLike, M11BR5)),
+		must(NewMultiIssue(M11BR5.WithIssue(2, bus.BusN))),
+		must(NewMultiIssueOOO(M11BR5.WithIssue(2, bus.BusN))),
+		must(NewRUU(M11BR5.WithIssue(2, bus.BusN).WithRUU(10))),
+		must(NewScoreboard(M11BR5)),
+		must(NewTomasulo(M11BR5)),
 	} {
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Errorf("%s accepted a vector trace", m.Name())
-					return
-				}
-				serr, ok := r.(*SimError)
-				if !ok || !strings.Contains(serr.Error(), "scalar machine") {
-					t.Errorf("%s: unexpected panic %v", m.Name(), r)
-				}
-			}()
-			m.Run(vtr)
-		}()
-		// The checked path reports the same condition as an error.
-		if _, err := m.RunChecked(vtr, Limits{}); err == nil {
-			t.Errorf("%s: RunChecked accepted a vector trace", m.Name())
+		_, err := m.RunChecked(vtr, Limits{})
+		var serr *SimError
+		if !errors.As(err, &serr) || !strings.Contains(serr.Error(), "scalar machine") {
+			t.Errorf("%s: RunChecked on a vector trace = %v, want a *SimError naming the scalar machine", m.Name(), err)
 		}
 	}
 }
@@ -196,14 +184,14 @@ func TestVectorMachineRunsScalarTraces(t *testing.T) {
 		op(isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)).
 		op(isa.OpFAdd, isa.S(2), isa.S(1), isa.S(1)).
 		trace()
-	if got := cycles(t, NewVector(M11BR5), tr); got != 12 {
+	if got := cycles(t, must(NewVector(M11BR5)), tr); got != 12 {
 		t.Errorf("scalar chain on vector machine = %d cycles, want 12", got)
 	}
 	// And on whole kernels it stays within a few percent of CRAYLike
 	// (the models differ only in bus-less bookkeeping details).
 	for _, k := range loops.All() {
-		a := NewBasic(CRAYLike, M11BR5).Run(k.SharedTrace()).Cycles
-		b := NewVector(M11BR5).Run(k.SharedTrace()).Cycles
+		a := cycles(t, must(NewBasic(CRAYLike, M11BR5)), k.SharedTrace())
+		b := cycles(t, must(NewVector(M11BR5)), k.SharedTrace())
 		diff := float64(b-a) / float64(a)
 		if diff > 0.05 || diff < -0.05 {
 			t.Errorf("%s: vector machine scalar path differs from CRAY-like by %.1f%% (%d vs %d)",
@@ -215,8 +203,8 @@ func TestVectorMachineRunsScalarTraces(t *testing.T) {
 func TestVectorMachineReusable(t *testing.T) {
 	vk, _ := loops.VectorKernel(1)
 	tr := vk.MustTrace()
-	m := NewVector(M11BR5)
-	if a, b := m.Run(tr).Cycles, m.Run(tr).Cycles; a != b {
+	m := must(NewVector(M11BR5))
+	if a, b := must(m.RunChecked(tr, Limits{})).Cycles, must(m.RunChecked(tr, Limits{})).Cycles; a != b {
 		t.Errorf("reruns differ: %d vs %d", a, b)
 	}
 }
@@ -228,7 +216,7 @@ func TestVectorMachineRespectsLimits(t *testing.T) {
 		tr := vk.MustTrace()
 		for _, cfg := range BaseConfigs() {
 			lim := limitsActual(tr, cfg)
-			r := NewVector(cfg).Run(tr)
+			r := must(must(NewVector(cfg)).RunChecked(tr, Limits{}))
 			if got := r.IssueRate(); got > lim+1e-9 {
 				t.Errorf("%s %s: vector machine rate %.4f exceeds limit %.4f",
 					vk, cfg.Name(), got, lim)

@@ -137,7 +137,8 @@ func errf(format string, args ...any) error {
 // two equivalent definitions share: kind names lowercased, defaults
 // spelled out, knobs the kind ignores zeroed, no-op latency overrides
 // and single-copy replications dropped. The canonical form is what
-// Key hashes and Config compiles.
+// Key hashes and Config compiles, and New builds: a spec past the
+// core.Config.Validate bounds on sizes and latencies is refused here.
 func Canonicalize(s Spec) (Spec, error) {
 	c := s
 	c.Kind = strings.ToLower(strings.TrimSpace(c.Kind))
@@ -256,6 +257,16 @@ func Canonicalize(s Spec) (Spec, error) {
 	}); err != nil {
 		return c, err
 	}
+
+	// Refuse here what no constructor builds: core.Config.Validate
+	// holds the bounds on sizes and latencies.
+	cfg, err := c.Config()
+	if err == nil {
+		err = cfg.Validate()
+	}
+	if err != nil {
+		return c, &Error{Msg: err.Error()}
+	}
 	return c, nil
 }
 
@@ -265,17 +276,24 @@ var errDropEntry = fmt.Errorf("machdef: drop entry")
 
 // canonicalUnitMap validates a unit-name-keyed map and rewrites it
 // with canonical unit names, dropping entries check marks as no-ops.
-// An empty result is nil so equivalent specs hash identically.
+// An empty result is nil so equivalent specs hash identically. A unit
+// named twice (" FloatMul" and "FloatMul") is refused: which value won
+// would depend on map iteration order, and so would the key.
 func canonicalUnitMap(m map[string]int, field string, check func(isa.Unit, int) error) (map[string]int, error) {
 	if len(m) == 0 {
 		return nil, nil
 	}
 	out := make(map[string]int, len(m))
+	var seen [isa.NumUnits]bool
 	for name, v := range m {
 		u, err := isa.ParseUnit(strings.TrimSpace(name))
 		if err != nil {
 			return nil, errf("%s: unknown functional-unit class %q", field, name)
 		}
+		if seen[u] {
+			return nil, errf("%s: functional-unit class %s named twice", field, u)
+		}
+		seen[u] = true
 		switch err := check(u, v); err {
 		case nil:
 			out[u.String()] = v
@@ -378,25 +396,25 @@ func (s Spec) New() (core.Machine, error) {
 	}
 	switch s.Kind {
 	case "simple":
-		return core.NewBasicChecked(core.Simple, cfg)
+		return core.NewBasic(core.Simple, cfg)
 	case "serialmem":
-		return core.NewBasicChecked(core.SerialMemory, cfg)
+		return core.NewBasic(core.SerialMemory, cfg)
 	case "nonseg":
-		return core.NewBasicChecked(core.NonSegmented, cfg)
+		return core.NewBasic(core.NonSegmented, cfg)
 	case "cray":
-		return core.NewBasicChecked(core.CRAYLike, cfg)
+		return core.NewBasic(core.CRAYLike, cfg)
 	case "scoreboard":
-		return core.NewScoreboardChecked(cfg)
+		return core.NewScoreboard(cfg)
 	case "tomasulo":
-		return core.NewTomasuloChecked(cfg)
+		return core.NewTomasulo(cfg)
 	case "multi":
-		return core.NewMultiIssueChecked(cfg)
+		return core.NewMultiIssue(cfg)
 	case "ooo":
-		return core.NewMultiIssueOOOChecked(cfg)
+		return core.NewMultiIssueOOO(cfg)
 	case "ruu":
-		return core.NewRUUChecked(cfg)
+		return core.NewRUU(cfg)
 	case "vector":
-		return core.NewVectorChecked(cfg)
+		return core.NewVector(cfg)
 	}
 	return nil, errf("unknown machine kind %q", s.Kind)
 }

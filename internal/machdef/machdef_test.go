@@ -1,12 +1,16 @@
 package machdef
 
 import (
+	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"mfup/internal/bus"
 	"mfup/internal/core"
+	"mfup/internal/isa"
 	"mfup/internal/loops"
 )
 
@@ -61,24 +65,24 @@ func TestDifferentialAgainstDirectConstructors(t *testing.T) {
 	vtr := vk.SharedTrace()
 
 	direct := map[string]func(core.Config) (core.Machine, error){
-		"simple":     func(c core.Config) (core.Machine, error) { return core.NewBasicChecked(core.Simple, c) },
-		"serialmem":  func(c core.Config) (core.Machine, error) { return core.NewBasicChecked(core.SerialMemory, c) },
-		"nonseg":     func(c core.Config) (core.Machine, error) { return core.NewBasicChecked(core.NonSegmented, c) },
-		"cray":       func(c core.Config) (core.Machine, error) { return core.NewBasicChecked(core.CRAYLike, c) },
-		"scoreboard": core.NewScoreboardChecked,
+		"simple":     func(c core.Config) (core.Machine, error) { return core.NewBasic(core.Simple, c) },
+		"serialmem":  func(c core.Config) (core.Machine, error) { return core.NewBasic(core.SerialMemory, c) },
+		"nonseg":     func(c core.Config) (core.Machine, error) { return core.NewBasic(core.NonSegmented, c) },
+		"cray":       func(c core.Config) (core.Machine, error) { return core.NewBasic(core.CRAYLike, c) },
+		"scoreboard": core.NewScoreboard,
 		"tomasulo": func(c core.Config) (core.Machine, error) {
-			return core.NewTomasuloChecked(c.WithRUU(4))
+			return core.NewTomasulo(c.WithRUU(4))
 		},
 		"multi": func(c core.Config) (core.Machine, error) {
-			return core.NewMultiIssueChecked(c.WithIssue(4, bus.BusN))
+			return core.NewMultiIssue(c.WithIssue(4, bus.BusN))
 		},
 		"ooo": func(c core.Config) (core.Machine, error) {
-			return core.NewMultiIssueOOOChecked(c.WithIssue(4, bus.BusN))
+			return core.NewMultiIssueOOO(c.WithIssue(4, bus.BusN))
 		},
 		"ruu": func(c core.Config) (core.Machine, error) {
-			return core.NewRUUChecked(c.WithIssue(2, bus.BusN).WithRUU(50))
+			return core.NewRUU(c.WithIssue(2, bus.BusN).WithRUU(50))
 		},
-		"vector": core.NewVectorChecked,
+		"vector": core.NewVector,
 	}
 	for kind, mk := range direct {
 		for _, base := range core.BaseConfigs() {
@@ -102,8 +106,14 @@ func TestDifferentialAgainstDirectConstructors(t *testing.T) {
 			if kind == "vector" {
 				workload = vtr
 			}
-			got := declared.Run(workload)
-			want := reference.Run(workload)
+			got, err := declared.RunChecked(workload, core.Limits{})
+			if err != nil {
+				t.Fatalf("%s %s: declarative run: %v", kind, base.Name(), err)
+			}
+			want, err := reference.RunChecked(workload, core.Limits{})
+			if err != nil {
+				t.Fatalf("%s %s: direct run: %v", kind, base.Name(), err)
+			}
 			if got.Cycles != want.Cycles || got.Instructions != want.Instructions {
 				t.Errorf("%s %s: declarative %d cycles / %d instrs, direct %d / %d",
 					kind, base.Name(), got.Cycles, got.Instructions, want.Cycles, want.Instructions)
@@ -196,6 +206,16 @@ func TestRejectionTable(t *testing.T) {
 		{"fucount negative", Spec{Kind: "cray", FUCount: map[string]int{"FloatMul": -2}}, "at least 1"},
 		{"fucount unknown unit", Spec{Kind: "cray", FUCount: map[string]int{"Blender": 2}}, `unknown functional-unit class "Blender"`},
 		{"fucount on vector", Spec{Kind: "vector", FUCount: map[string]int{"FloatMul": 2}}, "no functional-unit replication"},
+		{"fulat unit named twice", Spec{Kind: "cray", FULat: map[string]int{"FloatMul": 3, " FloatMul": 4}}, "named twice"},
+		{"fucount unit named twice", Spec{Kind: "ooo", FUCount: map[string]int{"FloatMul": 2, "FloatMul ": 1}}, "named twice"},
+		// Past the core.Config.Validate construction bounds.
+		{"ruu past bound", Spec{Kind: "ruu", Width: 4, RUU: 200_000_000}, "exceeds the limit"},
+		{"width past bound", Spec{Kind: "multi", Width: 200_000_000}, "exceed the limit"},
+		{"membanks past bound", Spec{Kind: "cray", MemBanks: 2_000_000_000}, "exceeds the limit"},
+		{"fucount past bound", Spec{Kind: "ooo", FUCount: map[string]int{"FloatMul": 2_000_000_000}}, "exceeds the limit"},
+		{"mem past bound", Spec{Kind: "cray", Mem: 1 << 62}, "exceeds the limit"},
+		{"fulat past bound", Spec{Kind: "cray", FULat: map[string]int{"FloatMul": 1 << 40}}, "exceeds the limit"},
+		{"stations past bound", Spec{Kind: "tomasulo", Stations: 1 << 20}, "exceeds the limit"},
 	}
 	for _, tc := range cases {
 		_, err := Canonicalize(tc.spec)
@@ -303,7 +323,11 @@ func TestNewKnobsChangeTiming(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m.Run(tr)
+		r, err := m.RunChecked(tr, core.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
 	base := run(Spec{Kind: "ooo", Width: 8, Bus: "xbar"})
 	starved := run(Spec{Kind: "ooo", Width: 8, Bus: "xbar", Buses: 1})
@@ -315,4 +339,113 @@ func TestNewKnobsChangeTiming(t *testing.T) {
 	if slowMul.Cycles <= craybase.Cycles {
 		t.Errorf("20-cycle multiplier (%d cycles) not slower than 7-cycle (%d)", slowMul.Cycles, craybase.Cycles)
 	}
+}
+
+// largestSpec is the largest machine of kind that Canonicalize admits:
+// every size and latency at its core.Config.Validate bound, on the
+// N-Bus interconnect, whose tracker keeps one ring per station.
+func largestSpec(kind string) Spec {
+	s := Spec{Kind: kind, Mem: core.MaxLatency, Br: core.MaxLatency}
+	info := kinds[kind]
+	if info.multi {
+		s.Width, s.Bus = core.MaxIssueUnits, "nbus"
+	}
+	if info.ruu {
+		s.RUU = core.MaxRUUSize
+	}
+	if info.stations {
+		s.Stations = core.MaxRUUSize
+	}
+	if info.banks {
+		s.MemBanks = core.MaxMemBanks
+	}
+	s.FULat = map[string]int{}
+	for u := range isa.Unit(isa.NumUnits) {
+		if u != isa.Memory && u != isa.Branch {
+			s.FULat[u.String()] = core.MaxLatency
+		}
+	}
+	if info.pool {
+		s.FUCount = map[string]int{}
+		for u := range isa.Unit(isa.NumUnits) {
+			s.FUCount[u.String()] = core.MaxUnitCopies
+		}
+	}
+	return s
+}
+
+// TestLargestMachinesBuildWithin64MiB: the construction bounds admit
+// no machine whose constructor allocates more than 64 MiB, measured as
+// the bytes allocated during New.
+func TestLargestMachinesBuildWithin64MiB(t *testing.T) {
+	const budget = 64 << 20
+	for _, kind := range Kinds() {
+		c, err := Canonicalize(largestSpec(kind))
+		if err != nil {
+			t.Errorf("%s: largest spec refused: %v", kind, err)
+			continue
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := c.New()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Errorf("%s: largest spec does not build: %v", kind, err)
+			continue
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > budget {
+			t.Errorf("%s: %s allocated %d MiB at construction, want at most %d", kind, m.Name(), n>>20, budget>>20)
+		}
+	}
+}
+
+// FuzzSpec parses arbitrary bytes as a machine definition. Every spec
+// Parse accepts must be a fixed point of Canonicalize, must hash to
+// the same key however often it is parsed, and must build: admission
+// in serve's points and sweeps rests on Parse and Canonicalize, so an
+// accepted spec that New refuses, or that exhausts memory in New,
+// would fail or kill the worker that runs it.
+func FuzzSpec(f *testing.F) {
+	seeds, err := filepath.Glob(filepath.Join("testdata", "*.json"))
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("golden specs: %v (%d found)", err, len(seeds))
+	}
+	for _, path := range seeds {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, doc := range []string{
+		`{"kind":"ruu","width":4,"ruu":200000000}`,
+		`{"kind":"multi","width":200000000}`,
+		`{"kind":"ooo","fucount":{"FloatMul":2000000000}}`,
+		`{"kind":"cray","membanks":2000000000}`,
+		`{"kind":"cray","mem":4611686018427387904}`,
+		`{"kind":"ooo","bus":"xbar","buses":3,"fulat":{"FloatMul":1099511627776},"perfectbranches":true}`,
+		`{"kind":"cray","fulat":{"FloatMul":3," FloatMul":4}}`,
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := Parse(data)
+		if err != nil {
+			return
+		}
+		again, err := Canonicalize(c)
+		if err != nil {
+			t.Fatalf("canonical spec %+v refused: %v", c, err)
+		}
+		if !reflect.DeepEqual(again, c) {
+			t.Fatalf("Canonicalize is not idempotent:\n once  %+v\n twice %+v", c, again)
+		}
+		reparsed, err := Parse(data)
+		if err != nil || reparsed.Key() != c.Key() || again.Key() != c.Key() {
+			t.Fatalf("unstable key for %q: %s, reparsed %s (%v), recanonicalized %s", data, c.Key(), reparsed.Key(), err, again.Key())
+		}
+		if _, err := c.New(); err != nil {
+			t.Fatalf("accepted spec %+v does not build: %v", c, err)
+		}
+	})
 }

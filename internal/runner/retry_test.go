@@ -95,7 +95,7 @@ func retryTestTask(t *testing.T) (Task, *trace.Trace) {
 	tr := k.SharedTrace()
 	return Task{
 		New: func() core.Machine {
-			m, err := core.NewBasicChecked(core.Simple, core.Config{MemLatency: 11, BranchLatency: 5})
+			m, err := core.NewBasic(core.Simple, core.Config{MemLatency: 11, BranchLatency: 5})
 			if err != nil {
 				t.Error(err)
 			}
@@ -249,7 +249,7 @@ func TestRetriesOffIsSeedBehavior(t *testing.T) {
 	if len(errs) != 0 {
 		t.Fatalf("healthy run failed: %v", errs)
 	}
-	ref := task.New().Run(tr)
+	ref := must(task.New().RunChecked(tr, core.Limits{}))
 	if out[0][0] != ref {
 		t.Errorf("checked result %+v differs from plain run %+v", out[0][0], ref)
 	}

@@ -39,9 +39,11 @@ type Task struct {
 	// New constructs the machine for this cell. It is called exactly
 	// once, on the worker goroutine that claims the cell, so the
 	// machine it returns is private to that goroutine. The one
-	// instance runs all of the cell's traces in order — Machine.Run
-	// fully resets state between runs — which keeps the machine's
-	// internal allocations amortized as in a serial sweep.
+	// instance runs all of the cell's traces in order —
+	// Machine.RunChecked fully resets state between runs — which keeps
+	// the machine's internal allocations amortized as in a serial
+	// sweep. A constructor error is raised as a panic, which the cell's
+	// recover turns into a CellError.
 	New func() core.Machine
 
 	// Traces drive the runs. A trace may be shared with any number of
@@ -369,8 +371,8 @@ type panicError struct {
 
 func (e *panicError) Error() string { return fmt.Sprintf("panic: %v", e.value) }
 
-// Unwrap exposes a panic with an error value (e.g. core.Run panicking
-// with a *core.SimError) to errors.Is/As.
+// Unwrap exposes a panic with an error value (e.g. a Task.New that
+// panics with its constructor's error) to errors.Is/As.
 func (e *panicError) Unwrap() error {
 	if err, ok := e.value.(error); ok {
 		return err

@@ -16,6 +16,15 @@ import (
 	"mfup/internal/trace"
 )
 
+// must returns v, panicking on err: the machines a test builds and the
+// runs it makes are expected to succeed.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func TestWorkers(t *testing.T) {
 	if got := Workers(3); got != 3 {
 		t.Errorf("Workers(3) = %d", got)
@@ -70,7 +79,7 @@ func TestRunDeterministic(t *testing.T) {
 	var tasks []Task
 	for _, cfg := range core.BaseConfigs() {
 		tasks = append(tasks, Task{
-			New:    func() core.Machine { return core.NewBasic(core.CRAYLike, cfg) },
+			New:    func() core.Machine { return must(core.NewBasic(core.CRAYLike, cfg)) },
 			Traces: traces,
 		})
 	}
@@ -100,8 +109,6 @@ type panicMachine struct {
 
 func (p *panicMachine) Name() string { return "PanicMachine" }
 
-func (p *panicMachine) Run(t *trace.Trace) core.Result { return p.inner.Run(t) }
-
 func (p *panicMachine) SetProbe(pr probe.Probe) { p.inner.SetProbe(pr) }
 
 func (p *panicMachine) SetRecorder(r *events.Recorder) { p.inner.SetRecorder(r) }
@@ -125,9 +132,9 @@ func TestRunCheckedIsolatesPanics(t *testing.T) {
 	}
 	bad := traces[1].Name
 	mk := func() core.Machine {
-		return &panicMachine{inner: core.NewBasic(core.CRAYLike, core.M11BR5), blowOn: bad}
+		return &panicMachine{inner: must(core.NewBasic(core.CRAYLike, core.M11BR5)), blowOn: bad}
 	}
-	healthy := func() core.Machine { return core.NewBasic(core.CRAYLike, core.M11BR5) }
+	healthy := func() core.Machine { return must(core.NewBasic(core.CRAYLike, core.M11BR5)) }
 
 	tasks := []Task{
 		{New: mk, Traces: traces},
@@ -191,13 +198,13 @@ func TestRunCheckedFailFast(t *testing.T) {
 	var tasks []Task
 	tasks = append(tasks, Task{
 		New: func() core.Machine {
-			return &panicMachine{inner: core.NewBasic(core.CRAYLike, core.M11BR5), errOn: bad}
+			return &panicMachine{inner: must(core.NewBasic(core.CRAYLike, core.M11BR5)), errOn: bad}
 		},
 		Traces: traces,
 	})
 	for i := 0; i < 16; i++ {
 		tasks = append(tasks, Task{
-			New:    func() core.Machine { return core.NewBasic(core.CRAYLike, core.M11BR5) },
+			New:    func() core.Machine { return must(core.NewBasic(core.CRAYLike, core.M11BR5)) },
 			Traces: traces,
 		})
 	}
@@ -229,7 +236,7 @@ func TestRunCheckedCancelledContext(t *testing.T) {
 	traces := []*trace.Trace{loops.ByClass(loops.Scalar)[0].SharedTrace()}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	tasks := []Task{{New: func() core.Machine { return core.NewBasic(core.CRAYLike, core.M11BR5) }, Traces: traces}}
+	tasks := []Task{{New: func() core.Machine { return must(core.NewBasic(core.CRAYLike, core.M11BR5)) }, Traces: traces}}
 	_, _, errs := RunCheckedStats(ctx, Options{}, tasks)
 	if len(errs) != 1 || !errors.Is(errs[0], ErrSkipped) {
 		t.Fatalf("errs = %v, want one ErrSkipped", errs)
@@ -240,7 +247,7 @@ func TestRunCheckedCancelledContext(t *testing.T) {
 // the per-cell deadline on a real machine run.
 func TestRunCheckedCellTimeout(t *testing.T) {
 	traces := []*trace.Trace{loops.ByClass(loops.Scalar)[0].SharedTrace()}
-	tasks := []Task{{New: func() core.Machine { return core.NewBasic(core.CRAYLike, core.M11BR5) }, Traces: traces}}
+	tasks := []Task{{New: func() core.Machine { return must(core.NewBasic(core.CRAYLike, core.M11BR5)) }, Traces: traces}}
 	_, _, errs := RunCheckedStats(context.Background(), Options{CellTimeout: time.Nanosecond}, tasks)
 	if len(errs) != 1 {
 		t.Fatalf("errs = %v, want one deadline error", errs)
@@ -275,8 +282,8 @@ func TestRunCheckedStatsTelemetry(t *testing.T) {
 	}
 	rec := events.NewRecorder(100)
 	tasks := []Task{
-		{New: func() core.Machine { return core.NewBasic(core.CRAYLike, core.M11BR5) }, Traces: traces, Recorder: rec},
-		{New: func() core.Machine { return core.NewBasic(core.Simple, core.M11BR5) }, Traces: traces},
+		{New: func() core.Machine { return must(core.NewBasic(core.CRAYLike, core.M11BR5)) }, Traces: traces, Recorder: rec},
+		{New: func() core.Machine { return must(core.NewBasic(core.Simple, core.M11BR5)) }, Traces: traces},
 	}
 	out, stats, errs := RunCheckedStats(context.Background(), Options{Parallel: 1}, tasks)
 	if len(errs) != 0 {
@@ -317,7 +324,7 @@ func TestRunCheckedStatsTelemetry(t *testing.T) {
 
 	// The same task without a recorder returns the same results.
 	plain := run(t, 1, []Task{
-		{New: func() core.Machine { return core.NewBasic(core.CRAYLike, core.M11BR5) }, Traces: traces},
+		{New: func() core.Machine { return must(core.NewBasic(core.CRAYLike, core.M11BR5)) }, Traces: traces},
 	})
 	for j := range plain[0] {
 		if plain[0][j] != out[0][j] {

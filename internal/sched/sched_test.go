@@ -10,6 +10,15 @@ import (
 	"mfup/internal/loops"
 )
 
+// must returns v, panicking on err: the machines a test builds and the
+// runs it makes are expected to succeed.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 var lat115 = isa.NewLatencies(11, 5)
 
 // TestPreservesKernelSemantics is the scheduler's load-bearing test:
@@ -37,10 +46,10 @@ func TestPreservesKernelSemantics(t *testing.T) {
 // machine, scheduled code should run at least as fast as the original
 // on the suite aggregate, and never collapse on any single loop.
 func TestSchedulingHelpsOrIsNeutral(t *testing.T) {
-	machine := core.NewBasic(core.CRAYLike, core.M11BR5)
+	machine := must(core.NewBasic(core.CRAYLike, core.M11BR5))
 	var sumBase, sumSched float64
 	for _, k := range loops.All() {
-		base := machine.Run(k.SharedTrace()).IssueRate()
+		base := must(machine.RunChecked(k.SharedTrace(), core.Limits{})).IssueRate()
 
 		s := Schedule(k.Program(), core.M11BR5.Latencies())
 		m := k.NewMachine()
@@ -48,7 +57,7 @@ func TestSchedulingHelpsOrIsNeutral(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", k, err)
 		}
-		sched := machine.Run(tr).IssueRate()
+		sched := must(machine.RunChecked(tr, core.Limits{})).IssueRate()
 
 		if sched < 0.9*base {
 			t.Errorf("%s: scheduling slowed the loop from %.4f to %.4f", k, base, sched)

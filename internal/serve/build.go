@@ -53,6 +53,7 @@ func buildWork(c JobSpec) (*work, error) {
 			return nil, &SpecError{Msg: err.Error()}
 		}
 		m := emu.New(0)
+		m.StepLimit = maxAsmSteps
 		if c.Workload.MaxSteps > 0 {
 			m.StepLimit = c.Workload.MaxSteps
 		}

@@ -213,6 +213,10 @@ func FuzzCanonicalize(f *testing.F) {
 		}
 	}
 	f.Add([]byte(`{"machine":{"kind":"ruu","bus":"xbar"}}`))
+	// Past the construction bounds: admitted and fatal to New before
+	// Canonicalize validated the compiled config.
+	f.Add([]byte(`{"machine":{"kind":"ruu","units":4,"ruu":200000000},"workload":{"loops":"1"}}`))
+	f.Add([]byte(`{"machine":{"kind":"multi","units":200000000}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec JobSpec
 		if json.Unmarshal(data, &spec) != nil {

@@ -122,16 +122,18 @@ func TestPointBadSpecsRejected(t *testing.T) {
 		`{"spec":{"kind":"vector"}}`, // outside the sweep space
 		`{"spec":{"kind":"ooo"},"loops":"everything"}`,
 		`{"spec":{"kind":"ooo"},"scale":-1}`,
+		`{"spec":{"kind":"ooo","fucount":{"FloatMul":2000000000}}}`, // past the construction bounds
+		`{"spec":{"kind":"ooo","membanks":2000000000}}`,
 	} {
 		if code, _, _ := post(t, hs.URL+"/v1/points?wait=1", doc); code != http.StatusBadRequest {
 			t.Errorf("point %s: status %d, want 400", doc, code)
 		}
 	}
-	if got := s.Snapshot().BadSpec; got != 5 {
-		t.Errorf("bad_spec = %d, want 5", got)
+	if got := s.Snapshot().BadSpec; got != 7 {
+		t.Errorf("bad_spec = %d, want 7", got)
 	}
-	if got := s.Snapshot().Points; got != 5 {
-		t.Errorf("points_submitted = %d, want 5", got)
+	if got := s.Snapshot().Points; got != 7 {
+		t.Errorf("points_submitted = %d, want 7", got)
 	}
 }
 

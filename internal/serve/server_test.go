@@ -175,14 +175,15 @@ func TestBadSpecRejected(t *testing.T) {
 		`not json`,
 		`{"machine":{"kind":"dataflow"}}`,
 		`{"machine":{"kind":"cray"},"workload":{"loops":"99"}}`,
-		`{"machine":{"kind":"ruu","bus":"xbar"}}`, // the RUU takes no crossbar
+		`{"machine":{"kind":"ruu","bus":"xbar"}}`,                                       // the RUU takes no crossbar
+		`{"machine":{"kind":"ruu","units":4,"ruu":200000000},"workload":{"loops":"1"}}`, // past the RUU size bound
 	} {
 		if code, _, _ := post(t, hs.URL+"/v1/jobs", doc); code != http.StatusBadRequest {
 			t.Errorf("%q: status %d, want 400", doc, code)
 		}
 	}
-	if got := s.Snapshot().BadSpec; got != 4 {
-		t.Errorf("bad_spec = %d, want 4", got)
+	if got := s.Snapshot().BadSpec; got != 5 {
+		t.Errorf("bad_spec = %d, want 5", got)
 	}
 	if got := s.Snapshot().Admitted; got != 0 {
 		t.Errorf("admitted = %d, want 0", got)

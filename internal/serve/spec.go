@@ -99,12 +99,17 @@ type WorkloadSpec struct {
 	// exclusive with Loops.
 	Asm string `json:"asm,omitempty"`
 
-	// MaxSteps bounds the emulator when tracing Asm (0 = the emulator
-	// default). A budget only decides whether tracing fails — an
-	// exceeded budget is an error, not a shorter trace — so it does
-	// NOT enter the cache key.
+	// MaxSteps bounds the emulator when tracing Asm: 0 means
+	// maxAsmSteps, which is also the largest budget accepted. A budget
+	// only decides whether tracing fails — an exceeded budget is an
+	// error, not a shorter trace — so it does NOT enter the cache key.
 	MaxSteps int64 `json:"maxsteps,omitempty"`
 }
+
+// maxAsmSteps is the default and the largest MaxSteps of an asm job:
+// the daemon holds the whole trace in memory, some hundreds of bytes
+// per dynamic instruction, so a request may not ask for more.
+const maxAsmSteps = 1 << 20
 
 // LimitsSpec bounds the simulation itself. Both limits change what a
 // job observably produces (a blown budget fails the job), so both
@@ -161,7 +166,10 @@ func Canonicalize(spec JobSpec) (JobSpec, error) {
 			return c, specErrf("workload gives both loops and asm; pick one")
 		}
 		if c.Workload.MaxSteps < 0 {
-			return c, specErrf("maxsteps %d is negative (0 = the emulator default)", c.Workload.MaxSteps)
+			return c, specErrf("maxsteps %d is negative (0 = the default, %d steps)", c.Workload.MaxSteps, maxAsmSteps)
+		}
+		if c.Workload.MaxSteps > maxAsmSteps {
+			return c, specErrf("maxsteps %d exceeds the limit of %d steps", c.Workload.MaxSteps, maxAsmSteps)
 		}
 		if c.Machine.Kind == "vector" {
 			return c, specErrf("the vector machine runs the built-in vector codings, not assembly sources")

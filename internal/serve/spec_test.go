@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -197,27 +198,48 @@ func TestKeyVectorSelection(t *testing.T) {
 	}
 }
 
+// TestBuildWorkBoundsAsmTrace: an asm job that never halts, submitted
+// without maxsteps, traces at most maxAsmSteps instructions and fails
+// with the step limit as a *SpecError, instead of holding an unbounded
+// trace in memory until the daemon is killed.
+func TestBuildWorkBoundsAsmTrace(t *testing.T) {
+	const spin = "    A0 = 1\n    A7 = 0\nloop:\n    A0 = A0 - A7\n    JAN loop\n"
+	c, err := Canonicalize(JobSpec{Machine: MachineSpec{Kind: "cray"}, Workload: WorkloadSpec{Asm: spin}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = buildWork(c)
+	var serr *SpecError
+	if !errors.As(err, &serr) || !strings.Contains(err.Error(), "step limit") {
+		t.Fatalf("buildWork(spin loop) = %v, want a *SpecError naming the step limit", err)
+	}
+}
+
 // Structurally invalid specs are refused with *SpecError, one per
 // rejection rule.
 func TestCanonicalizeRejections(t *testing.T) {
 	cases := map[string]JobSpec{
-		"unknown kind":      {Machine: MachineSpec{Kind: "dataflow"}},
-		"negative mem":      {Machine: MachineSpec{Kind: "cray", Mem: -1}},
-		"negative units":    {Machine: MachineSpec{Kind: "multi", Units: -2}},
-		"bad bus":           {Machine: MachineSpec{Kind: "multi", Bus: "ring"}},
-		"ruu under units":   {Machine: MachineSpec{Kind: "ruu", Units: 8, RUU: 2}},
-		"ruu crossbar":      {Machine: MachineSpec{Kind: "ruu", Bus: "xbar"}},
-		"loops and asm":     {Machine: MachineSpec{Kind: "cray"}, Workload: WorkloadSpec{Loops: "1", Asm: tinyProgram}},
-		"bad loop spec":     {Machine: MachineSpec{Kind: "cray"}, Workload: WorkloadSpec{Loops: "1,,2"}},
-		"unknown loop":      {Machine: MachineSpec{Kind: "cray"}, Workload: WorkloadSpec{Loops: "99"}},
-		"negative scale":    {Machine: MachineSpec{Kind: "cray"}, Scale: -5},
-		"vector scale":      {Machine: MachineSpec{Kind: "vector"}, Scale: 100},
-		"vector asm":        {Machine: MachineSpec{Kind: "vector"}, Workload: WorkloadSpec{Asm: tinyProgram}},
-		"asm scale":         {Machine: MachineSpec{Kind: "cray"}, Workload: WorkloadSpec{Asm: tinyProgram}, Scale: 100},
-		"negative maxcyc":   {Machine: MachineSpec{Kind: "cray"}, Limits: LimitsSpec{MaxCycles: -1}},
-		"negative stall":    {Machine: MachineSpec{Kind: "cray"}, Limits: LimitsSpec{StallCycles: -1}},
-		"negative timeout":  {Machine: MachineSpec{Kind: "cray"}, TimeoutMS: -1},
-		"negative maxsteps": {Machine: MachineSpec{Kind: "cray"}, Workload: WorkloadSpec{Asm: tinyProgram, MaxSteps: -1}},
+		"unknown kind":        {Machine: MachineSpec{Kind: "dataflow"}},
+		"negative mem":        {Machine: MachineSpec{Kind: "cray", Mem: -1}},
+		"negative units":      {Machine: MachineSpec{Kind: "multi", Units: -2}},
+		"bad bus":             {Machine: MachineSpec{Kind: "multi", Bus: "ring"}},
+		"ruu under units":     {Machine: MachineSpec{Kind: "ruu", Units: 8, RUU: 2}},
+		"ruu crossbar":        {Machine: MachineSpec{Kind: "ruu", Bus: "xbar"}},
+		"loops and asm":       {Machine: MachineSpec{Kind: "cray"}, Workload: WorkloadSpec{Loops: "1", Asm: tinyProgram}},
+		"bad loop spec":       {Machine: MachineSpec{Kind: "cray"}, Workload: WorkloadSpec{Loops: "1,,2"}},
+		"unknown loop":        {Machine: MachineSpec{Kind: "cray"}, Workload: WorkloadSpec{Loops: "99"}},
+		"negative scale":      {Machine: MachineSpec{Kind: "cray"}, Scale: -5},
+		"vector scale":        {Machine: MachineSpec{Kind: "vector"}, Scale: 100},
+		"vector asm":          {Machine: MachineSpec{Kind: "vector"}, Workload: WorkloadSpec{Asm: tinyProgram}},
+		"asm scale":           {Machine: MachineSpec{Kind: "cray"}, Workload: WorkloadSpec{Asm: tinyProgram}, Scale: 100},
+		"negative maxcyc":     {Machine: MachineSpec{Kind: "cray"}, Limits: LimitsSpec{MaxCycles: -1}},
+		"negative stall":      {Machine: MachineSpec{Kind: "cray"}, Limits: LimitsSpec{StallCycles: -1}},
+		"negative timeout":    {Machine: MachineSpec{Kind: "cray"}, TimeoutMS: -1},
+		"negative maxsteps":   {Machine: MachineSpec{Kind: "cray"}, Workload: WorkloadSpec{Asm: tinyProgram, MaxSteps: -1}},
+		"maxsteps past bound": {Machine: MachineSpec{Kind: "cray"}, Workload: WorkloadSpec{Asm: tinyProgram, MaxSteps: maxAsmSteps + 1}},
+		"ruu past bound":      {Machine: MachineSpec{Kind: "ruu", Units: 4, RUU: 200_000_000}, Workload: WorkloadSpec{Loops: "1"}},
+		"units past bound":    {Machine: MachineSpec{Kind: "multi", Units: 200_000_000}},
+		"mem past bound":      {Machine: MachineSpec{Kind: "cray", Mem: 1 << 62}},
 	}
 	for name, spec := range cases {
 		if _, err := Canonicalize(spec); err == nil {

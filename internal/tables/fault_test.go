@@ -20,7 +20,6 @@ import (
 type explodingMachine struct{ inner core.Machine }
 
 func (m *explodingMachine) Name() string                   { return "Exploding" }
-func (m *explodingMachine) Run(t *trace.Trace) core.Result { panic("injected table-cell panic") }
 func (m *explodingMachine) SetProbe(p probe.Probe)         {}
 func (m *explodingMachine) SetRecorder(r *events.Recorder) {}
 func (m *explodingMachine) RunChecked(t *trace.Trace, lim core.Limits) (core.Result, error) {
@@ -32,7 +31,7 @@ func (m *explodingMachine) RunChecked(t *trace.Trace, lim core.Limits) (core.Res
 // values everywhere else.
 func TestBatchIsolatesPanickingCell(t *testing.T) {
 	ts := classTraces(loops.Scalar)
-	healthy := func() core.Machine { return core.NewBasic(core.CRAYLike, core.M11BR5) }
+	healthy := func() core.Machine { return must(core.NewBasic(core.CRAYLike, core.M11BR5)) }
 
 	var ref batch
 	ref.cell(healthy, ts)

@@ -13,6 +13,15 @@ import (
 	"mfup/internal/trace"
 )
 
+// must returns v, panicking on err: the machines a test builds and the
+// runs it makes are expected to succeed.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // TestMetricsNilByDefault: without SetCollectMetrics, tables carry no
 // metrics and machines run with a nil probe.
 func TestMetricsNilByDefault(t *testing.T) {
@@ -156,7 +165,6 @@ type zeroRateMachine struct{}
 func (zeroRateMachine) Name() string                   { return "ZeroRate" }
 func (zeroRateMachine) SetProbe(p probe.Probe)         {}
 func (zeroRateMachine) SetRecorder(r *events.Recorder) {}
-func (zeroRateMachine) Run(t *trace.Trace) core.Result { return core.Result{Trace: t.Name} }
 func (zeroRateMachine) RunChecked(t *trace.Trace, lim core.Limits) (core.Result, error) {
 	return core.Result{Machine: "ZeroRate", Trace: t.Name}, nil
 }
@@ -168,7 +176,7 @@ func (zeroRateMachine) RunChecked(t *trace.Trace, lim core.Limits) (core.Result,
 func TestBatchRejectsNonPositiveRate(t *testing.T) {
 	ts := classTraces(loops.Scalar)
 	var b batch
-	b.cell(func() core.Machine { return core.NewBasic(core.CRAYLike, core.M11BR5) }, ts)
+	b.cell(func() core.Machine { return must(core.NewBasic(core.CRAYLike, core.M11BR5)) }, ts)
 	b.cell(func() core.Machine { return zeroRateMachine{} }, ts)
 	rates, errs := b.rates()
 

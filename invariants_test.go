@@ -23,16 +23,16 @@ type invariantTask struct {
 func invariantTasks() []invariantTask {
 	wide := func(cfg mfup.Config) mfup.Config { return cfg.WithIssue(2, bus.BusN) }
 	return []invariantTask{
-		{"Simple", 1, func(cfg mfup.Config) mfup.Machine { return mfup.NewBasic(mfup.Simple, cfg) }},
-		{"SerialMemory", 1, func(cfg mfup.Config) mfup.Machine { return mfup.NewBasic(mfup.SerialMemory, cfg) }},
-		{"NonSegmented", 1, func(cfg mfup.Config) mfup.Machine { return mfup.NewBasic(mfup.NonSegmented, cfg) }},
-		{"CRAYLike", 1, func(cfg mfup.Config) mfup.Machine { return mfup.NewBasic(mfup.CRAYLike, cfg) }},
-		{"Scoreboard", 1, func(cfg mfup.Config) mfup.Machine { return mfup.NewScoreboard(cfg) }},
-		{"Tomasulo", 1, func(cfg mfup.Config) mfup.Machine { return mfup.NewTomasulo(cfg) }},
-		{"MultiIssue", 2, func(cfg mfup.Config) mfup.Machine { return mfup.NewMultiIssue(wide(cfg)) }},
-		{"MultiIssueOOO", 2, func(cfg mfup.Config) mfup.Machine { return mfup.NewMultiIssueOOO(wide(cfg)) }},
-		{"RUU", 2, func(cfg mfup.Config) mfup.Machine { return mfup.NewRUU(wide(cfg).WithRUU(20)) }},
-		{"Vector", 1, func(cfg mfup.Config) mfup.Machine { return mfup.NewVector(cfg) }},
+		{"Simple", 1, func(cfg mfup.Config) mfup.Machine { return must(mfup.NewBasic(mfup.Simple, cfg)) }},
+		{"SerialMemory", 1, func(cfg mfup.Config) mfup.Machine { return must(mfup.NewBasic(mfup.SerialMemory, cfg)) }},
+		{"NonSegmented", 1, func(cfg mfup.Config) mfup.Machine { return must(mfup.NewBasic(mfup.NonSegmented, cfg)) }},
+		{"CRAYLike", 1, func(cfg mfup.Config) mfup.Machine { return must(mfup.NewBasic(mfup.CRAYLike, cfg)) }},
+		{"Scoreboard", 1, func(cfg mfup.Config) mfup.Machine { return must(mfup.NewScoreboard(cfg)) }},
+		{"Tomasulo", 1, func(cfg mfup.Config) mfup.Machine { return must(mfup.NewTomasulo(cfg)) }},
+		{"MultiIssue", 2, func(cfg mfup.Config) mfup.Machine { return must(mfup.NewMultiIssue(wide(cfg))) }},
+		{"MultiIssueOOO", 2, func(cfg mfup.Config) mfup.Machine { return must(mfup.NewMultiIssueOOO(wide(cfg))) }},
+		{"RUU", 2, func(cfg mfup.Config) mfup.Machine { return must(mfup.NewRUU(wide(cfg).WithRUU(20))) }},
+		{"Vector", 1, func(cfg mfup.Config) mfup.Machine { return must(mfup.NewVector(cfg)) }},
 	}
 }
 

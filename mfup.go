@@ -18,9 +18,15 @@
 //
 // Quick start:
 //
-//	k := mfup.MustKernel(1)                     // LFK 1, hydro fragment
-//	m := mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5)
-//	r := m.Run(k.SharedTrace())
+//	k := mfup.MustKernel(1) // LFK 1, hydro fragment
+//	m, err := mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5)
+//	if err != nil {
+//		log.Fatal(err)
+//	}
+//	r, err := m.RunChecked(k.SharedTrace(), mfup.SimLimits{})
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	fmt.Printf("%.2f instructions/cycle\n", r.IssueRate())
 package mfup
 
@@ -127,69 +133,39 @@ const (
 )
 
 // NewBasic builds one of the four basic single-issue machines of §3.
-func NewBasic(o Organization, cfg Config) Machine { return core.NewBasic(o, cfg) }
+func NewBasic(o Organization, cfg Config) (Machine, error) { return core.NewBasic(o, cfg) }
 
 // NewMultiIssue builds the §5.1 machine: cfg.IssueUnits stations with
 // strictly in-order issue. Use Config.WithIssue to set the width and
 // bus kind.
-func NewMultiIssue(cfg Config) Machine { return core.NewMultiIssue(cfg) }
+func NewMultiIssue(cfg Config) (Machine, error) { return core.NewMultiIssue(cfg) }
 
 // NewMultiIssueOOO builds the §5.2 machine: out-of-order issue within
 // the instruction buffer.
-func NewMultiIssueOOO(cfg Config) Machine { return core.NewMultiIssueOOO(cfg) }
+func NewMultiIssueOOO(cfg Config) (Machine, error) { return core.NewMultiIssueOOO(cfg) }
 
 // NewRUU builds the §5.3 machine: multiple issue units with RUU
 // dependency resolution. Use Config.WithIssue and Config.WithRUU.
-func NewRUU(cfg Config) Machine { return core.NewRUU(cfg) }
+func NewRUU(cfg Config) (Machine, error) { return core.NewRUU(cfg) }
 
 // NewScoreboard builds the CDC-6600-style single-issue dependency-
 // resolution machine referenced in §3.3: instructions issue past RAW
 // hazards (waiting at their functional units) but WAW hazards still
 // block issue.
-func NewScoreboard(cfg Config) Machine { return core.NewScoreboard(cfg) }
+func NewScoreboard(cfg Config) (Machine, error) { return core.NewScoreboard(cfg) }
 
 // NewTomasulo builds the IBM 360/91-style single-issue machine
 // referenced in §3.3: per-unit reservation stations, tag-based
 // renaming (no WAW or WAR stalls), and a single common data bus.
 // cfg.RUUSize, when positive, sets the stations per unit.
-func NewTomasulo(cfg Config) Machine { return core.NewTomasulo(cfg) }
+func NewTomasulo(cfg Config) (Machine, error) { return core.NewTomasulo(cfg) }
 
 // NewVector builds the vector-extension machine: the CRAY-like
 // scalar machine plus a CRAY-1-style vector unit with chaining (§3.2
 // discusses exactly this sharing of functional units between scalar
 // and vector operations). It is the only machine that accepts vector
 // traces; the scalar machines reject them.
-func NewVector(cfg Config) Machine { return core.NewVector(cfg) }
-
-// Checked constructors: each validates its configuration and returns
-// an error instead of panicking. The unchecked constructors above are
-// thin wrappers that panic on the same errors. Machines from either
-// family offer both Run (panics on failure) and RunChecked (returns a
-// *SimError and honors SimLimits).
-
-// NewBasicChecked is NewBasic with configuration validation.
-func NewBasicChecked(o Organization, cfg Config) (Machine, error) {
-	return core.NewBasicChecked(o, cfg)
-}
-
-// NewMultiIssueChecked is NewMultiIssue with configuration validation.
-func NewMultiIssueChecked(cfg Config) (Machine, error) { return core.NewMultiIssueChecked(cfg) }
-
-// NewMultiIssueOOOChecked is NewMultiIssueOOO with configuration
-// validation.
-func NewMultiIssueOOOChecked(cfg Config) (Machine, error) { return core.NewMultiIssueOOOChecked(cfg) }
-
-// NewRUUChecked is NewRUU with configuration validation.
-func NewRUUChecked(cfg Config) (Machine, error) { return core.NewRUUChecked(cfg) }
-
-// NewScoreboardChecked is NewScoreboard with configuration validation.
-func NewScoreboardChecked(cfg Config) (Machine, error) { return core.NewScoreboardChecked(cfg) }
-
-// NewTomasuloChecked is NewTomasulo with configuration validation.
-func NewTomasuloChecked(cfg Config) (Machine, error) { return core.NewTomasuloChecked(cfg) }
-
-// NewVectorChecked is NewVector with configuration validation.
-func NewVectorChecked(cfg Config) (Machine, error) { return core.NewVectorChecked(cfg) }
+func NewVector(cfg Config) (Machine, error) { return core.NewVector(cfg) }
 
 // Kernels returns all 14 Livermore loops in kernel order.
 func Kernels() []*Kernel { return loops.All() }
@@ -249,8 +225,10 @@ type (
 
 // Extrapolate wraps m with the steady-state extrapolation engine.
 //
-//	m := mfup.Extrapolate(mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5))
-//	r := m.Run(k.SharedTrace())   // same Result, O(1) in iterations
+//	cray, err := mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5)
+//	// ... handle err ...
+//	r, err := mfup.Extrapolate(cray).RunChecked(k.SharedTrace(), mfup.SimLimits{})
+//	// same Result as cray.RunChecked, in O(1) of the iteration count
 func Extrapolate(m Machine) *Extrapolator { return core.Extrapolate(m) }
 
 // CanExtrapolate reports whether t satisfies the machine-independent

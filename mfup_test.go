@@ -2,11 +2,21 @@ package mfup_test
 
 import (
 	"fmt"
+	"log"
 	"strings"
 	"testing"
 
 	"mfup"
 )
+
+// must returns v, panicking on err: the machines a test builds and the
+// runs it makes are expected to succeed.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 func TestPublicKernelAccess(t *testing.T) {
 	if got := len(mfup.Kernels()); got != 14 {
@@ -42,7 +52,7 @@ func TestEndToEndSimulation(t *testing.T) {
 	for _, cfg := range mfup.BaseConfigs() {
 		var prev float64
 		for _, org := range mfup.Organizations() {
-			r := mfup.NewBasic(org, cfg).Run(tr)
+			r := must(must(mfup.NewBasic(org, cfg)).RunChecked(tr, mfup.SimLimits{}))
 			rate := r.IssueRate()
 			if rate <= 0 || rate >= 1 {
 				t.Errorf("%s %s: rate %.3f outside (0,1)", org, cfg.Name(), rate)
@@ -57,10 +67,10 @@ func TestEndToEndSimulation(t *testing.T) {
 
 func TestAdvancedMachinesViaFacade(t *testing.T) {
 	tr := mfup.MustKernel(7).SharedTrace()
-	cray := mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5).Run(tr).IssueRate()
-	multi := mfup.NewMultiIssue(mfup.M11BR5.WithIssue(4, mfup.BusN)).Run(tr).IssueRate()
-	ooo := mfup.NewMultiIssueOOO(mfup.M11BR5.WithIssue(4, mfup.BusN)).Run(tr).IssueRate()
-	ruu := mfup.NewRUU(mfup.M11BR5.WithIssue(4, mfup.BusN).WithRUU(50)).Run(tr).IssueRate()
+	cray := must(must(mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5)).RunChecked(tr, mfup.SimLimits{})).IssueRate()
+	multi := must(must(mfup.NewMultiIssue(mfup.M11BR5.WithIssue(4, mfup.BusN))).RunChecked(tr, mfup.SimLimits{})).IssueRate()
+	ooo := must(must(mfup.NewMultiIssueOOO(mfup.M11BR5.WithIssue(4, mfup.BusN))).RunChecked(tr, mfup.SimLimits{})).IssueRate()
+	ruu := must(must(mfup.NewRUU(mfup.M11BR5.WithIssue(4, mfup.BusN).WithRUU(50))).RunChecked(tr, mfup.SimLimits{})).IssueRate()
 	if !(cray <= multi+1e-9 && multi <= ooo+1e-9 && ooo < ruu) {
 		t.Errorf("machine sophistication ordering violated: cray=%.3f multi=%.3f ooo=%.3f ruu=%.3f",
 			cray, multi, ooo, ruu)
@@ -97,7 +107,7 @@ func TestCustomProgramWorkflow(t *testing.T) {
 	if got := m.Float(65); got != 4.5 {
 		t.Errorf("program computed %v, want 4.5", got)
 	}
-	r := mfup.NewBasic(mfup.CRAYLike, mfup.M5BR2).Run(tr)
+	r := must(must(mfup.NewBasic(mfup.CRAYLike, mfup.M5BR2)).RunChecked(tr, mfup.SimLimits{}))
 	if r.Instructions != 5 || r.Cycles == 0 {
 		t.Errorf("simulation result %+v", r)
 	}
@@ -126,8 +136,14 @@ func TestGenerateTable(t *testing.T) {
 // ExampleNewBasic is the README quick start.
 func ExampleNewBasic() {
 	k := mfup.MustKernel(1)
-	m := mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5)
-	r := m.Run(k.SharedTrace())
+	m, err := mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5)
+	if err != nil {
+		log.Fatal(err)
+	}
+	r, err := m.RunChecked(k.SharedTrace(), mfup.SimLimits{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("%s: %.2f instructions/cycle\n", k, r.IssueRate())
 	// Output: LFK 1 (hydro fragment): 0.29 instructions/cycle
 }
@@ -153,9 +169,9 @@ func TestVectorFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vec := mfup.NewVector(mfup.M11BR5).Run(tr)
+	vec := must(must(mfup.NewVector(mfup.M11BR5)).RunChecked(tr, mfup.SimLimits{}))
 	sk := mfup.MustKernel(7)
-	cray := mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5).Run(sk.SharedTrace())
+	cray := must(must(mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5)).RunChecked(sk.SharedTrace(), mfup.SimLimits{}))
 	if vec.Cycles*3 > cray.Cycles {
 		t.Errorf("vector LFK 7 (%d cycles) not clearly faster than scalar (%d)", vec.Cycles, cray.Cycles)
 	}
@@ -166,9 +182,9 @@ func TestVectorFacade(t *testing.T) {
 
 func TestDependencyResolutionFacade(t *testing.T) {
 	tr := mfup.MustKernel(5).SharedTrace()
-	cray := mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5).Run(tr).IssueRate()
-	sb := mfup.NewScoreboard(mfup.M11BR5).Run(tr).IssueRate()
-	tom := mfup.NewTomasulo(mfup.M11BR5).Run(tr).IssueRate()
+	cray := must(must(mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5)).RunChecked(tr, mfup.SimLimits{})).IssueRate()
+	sb := must(must(mfup.NewScoreboard(mfup.M11BR5)).RunChecked(tr, mfup.SimLimits{})).IssueRate()
+	tom := must(must(mfup.NewTomasulo(mfup.M11BR5)).RunChecked(tr, mfup.SimLimits{})).IssueRate()
 	if !(cray <= sb && sb <= tom) {
 		t.Errorf("dependency-resolution ordering violated: %.3f, %.3f, %.3f", cray, sb, tom)
 	}
@@ -185,8 +201,8 @@ func TestScheduleProgramFacade(t *testing.T) {
 	if err := k.Validate(m); err != nil {
 		t.Fatalf("scheduled program invalid: %v", err)
 	}
-	base := mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5).Run(k.SharedTrace()).IssueRate()
-	sched := mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5).Run(tr).IssueRate()
+	base := must(must(mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5)).RunChecked(k.SharedTrace(), mfup.SimLimits{})).IssueRate()
+	sched := must(must(mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5)).RunChecked(tr, mfup.SimLimits{})).IssueRate()
 	if sched <= base {
 		t.Errorf("scheduling did not help LFK 7: %.3f -> %.3f", base, sched)
 	}
@@ -207,8 +223,8 @@ func TestScaledKernelFacade(t *testing.T) {
 
 func TestPerfectBranchesFacade(t *testing.T) {
 	tr := mfup.MustKernel(12).SharedTrace()
-	base := mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5).Run(tr).Cycles
-	ideal := mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5.WithPerfectBranches()).Run(tr).Cycles
+	base := must(must(mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5)).RunChecked(tr, mfup.SimLimits{})).Cycles
+	ideal := must(must(mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5.WithPerfectBranches())).RunChecked(tr, mfup.SimLimits{})).Cycles
 	if ideal >= base {
 		t.Errorf("perfect branches did not help: %d -> %d", base, ideal)
 	}
