@@ -1,6 +1,7 @@
 package mfup_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -424,33 +425,42 @@ func BenchmarkExtrapolation(b *testing.B) {
 	b.ReportMetric(fullEstimate/(b.Elapsed().Seconds()/float64(b.N)), "speedup")
 }
 
-// BenchmarkExtrapolationOverhead measures the wrapper on a trace it
-// can never extrapolate (LFK 13, data-dependent control flow), against
-// the bare machine. "overhead" is the wrapped/bare time ratio: the
-// fallback path must stay at seed speed (~1.0), since the engine
-// decides from the cached period analysis before simulating anything.
+// BenchmarkExtrapolationOverhead measures the wrapper against the bare
+// machine on the two kinds of trace it can never extrapolate: LFK 13
+// has no period (data-dependent control flow), and LFK 14 has one but
+// its reduced traces fail the tail identity check. "overhead" is the
+// wrapped/bare time ratio: the fallback path must stay at seed speed
+// (~1.0), since the engine decides from the cached period and tail
+// verdict before simulating anything.
 func BenchmarkExtrapolationOverhead(b *testing.B) {
-	k, err := loops.Get(13)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := k.SharedTrace()
-	tr.Prepared() // charge the one-time decode to neither side
-	var bare, wrapped time.Duration
-	m := must(core.NewBasic(core.CRAYLike, core.M11BR5))
-	e := core.Extrapolate(must(core.NewBasic(core.CRAYLike, core.M11BR5)))
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		if _, err := m.RunChecked(tr, core.Limits{}); err != nil {
-			b.Fatal(err)
-		}
-		bare += time.Since(start)
+	for _, n := range []int{13, 14} {
+		b.Run(fmt.Sprintf("LFK%d", n), func(b *testing.B) {
+			k, err := loops.Get(n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr := k.SharedTrace()
+			// Charge the one-time decode, period analysis and tail check
+			// to neither side; the verdict itself (an error for both
+			// kernels) does not matter here.
+			_ = core.CanExtrapolate(tr)
+			var bare, wrapped time.Duration
+			m := must(core.NewBasic(core.CRAYLike, core.M11BR5))
+			e := core.Extrapolate(must(core.NewBasic(core.CRAYLike, core.M11BR5)))
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				if _, err := m.RunChecked(tr, core.Limits{}); err != nil {
+					b.Fatal(err)
+				}
+				bare += time.Since(start)
 
-		start = time.Now()
-		if _, err := e.RunChecked(tr, core.Limits{}); err != nil {
-			b.Fatal(err)
-		}
-		wrapped += time.Since(start)
+				start = time.Now()
+				if _, err := e.RunChecked(tr, core.Limits{}); err != nil {
+					b.Fatal(err)
+				}
+				wrapped += time.Since(start)
+			}
+			b.ReportMetric(wrapped.Seconds()/bare.Seconds(), "overhead")
+		})
 	}
-	b.ReportMetric(wrapped.Seconds()/bare.Seconds(), "overhead")
 }

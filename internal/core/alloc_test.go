@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"mfup/internal/bus"
@@ -31,5 +32,33 @@ func TestRunAllocations(t *testing.T) {
 				t.Errorf("%s: %.0f allocations re-running %d instructions, want fewer than one per 100", m.Name(), allocs, tr.Len())
 			}
 		}
+	}
+}
+
+// TestExtrapolatorFallbackAllocations guards the fallback on a trace
+// that has a period but fails the tail identity check (LFK 14): once
+// warmed, the wrapper decides from the cached period and the cached
+// tail verdict, so its run allocates no more than the bare machine's.
+func TestExtrapolatorFallbackAllocations(t *testing.T) {
+	k, err := loops.Get(14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := k.SharedTrace()
+	cfg := M11BR5.WithIssue(4, bus.BusN).WithRUU(50)
+	bare := must(NewRUU(cfg))
+	e := Extrapolate(must(NewRUU(cfg)))
+	want := must(bare.RunChecked(tr, Limits{}))
+	if got := must(e.RunChecked(tr, Limits{})); got != want {
+		t.Fatalf("fallback result %+v differs from bare %+v", got, want)
+	}
+	if s := e.Stats(); s.Engaged || !strings.Contains(s.Reason, "tail address identity") {
+		t.Fatalf("stats = %+v, want the tail identity fallback", s)
+	}
+	bareAllocs := testing.AllocsPerRun(5, func() { must(bare.RunChecked(tr, Limits{})) })
+	wrappedAllocs := testing.AllocsPerRun(5, func() { must(e.RunChecked(tr, Limits{})) })
+	t.Logf("%s on %s: %.0f allocations bare, %.0f wrapped", bare.Name(), tr.Name, bareAllocs, wrappedAllocs)
+	if wrappedAllocs > bareAllocs {
+		t.Errorf("fallback run made %.0f allocations, the bare machine %.0f", wrappedAllocs, bareAllocs)
 	}
 }

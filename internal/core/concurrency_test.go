@@ -10,12 +10,14 @@ import (
 
 // TestSharedTraceConcurrentMachines exercises the package's
 // concurrency contract under the race detector: one Trace (and its
-// prepared decode cache, initialized lazily by whichever machine gets
-// there first) shared by many machine instances running concurrently.
-// Every concurrent run must report the same cycle count as a serial
-// run of the same model.
+// prepared decode cache, period, reduced traces and tail-identity
+// verdicts, initialized lazily by whichever machine gets there first)
+// shared by many machine instances running concurrently. Every
+// concurrent run must report the same cycle count as a serial run of
+// the same model on another copy of the trace.
 func TestSharedTraceConcurrentMachines(t *testing.T) {
-	tr := loops.All()[0].SharedTrace()
+	k := loops.All()[0]
+	tr := k.MustTrace() // fresh: only the concurrent runs fill its caches
 	cfg := M11BR5
 	makers := []func() Machine{
 		func() Machine { return must(NewBasic(CRAYLike, cfg)) },
@@ -24,10 +26,11 @@ func TestSharedTraceConcurrentMachines(t *testing.T) {
 		func() Machine { return must(NewScoreboard(cfg)) },
 		func() Machine { return must(NewTomasulo(cfg)) },
 		func() Machine { return must(NewRUU(cfg.WithIssue(2, bus.BusN).WithRUU(20))) },
+		func() Machine { return Extrapolate(must(NewRUU(cfg.WithIssue(2, bus.BusN).WithRUU(20)))) },
 	}
 	want := make([]Result, len(makers))
 	for i, mk := range makers {
-		want[i] = must(mk().RunChecked(tr, Limits{}))
+		want[i] = must(mk().RunChecked(k.SharedTrace(), Limits{}))
 	}
 
 	const repeats = 4

@@ -165,7 +165,7 @@ func PlanSweep(sweep SweepSpec) (*Planned, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs, expanded, invalid, err := s.Expand()
+	specs, keys, expanded, invalid, err := s.expand()
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +186,7 @@ func PlanSweep(sweep SweepSpec) (*Planned, error) {
 	for i, spec := range specs {
 		p := &r.Points[i]
 		p.Spec = spec
-		p.Key = pointKey(s, spec.Key())
+		p.Key = pointKey(s, keys[i])
 		p.Cost = spec.Cost()
 		est, err := queuemodel.Predict(spec, workload)
 		if err != nil {

@@ -349,18 +349,30 @@ func applyAxis(m *machdef.Spec, name string, iv int, sv string) {
 // Call on a canonical sweep (from Parse or Canonicalize). The specs
 // return sorted by content key, so expansion order is deterministic.
 func (s SweepSpec) Expand() (specs []machdef.Spec, expanded, invalid int, err error) {
+	specs, _, expanded, invalid, err = s.expand()
+	return specs, expanded, invalid, err
+}
+
+// expand is Expand that also returns each spec's content key
+// (keys[i] is specs[i].Key()), computing it once per combination.
+func (s SweepSpec) expand() (specs []machdef.Spec, keys []string, expanded, invalid int, err error) {
 	names := make([]string, 0, len(s.Axes))
 	product := 1
 	for name, a := range s.Axes {
 		names = append(names, name)
 		product *= a.len()
 		if product > s.MaxPoints {
-			return nil, 0, 0, fmt.Errorf("dse: sweep expands to at least %d points, over the %d-point cap; shrink the axes or raise maxpoints", product, s.MaxPoints)
+			return nil, nil, 0, 0, fmt.Errorf("dse: sweep expands to at least %d points, over the %d-point cap; shrink the axes or raise maxpoints", product, s.MaxPoints)
 		}
 	}
 	sort.Strings(names)
 
-	seen := make(map[string]int, product)
+	type keyed struct {
+		spec machdef.Spec
+		key  string
+	}
+	var points []keyed
+	seen := make(map[string]bool, product)
 	idx := make([]int, len(names))
 	for {
 		m := s.Base
@@ -379,9 +391,9 @@ func (s SweepSpec) Expand() (specs []machdef.Spec, expanded, invalid int, err er
 		expanded++
 		if c, cerr := machdef.Canonicalize(m); cerr != nil || c.Kind == "vector" {
 			invalid++
-		} else if _, dup := seen[c.Key()]; !dup {
-			seen[c.Key()] = len(specs)
-			specs = append(specs, c)
+		} else if key := c.Key(); !seen[key] {
+			seen[key] = true
+			points = append(points, keyed{c, key})
 		}
 
 		// Advance the mixed-radix counter.
@@ -397,8 +409,13 @@ func (s SweepSpec) Expand() (specs []machdef.Spec, expanded, invalid int, err er
 			break
 		}
 	}
-	sort.Slice(specs, func(a, b int) bool { return specs[a].Key() < specs[b].Key() })
-	return specs, expanded, invalid, nil
+	sort.Slice(points, func(a, b int) bool { return points[a].key < points[b].key })
+	specs = make([]machdef.Spec, len(points))
+	keys = make([]string, len(points))
+	for i, p := range points {
+		specs[i], keys[i] = p.spec, p.key
+	}
+	return specs, keys, expanded, invalid, nil
 }
 
 func cloneMap(m map[string]int) map[string]int {

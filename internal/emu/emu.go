@@ -36,6 +36,50 @@ const DefaultStepLimit = 50_000_000
 // limit.
 var ErrStepLimit = errors.New("emu: dynamic step limit exceeded")
 
+// Run collects ops in chunks that double from firstChunk ops up to
+// maxChunk ops (1 MiB), so a short trace allocates little and a long
+// one is never re-copied while it grows: each op is written once into
+// a chunk and once into the trace's exact-size slice.
+const (
+	firstChunk = 256
+	maxChunk   = 1 << 14
+)
+
+// opChunks is Run's emission buffer.
+type opChunks struct {
+	full [][]trace.Op // filled chunks, in order
+	cur  []trace.Op   // the chunk being filled
+}
+
+func (c *opChunks) add(op *trace.Op) {
+	if len(c.cur) == cap(c.cur) {
+		size := firstChunk
+		if c.cur != nil {
+			c.full = append(c.full, c.cur)
+			size = min(2*cap(c.cur), maxChunk)
+		}
+		c.cur = make([]trace.Op, 0, size)
+	}
+	c.cur = append(c.cur, *op)
+}
+
+// ops returns the collected ops in one slice with cap == len (nil when
+// there are none).
+func (c *opChunks) ops() []trace.Op {
+	if c.cur == nil {
+		return nil
+	}
+	n := len(c.cur)
+	for _, ch := range c.full {
+		n += len(ch)
+	}
+	out := make([]trace.Op, 0, n)
+	for _, ch := range c.full {
+		out = append(out, ch...)
+	}
+	return append(out, c.cur...)
+}
+
 // Machine is the architectural state: the four register files and
 // word-addressed memory.
 type Machine struct {
@@ -113,14 +157,14 @@ func (e *RuntimeError) Error() string {
 func (e *RuntimeError) Unwrap() error { return e.Err }
 
 // Run executes p to completion (PC falling off the end of the code)
-// and returns the dynamic trace. Register state and memory reflect
-// the completed execution.
+// and returns the dynamic trace, whose Ops slice has no spare
+// capacity. Register state and memory reflect the completed execution.
 func (m *Machine) Run(p *isa.Program) (*trace.Trace, error) {
 	limit := m.StepLimit
 	if limit == 0 {
 		limit = DefaultStepLimit
 	}
-	t := &trace.Trace{Name: p.Name}
+	var emitted opChunks
 	pc := 0
 	var seq int64
 	fail := func(err error) (*trace.Trace, error) {
@@ -318,11 +362,11 @@ func (m *Machine) Run(p *isa.Program) (*trace.Trace, error) {
 		default:
 			return fail(fmt.Errorf("unimplemented opcode %s", in.Op))
 		}
-		t.Ops = append(t.Ops, op)
+		emitted.add(&op)
 		seq++
 		pc = next
 	}
-	return t, nil
+	return &trace.Trace{Name: p.Name, Ops: emitted.ops()}, nil
 }
 
 func (m *Machine) f(r isa.Reg) float64 {

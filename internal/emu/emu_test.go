@@ -2,6 +2,7 @@ package emu
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -271,6 +272,40 @@ loop:
 	}
 	if tr.Ops[4].PC != 2 {
 		t.Errorf("second loop iteration pc = %d, want 2", tr.Ops[4].PC)
+	}
+}
+
+// TestTraceAcrossChunkBoundaries: a trace emitted across Run's growing
+// chunks keeps every op in order with its Seq, and comes back in one
+// slice with no spare capacity, at lengths below, at and past a chunk
+// boundary and over many full-size chunks.
+func TestTraceAcrossChunkBoundaries(t *testing.T) {
+	for _, want := range []int{0, 4, firstChunk - 2, firstChunk, firstChunk + 2, 3 * firstChunk, 10*maxChunk + 4} {
+		src := ""
+		if want > 0 {
+			// 2 set-up ops, then a 2-op loop body (want-2)/2 times.
+			src = fmt.Sprintf("    A0 = %d\n    A7 = 1\nloop:\n    A0 = A0 - A7\n    JAN loop\n", (want-2)/2)
+		}
+		p, err := asm.Assemble("t", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := New(16).Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tr.Ops) != want || cap(tr.Ops) != want {
+			t.Fatalf("%d ops: got len %d cap %d", want, len(tr.Ops), cap(tr.Ops))
+		}
+		for i, op := range tr.Ops {
+			pc := i
+			if i >= 2 {
+				pc = 2 + (i-2)%2
+			}
+			if op.Seq != int64(i) || op.PC != pc || op.Taken != (pc == 3 && i != want-1) {
+				t.Fatalf("%d ops: op %d is seq %d pc %d taken %v", want, i, op.Seq, op.PC, op.Taken)
+			}
+		}
 	}
 }
 

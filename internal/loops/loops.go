@@ -74,10 +74,16 @@ func (k *Kernel) String() string {
 	return fmt.Sprintf("LFK %d (%s)", k.Number, k.Name)
 }
 
+// memoryWords sizes a kernel's emulator memory: 1 MiB, enough for
+// every kernel's layout at its maximum loop length (the largest, LFK
+// 9's 25 x 4000 words at 0x1000, ends at word 104,095), where emu's
+// default is 8 MiB.
+const memoryWords = 1 << 17
+
 // NewMachine returns a fresh emulator machine with the kernel's input
 // data laid out in memory.
 func (k *Kernel) NewMachine() *emu.Machine {
-	m := emu.New(0)
+	m := emu.New(memoryWords)
 	k.init(m)
 	return m
 }

@@ -71,6 +71,17 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 }
 
+// TestTracesHaveNoSpareCapacity: every built-in kernel's trace, scalar
+// and vector, holds its ops in one exact-size slice.
+func TestTracesHaveNoSpareCapacity(t *testing.T) {
+	for _, k := range append(All(), VectorKernels()...) {
+		tr := k.MustTrace()
+		if cap(tr.Ops) != len(tr.Ops) {
+			t.Errorf("%s (%s): %d ops with capacity %d", k, tr.Name, len(tr.Ops), cap(tr.Ops))
+		}
+	}
+}
+
 func TestSharedTraceCaches(t *testing.T) {
 	k, _ := Get(3)
 	if k.SharedTrace() != k.SharedTrace() {

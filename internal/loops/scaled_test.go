@@ -2,13 +2,16 @@ package loops
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"mfup/internal/isa"
 )
 
 // TestScaledKernelsValidate: every kernel still validates bit-exactly
-// at non-default loop lengths.
+// at non-default loop lengths, up to the maximum Bounds admits, so
+// every layout fits the kernel memory.
 func TestScaledKernelsValidate(t *testing.T) {
 	alt := map[int][]int{
 		1: {10, 200}, 2: {16, 128}, 3: {10, 200}, 4: {50, 200},
@@ -17,7 +20,11 @@ func TestScaledKernelsValidate(t *testing.T) {
 		13: {10, 200}, 14: {10, 200},
 	}
 	for number, ns := range alt {
-		for _, n := range ns {
+		_, maxN, err := Bounds(number)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range append(ns, maxN) {
 			k, err := Scaled(number, n)
 			if err != nil {
 				t.Errorf("Scaled(%d, %d): %v", number, n, err)
@@ -30,6 +37,32 @@ func TestScaledKernelsValidate(t *testing.T) {
 				t.Errorf("Scaled(%d, %d): %v", number, n, err)
 			}
 		}
+	}
+}
+
+// TestLargestTraceBuildAllocation: building the longest trace, LFK 6 at
+// n = 256 (263,674 ops), allocates at most 2.5 times its trace bytes
+// plus the kernel memory, measured as the bytes allocated during the
+// build. Emission must not re-copy the trace as it grows.
+func TestLargestTraceBuildAllocation(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	k, err := Scaled(6, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := k.Trace()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceBytes := uint64(len(tr.Ops)) * uint64(unsafe.Sizeof(tr.Ops[0]))
+	budget := traceBytes*5/2 + memoryWords*8
+	n := after.TotalAlloc - before.TotalAlloc
+	t.Logf("LFK 6 at n = 256: %d ops of %d bytes; build allocated %.1f MiB", len(tr.Ops), unsafe.Sizeof(tr.Ops[0]), float64(n)/(1<<20))
+	if n > budget {
+		t.Errorf("LFK 6 at n = 256 (%d ops, %d MiB): build allocated %d MiB, want at most %d",
+			len(tr.Ops), traceBytes>>20, n>>20, budget>>20)
 	}
 }
 

@@ -1,6 +1,9 @@
 package trace
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Period describes the steady-state loop structure of a trace: a
 // prologue, a run of congruent loop-body windows, and an epilogue.
@@ -16,7 +19,7 @@ import "sync"
 // window costs the same number of cycles as the last.
 //
 // A trace with data-dependent control flow (different window contents
-// per iteration, as in LFK 13/14), data-dependent addressing, a
+// per iteration, as in LFK 13), data-dependent addressing, a
 // triangular iteration space (LFK 2/6), or too few iterations has no
 // Period; Prepared.Period returns nil and callers fall back to full
 // simulation.
@@ -46,9 +49,12 @@ type Period struct {
 	src *Prepared
 
 	// slices caches constructed reduced traces by iteration count, so
-	// the many machines of a table grid share one construction.
+	// the many machines of a table grid share one construction, and
+	// tailOK caches TailIdentityOK's verdict by iteration count, so
+	// they share one check.
 	mu     sync.Mutex
 	slices map[int]*Trace
+	tailOK map[int]bool
 }
 
 // Period returns the trace's steady-state loop structure, or nil when
@@ -81,7 +87,8 @@ func findPeriod(p *Prepared) *Period {
 			anchors[pc] = append(anchors[pc], i+1)
 		}
 	}
-	// Try candidate branch PCs by descending anchor count.
+	// Try candidate branch PCs by descending anchor count, ties by
+	// ascending PC, so the choice never depends on map order.
 	type cand struct {
 		pc int
 		as []int
@@ -90,11 +97,12 @@ func findPeriod(p *Prepared) *Period {
 	for pc, as := range anchors {
 		cands = append(cands, cand{pc, as})
 	}
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && len(cands[j].as) > len(cands[j-1].as); j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
+	slices.SortFunc(cands, func(a, b cand) int {
+		if d := len(b.as) - len(a.as); d != 0 {
+			return d
 		}
-	}
+		return a.pc - b.pc
+	})
 	if len(cands) > maxPeriodCandidates {
 		cands = cands[:maxPeriodCandidates]
 	}
@@ -274,25 +282,27 @@ func (pd *Period) Slice(k int) *Trace {
 // with distances beyond the reduced trace's history clamped (a
 // dependence that far back is timing-inert in every machine model).
 // It guards the epilogue stride attribution, which is heuristic where
-// the body strides are proven.
+// the body strides are proven. The verdict is computed once per k and
+// cached.
 func (pd *Period) TailIdentityOK(k int) bool {
 	t := pd.Slice(k)
 	if t == nil {
 		return false
 	}
+	pd.mu.Lock()
+	defer pd.mu.Unlock()
+	if ok, done := pd.tailOK[k]; done {
+		return ok
+	}
 	sliceTail := pd.Start + (k-1)*pd.Span
 	cap64 := int64(sliceTail) // history available before the reduced tail
-	a := tailIdentity(pd.src.Trace.Ops, pd.tailStart(), cap64)
-	b := tailIdentity(t.Ops, sliceTail, cap64)
-	if len(a) != len(b) {
-		return false
+	ok := slices.Equal(tailIdentity(pd.src.Trace.Ops, pd.tailStart(), cap64),
+		tailIdentity(t.Ops, sliceTail, cap64))
+	if pd.tailOK == nil {
+		pd.tailOK = map[int]bool{}
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	pd.tailOK[k] = ok
+	return ok
 }
 
 // tailIdentity computes the capped previous-occurrence distance of

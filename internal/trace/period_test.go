@@ -3,6 +3,8 @@ package trace_test
 import (
 	"testing"
 
+	"mfup/internal/asm"
+	"mfup/internal/emu"
 	"mfup/internal/loops"
 	"mfup/internal/trace"
 )
@@ -136,6 +138,54 @@ func TestPeriodTailIdentity(t *testing.T) {
 	}
 	if !ok {
 		t.Errorf("LFK 14: every reduction preserves tail identity, expected at least one failure")
+	}
+	// Verdicts are cached per width: the full-width reduction is the
+	// source itself and passes, before and after a failing width.
+	if !pd.TailIdentityOK(pd.Windows) || pd.TailIdentityOK(2) || !pd.TailIdentityOK(pd.Windows) {
+		t.Errorf("LFK 14: TailIdentityOK(%d), (2), (%d) = %v, %v, %v; want true, false, true",
+			pd.Windows, pd.Windows, pd.TailIdentityOK(pd.Windows), pd.TailIdentityOK(2), pd.TailIdentityOK(pd.Windows))
+	}
+}
+
+// TestPeriodDeterministicAmongEqualLoops: two sequential counted loops
+// with equal trip counts both qualify as the period, and detection
+// breaks the tie by the lower branch PC on every fresh decode instead
+// of by map order.
+func TestPeriodDeterministicAmongEqualLoops(t *testing.T) {
+	p, err := asm.Assemble("twoloops", `
+    A1 = 100
+    A2 = 200
+    A7 = 1
+    A0 = 20
+first:
+    A0 = A0 - A7
+    S1 = [A1]
+    A1 = A1 + A7
+    JAN first
+    A0 = 20
+second:
+    A0 = A0 - A7
+    S2 = [A2]
+    A2 = A2 + A7
+    JAN second
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := emu.New(256).Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const firstPC = 7 // JAN first
+	for i := 0; i < 50; i++ {
+		pd := trace.Prepare(tr).Period()
+		if pd == nil {
+			t.Fatal("no period detected")
+		}
+		if pd.BranchPC != firstPC || pd.Start != 4 || pd.Span != 4 || pd.Windows != 20 {
+			t.Fatalf("decode %d: period at pc %d, start %d, span %d, %d windows; want pc %d, start 4, span 4, 20 windows",
+				i, pd.BranchPC, pd.Start, pd.Span, pd.Windows, firstPC)
+		}
 	}
 }
 

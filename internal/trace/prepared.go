@@ -147,7 +147,14 @@ func Prepare(t *Trace) *Prepared {
 		FirstVector: -1,
 		nextTaken:   make([]int32, len(t.Ops)+1),
 	}
-	addrIDs := make(map[int64]int32)
+	// A trace has at most one distinct address per memory op.
+	memOps := 0
+	for i := range t.Ops {
+		if c := t.Ops[i].Code; c.Valid() && c.IsMemory() {
+			memOps++
+		}
+	}
+	addrIDs := make(map[int64]int32, memOps)
 	for i := range t.Ops {
 		o := &t.Ops[i]
 		if err := validateOp(o); err != nil {
