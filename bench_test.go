@@ -145,6 +145,10 @@ func BenchmarkSimulatorRUU(b *testing.B) {
 	benchMachine(b, must(core.NewRUU(core.M11BR5.WithIssue(4, mfup.BusN).WithRUU(50))))
 }
 
+func BenchmarkSimulatorTomasulo(b *testing.B) {
+	benchMachine(b, must(core.NewTomasulo(core.M11BR5)))
+}
+
 func BenchmarkTraceGeneration(b *testing.B) {
 	ks := loops.All()
 	for i := 0; i < b.N; i++ {

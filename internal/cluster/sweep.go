@@ -52,9 +52,10 @@ func (rs *routedSweep) finished() bool {
 }
 
 // handleSweepSubmit admits one sweep at the router: parse and expand
-// locally (deterministic spec defects are 400s here, never
-// dispatched), dedupe against the registry by content key, then
-// shard the points across the fleet.
+// locally (deterministic spec defects, including a maxpoints above
+// dse.DefaultMaxPoints, are 400s here, never dispatched), dedupe
+// against the registry by content key, then shard the points across
+// the fleet.
 func (rt *Router) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
@@ -62,7 +63,7 @@ func (rt *Router) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, http.StatusBadRequest, fmt.Sprintf("reading sweep spec: %v", err), 0)
 		return
 	}
-	sw, err := dse.Parse(body)
+	sw, err := dse.ParseRequest(body)
 	if err != nil {
 		rt.stats.badSpec.Add(1)
 		rt.writeError(w, http.StatusBadRequest, err.Error(), 0)

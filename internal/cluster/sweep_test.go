@@ -193,3 +193,26 @@ func TestRoutedSweepReassignsDeadPeersPoints(t *testing.T) {
 		t.Errorf("points_reassigned = %d, want >= %d (the victim's share)", st.PointsReassigned, owned[urls[victim]])
 	}
 }
+
+// The router refuses the same unbounded sweep documents a worker does,
+// at admission and without dispatching: it plans routed sweeps in its
+// own process, so one of them would otherwise exhaust the router.
+func TestPoisonSweepsRefusedAtRouter(t *testing.T) {
+	a := newStubPeer(t)
+	rt := newTestRouter(t, Config{}, a)
+	for _, doc := range []string{
+		`{"base":{"kind":"ooo"},"axes":{"width":{"from":9223372036854775800,"to":9223372036854775807,"step":5}}}`,
+		`{"base":{"kind":"ooo"},"axes":{"width":{"from":1,"to":2000000000}}}`,
+		`{"base":{"kind":"ooo"},"axes":{"width":{"from":1,"to":100},"mem":{"from":1,"to":40},"br":{"from":1,"to":50}},"maxpoints":1000000}`,
+	} {
+		if w := post(t, rt.Handler(), "/v1/sweeps?wait=1", doc); w.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", doc, w.Code)
+		}
+	}
+	if a.hits.Load() != 0 {
+		t.Errorf("a poison sweep was dispatched %d times", a.hits.Load())
+	}
+	if st := rt.Snapshot(); st.BadSpec != 3 || st.Forwarded != 0 {
+		t.Errorf("stats %+v, want bad_spec=3 forwarded=0", st)
+	}
+}

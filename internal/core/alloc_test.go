@@ -11,10 +11,11 @@ import (
 // TestRunAllocations guards the claim that a warmed machine allocates
 // nothing per instruction: re-running LFK 1 at 56,009 instructions
 // must stay below one allocation per 100 instructions on the RUU,
-// out-of-order and in-order multiple-issue machines.
+// Tomasulo, out-of-order and in-order multiple-issue machines.
 func TestRunAllocations(t *testing.T) {
 	machines := []Machine{
 		must(NewRUU(M11BR5.WithIssue(4, bus.BusN).WithRUU(50))),
+		must(NewTomasulo(M11BR5)),
 		must(NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN))),
 		must(NewMultiIssue(M11BR5.WithIssue(4, bus.BusN))),
 	}

@@ -515,27 +515,41 @@ func TestRUUInstructionCountIncludesBranches(t *testing.T) {
 
 func TestMachinesAreReusable(t *testing.T) {
 	// Running the same machine twice must give identical results:
-	// RunChecked fully resets state.
+	// RunChecked fully resets state, also after a run that failed with
+	// instructions in flight.
 	tr := new(builder).
 		op(isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)).
 		op(isa.OpFMul, isa.S(2), isa.S(1), isa.S(1)).
 		branch(isa.OpJAN, false).
 		load(isa.S(3), 100).
 		trace()
-	machines := []Machine{
-		must(NewBasic(Simple, M11BR5)),
-		must(NewBasic(SerialMemory, M11BR5)),
-		must(NewBasic(NonSegmented, M11BR5)),
-		must(NewBasic(CRAYLike, M11BR5)),
-		must(NewMultiIssue(M11BR5.WithIssue(4, bus.Bus1))),
-		must(NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN))),
-		must(NewRUU(M11BR5.WithIssue(2, bus.BusN).WithRUU(10))),
+	builds := []func() Machine{
+		func() Machine { return must(NewBasic(Simple, M11BR5)) },
+		func() Machine { return must(NewBasic(SerialMemory, M11BR5)) },
+		func() Machine { return must(NewBasic(NonSegmented, M11BR5)) },
+		func() Machine { return must(NewBasic(CRAYLike, M11BR5)) },
+		func() Machine { return must(NewScoreboard(M11BR5)) },
+		func() Machine { return must(NewTomasulo(M11BR5)) },
+		func() Machine { return must(NewMultiIssue(M11BR5.WithIssue(4, bus.Bus1))) },
+		func() Machine { return must(NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN))) },
+		func() Machine { return must(NewRUU(M11BR5.WithIssue(2, bus.BusN).WithRUU(10))) },
 	}
-	for _, m := range machines {
+	for _, build := range builds {
+		m := build()
 		a := must(m.RunChecked(tr, Limits{})).Cycles
 		b := must(m.RunChecked(tr, Limits{})).Cycles
 		if a != b {
 			t.Errorf("%s: second run %d cycles, first %d", m.Name(), b, a)
+		}
+		for _, k := range loops.ByClass(loops.Scalar) {
+			kt := k.SharedTrace()
+			want := must(build().RunChecked(kt, Limits{}))
+			if _, err := m.RunChecked(kt, Limits{MaxCycles: 60}); err == nil {
+				t.Fatalf("%s on %s: no error under a 60-cycle budget", m.Name(), kt.Name)
+			}
+			if got := must(m.RunChecked(kt, Limits{})); got != want {
+				t.Errorf("%s on %s after an aborted run: %v, a fresh machine gives %v", m.Name(), kt.Name, got, want)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"mfup/internal/bus"
 	"mfup/internal/events"
@@ -69,10 +70,12 @@ func (m *multiIssueOOO) SetProbe(p probe.Probe) { m.probe = p }
 
 func (m *multiIssueOOO) SetRecorder(r *events.Recorder) { m.rec = r }
 
-// RunChecked simulates t under the limits. The issue scan steps cycle
-// by cycle within each instruction buffer, so the stall watchdog
-// applies here: a buffer in which nothing can ever issue would
-// otherwise spin the scan forever.
+// RunChecked simulates t under the limits. The issue scan runs cycle
+// by cycle within each instruction buffer, jumping over cycles in
+// which nothing can issue (Guard.Jump keeps the limits' errors at the
+// cycles stepping would report), so the stall watchdog applies here: a
+// buffer in which nothing can ever issue would otherwise spin the scan
+// forever.
 func (m *multiIssueOOO) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 	p := t.Prepared()
 	if err := scalarOnly(m.Name(), p); err != nil {
@@ -147,7 +150,14 @@ func (m *multiIssueOOO) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 			brGateIdx := -1 // buffer index of that branch
 			oldest := 0     // buffer index of the oldest unissued entry
 
-			for c := nextFetch; remaining > 0; c++ {
+			// In a cycle in which nothing issues no state changes, so
+			// every check that refused an entry keeps refusing it until
+			// the cycle that check returned: wake is the earliest such
+			// cycle over the entries the scan reached, and the scan
+			// jumps straight to it. An entry refused only by the result
+			// bus may pass on the very next cycle; one held back by an
+			// older unissued entry moves only after another issues.
+			for c := nextFetch; remaining > 0; {
 				if err := g.Stalled(c, int64(pos), snapshot); err != nil {
 					return Result{}, err
 				}
@@ -157,6 +167,8 @@ func (m *multiIssueOOO) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 				if err := g.Tick(c, int64(pos)); err != nil {
 					return Result{}, err
 				}
+				wake := int64(math.MaxInt64)
+				before := remaining
 				for i := oldest; i < size; i++ {
 					if issued[i] {
 						continue
@@ -164,6 +176,7 @@ func (m *multiIssueOOO) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 					if i > brGateIdx && brGate > c {
 						// Waiting on an earlier branch's resolution; so is
 						// everything younger.
+						wake = min(wake, brGate)
 						break
 					}
 					// An older unissued entry holds this one back, or
@@ -179,20 +192,30 @@ func (m *multiIssueOOO) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 					// Resource checks: everything must be satisfiable at
 					// exactly cycle c, else the instruction waits.
 					op := &t.Ops[pos+i]
-					if !(isBranch && m.cfg.PerfectBranches) &&
-						m.sb.EarliestFor(c, op.Dst, po.Reads()...) > c {
+					if !(isBranch && m.cfg.PerfectBranches) {
+						if e := m.sb.EarliestFor(c, op.Dst, po.Reads()...); e > c {
+							wake = min(wake, e)
+							continue
+						}
+					}
+					if e := m.pool.EarliestAccept(op.Unit, c); e > c {
+						wake = min(wake, e)
 						continue
 					}
-					if m.pool.EarliestAccept(op.Unit, c) > c {
-						continue
+					if po.Flags.Has(trace.FlagLoad) {
+						if e := m.mem.EarliestLoad(po.AddrID, c); e > c {
+							wake = min(wake, e)
+							continue
+						}
 					}
-					if po.Flags.Has(trace.FlagLoad) && m.mem.EarliestLoad(po.AddrID, c) > c {
-						continue
-					}
-					if po.Flags.Has(trace.FlagMemory) && m.banks.EarliestAccept(op.Addr, c) > c {
-						continue
+					if po.Flags.Has(trace.FlagMemory) {
+						if e := m.banks.EarliestAccept(op.Addr, c); e > c {
+							wake = min(wake, e)
+							continue
+						}
 					}
 					if usesResultBus(op) && !m.bt.Free(i, c+int64(m.pool.Latency(op.Unit))) {
+						wake = c + 1
 						continue
 					}
 
@@ -236,6 +259,11 @@ func (m *multiIssueOOO) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 						brGateIdx = i
 					}
 				}
+				if remaining < before {
+					c++
+				} else {
+					c = g.Jump(c, wake)
+				}
 			}
 		}
 
@@ -277,7 +305,8 @@ func (m *multiIssueOOO) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 // observer may be nil, not both — reasons is non-nil exactly when the
 // probe is. The duplication is deliberate — the unobserved loop in
 // RunChecked carries no attribution or event bookkeeping, which keeps
-// the nil path fast. Both loops take the buffer's hazards from the
+// the nil path fast, and it jumps over idle cycles, which this copy
+// must visit: a stall's reason can change inside an idle span. Both loops take the buffer's hazards from the
 // same blocker counts (countBlockers, releaseBlockers) and must stay
 // cycle-identical: any timing change goes into both copies, and the
 // probe and trace invariant tests and testdata/machines.golden

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"mfup/internal/bus"
 	"mfup/internal/events"
@@ -36,9 +36,9 @@ type tomasulo struct {
 	pool     *fu.Pool
 
 	inFlight [isa.NumUnits]int
-	regTag   [isa.NumRegs]*tomEntry
+	regTag   [isa.NumRegs]ref
 	regReady [isa.NumRegs]int64
-	memTag   []*tomEntry // by trace.PreparedOp.AddrID
+	memTag   []ref // by trace.PreparedOp.AddrID
 	memReady []int64
 
 	// cdb is the common data bus's self-invalidating reservation
@@ -47,20 +47,33 @@ type tomasulo struct {
 	// ever evicted by a later one.
 	cdb     []int64
 	cdbMask int64
-	pending []*tomEntry
-	probe   probe.Probe
-	rec     *events.Recorder
+
+	// Reservation-station entries live in slab[1:] (slot 0 is the
+	// zero-ref sentinel, as in the RUU) and are recycled through
+	// freeEnt as their results broadcast. The slab grows to the most
+	// entries ever in flight at once and keeps that size across runs,
+	// so a warmed machine allocates nothing per instruction.
+	slab    []tomEntry
+	freeEnt []ref
+	live    int // entries in flight
+
+	broadcasts cycleList // started entries by the cycle their result broadcasts
+	ready      []ref     // unstarted entries with every operand, oldest first
+
+	probe probe.Probe
+	rec   *events.Recorder
 }
 
 type tomEntry struct {
+	pos      int // trace position: issue order
 	op       *trace.Op
 	flags    trace.OpFlags
 	addrID   int32
 	depCount int
-	waiters  []*tomEntry
+	waiters  []ref
 	readyAt  int64
 	started  bool
-	doneAt   int64 // result broadcast cycle; MaxInt64 until started
+	inUse    bool
 }
 
 // NewTomasulo builds the §3.3 Tomasulo machine. cfg.RUUSize, when
@@ -78,8 +91,13 @@ func NewTomasulo(cfg Config) (Machine, error) {
 	}
 	pool := cfg.newPool()
 	pool.SegmentAll()
-	ring := bus.RingSize(cfg.horizon())
-	return &tomasulo{cfg: cfg, stations: stations, pool: pool, cdb: make([]int64, ring), cdbMask: int64(ring - 1)}, nil
+	horizon := cfg.horizon()
+	ring := bus.RingSize(horizon)
+	return &tomasulo{
+		cfg: cfg, stations: stations, pool: pool,
+		cdb: make([]int64, ring), cdbMask: int64(ring - 1),
+		slab: make([]tomEntry, 1), broadcasts: newCycleList(horizon),
+	}, nil
 }
 
 func (m *tomasulo) Name() string {
@@ -89,10 +107,10 @@ func (m *tomasulo) Name() string {
 func (m *tomasulo) reset(numAddrs int) {
 	m.pool.Reset()
 	m.inFlight = [isa.NumUnits]int{}
-	m.regTag = [isa.NumRegs]*tomEntry{}
+	m.regTag = [isa.NumRegs]ref{}
 	m.regReady = [isa.NumRegs]int64{}
 	if cap(m.memTag) < numAddrs {
-		m.memTag = make([]*tomEntry, numAddrs)
+		m.memTag = make([]ref, numAddrs)
 		m.memReady = make([]int64, numAddrs)
 	} else {
 		m.memTag = m.memTag[:numAddrs]
@@ -103,7 +121,39 @@ func (m *tomasulo) reset(numAddrs int) {
 	for i := range m.cdb {
 		m.cdb[i] = -1
 	}
-	m.pending = m.pending[:0]
+	m.freeEnt = m.freeEnt[:0]
+	for r := ref(len(m.slab) - 1); r > 0; r-- {
+		m.slab[r].inUse = false
+		m.freeEnt = append(m.freeEnt, r)
+	}
+	m.live = 0
+	m.broadcasts.reset()
+	m.ready = m.ready[:0]
+}
+
+// alloc takes a free reservation-station entry, growing the slab
+// when every entry is in flight.
+func (m *tomasulo) alloc() ref {
+	if n := len(m.freeEnt); n > 0 {
+		r := m.freeEnt[n-1]
+		m.freeEnt = m.freeEnt[:n-1]
+		return r
+	}
+	m.slab = append(m.slab, tomEntry{})
+	return ref(len(m.slab) - 1)
+}
+
+// insertReady files entry r in the age-ordered ready list. Arrivals
+// come nearly in age order, so the search runs from the tail.
+func (m *tomasulo) insertReady(r ref) {
+	l := append(m.ready, r)
+	pos := m.slab[r].pos
+	i := len(l) - 1
+	for ; i > 0 && m.slab[l[i-1]].pos > pos; i-- {
+		l[i] = l[i-1]
+	}
+	l[i] = r
+	m.ready = l
 }
 
 // cdbFree reports whether the common data bus is unreserved at cycle c.
@@ -115,15 +165,26 @@ func (m *tomasulo) SetProbe(p probe.Probe) { m.probe = p }
 
 func (m *tomasulo) SetRecorder(r *events.Recorder) { m.rec = r }
 
-// snapshot formats up to max in-flight reservation-station entries
-// for a stall diagnostic.
+// byIssue orders entries by issue, for slices.SortFunc.
+func (m *tomasulo) byIssue(a, b ref) int { return m.slab[a].pos - m.slab[b].pos }
+
+// snapshot formats up to max in-flight reservation-station entries,
+// in issue order, for a stall diagnostic.
 func (m *tomasulo) snapshot(max int) []string {
+	var live []ref
+	for r := 1; r < len(m.slab); r++ {
+		if m.slab[r].inUse {
+			live = append(live, ref(r))
+		}
+	}
+	slices.SortFunc(live, m.byIssue)
 	var out []string
-	for _, e := range m.pending {
+	for _, r := range live {
 		if len(out) == max {
-			out = append(out, fmt.Sprintf("... and %d more", len(m.pending)-max))
+			out = append(out, fmt.Sprintf("... and %d more", len(live)-max))
 			break
 		}
+		e := &m.slab[r]
 		state := "waiting"
 		if e.started {
 			state = "executing"
@@ -154,6 +215,7 @@ func (m *tomasulo) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 			lastEvent = c
 		}
 	}
+	observed := m.probe != nil || m.rec != nil
 	if m.probe != nil {
 		// One issue slot per cycle; occupancy levels range over the
 		// whole reservation-station pool.
@@ -163,7 +225,7 @@ func (m *tomasulo) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 		m.rec.Begin(m.Name(), t.Name, 1)
 	}
 
-	for c := int64(0); pos < len(t.Ops) || len(m.pending) > 0; c++ {
+	for c := int64(0); pos < len(t.Ops) || m.live > 0; c++ {
 		if err := g.Stalled(c, int64(pos), m.snapshot); err != nil {
 			return Result{}, err
 		}
@@ -174,16 +236,17 @@ func (m *tomasulo) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 			return Result{}, err
 		}
 		if m.probe != nil {
-			m.probe.Occupancy(len(m.pending), 1)
+			m.probe.Occupancy(m.live, 1)
 		}
 		// 1. Broadcasts: entries whose results appear this cycle free
 		// their stations and wake dependents (bypass: usable at c).
-		keep := m.pending[:0]
-		for _, e := range m.pending {
-			if !e.started || e.doneAt != c {
-				keep = append(keep, e)
-				continue
-			}
+		done := m.broadcasts.take(c)
+		if observed && len(done) > 1 {
+			// Report the cycle's broadcasts in issue order.
+			slices.SortFunc(done, m.byIssue)
+		}
+		for _, r := range done {
+			e := &m.slab[r]
 			if m.probe != nil {
 				m.probe.Writeback(c, e.op.Unit, int64(m.pool.Latency(e.op.Unit)))
 			}
@@ -195,56 +258,65 @@ func (m *tomasulo) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 				m.rec.RecordCommit(e.op.Seq, c)
 			}
 			m.inFlight[e.op.Unit]--
-			if e.op.Dst.Valid() && m.regTag[e.op.Dst] == e {
-				m.regTag[e.op.Dst] = nil
+			if e.op.Dst.Valid() && m.regTag[e.op.Dst] == r {
+				m.regTag[e.op.Dst] = 0
 				m.regReady[e.op.Dst] = c
 			}
-			if e.flags.Has(trace.FlagStore) && m.memTag[e.addrID] == e {
-				m.memTag[e.addrID] = nil
+			if e.flags.Has(trace.FlagStore) && m.memTag[e.addrID] == r {
+				m.memTag[e.addrID] = 0
 				m.memReady[e.addrID] = c
 			}
-			for _, w := range e.waiters {
-				w.depCount--
-				if w.depCount == 0 && c > w.readyAt {
-					w.readyAt = c
+			for _, wr := range e.waiters {
+				w := &m.slab[wr]
+				if w.depCount--; w.depCount == 0 {
+					if c > w.readyAt {
+						w.readyAt = c
+					}
+					m.insertReady(wr)
 				}
 			}
-			e.waiters = nil
+			e.waiters = e.waiters[:0]
+			e.inUse = false
+			m.freeEnt = append(m.freeEnt, r)
+			m.live--
 			bump(c)
 			g.Progress(c)
 		}
-		m.pending = keep
 
 		// 2. Begin execution: stations with ready operands start at
 		// their unit, reserving a common-data-bus slot for their
-		// completion. Oldest first (pending is in issue order).
-		for _, e := range m.pending {
-			if e.started || e.depCount > 0 || e.readyAt > c {
-				continue
-			}
-			unit := e.op.Unit
-			if m.pool.EarliestAccept(unit, c) > c {
-				continue
-			}
-			done := c + int64(m.pool.Latency(unit))
-			usesCDB := e.op.Dst.Valid()
-			if usesCDB && !m.cdbFree(done) {
-				continue // retry next cycle
-			}
-			m.pool.Accept(unit, c)
-			if usesCDB {
-				m.cdbReserve(done)
-			}
-			if m.rec != nil {
-				m.rec.RecordExec(e.op.Seq, c, unit, done-c)
-				if usesCDB {
-					m.rec.RecordResultBus(e.op.Seq, done, 0)
+		// completion. Oldest first.
+		if len(m.ready) > 0 {
+			keep := m.ready[:0]
+			for _, r := range m.ready {
+				e := &m.slab[r]
+				unit := e.op.Unit
+				if e.readyAt > c || m.pool.EarliestAccept(unit, c) > c {
+					keep = append(keep, r)
+					continue
 				}
+				done := c + int64(m.pool.Latency(unit))
+				usesCDB := e.op.Dst.Valid()
+				if usesCDB && !m.cdbFree(done) {
+					keep = append(keep, r) // retry next cycle
+					continue
+				}
+				m.pool.Accept(unit, c)
+				if usesCDB {
+					m.cdbReserve(done)
+				}
+				if m.rec != nil {
+					m.rec.RecordExec(e.op.Seq, c, unit, done-c)
+					if usesCDB {
+						m.rec.RecordResultBus(e.op.Seq, done, 0)
+					}
+				}
+				e.started = true
+				m.broadcasts.add(done, r)
+				bump(done)
+				g.Progress(c)
 			}
-			e.started = true
-			e.doneAt = done
-			bump(done)
-			g.Progress(c)
+			m.ready = keep
 		}
 
 		// 3. Issue: one instruction per cycle into a reservation
@@ -277,7 +349,7 @@ func (m *tomasulo) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 					stall := false
 					a0 := int64(0)
 					if po.Flags.Has(trace.FlagConditional) {
-						if m.regTag[isa.A0] != nil {
+						if m.regTag[isa.A0] != 0 {
 							stall = true // A0 still in flight
 						} else {
 							a0 = m.regReady[isa.A0]
@@ -311,31 +383,42 @@ func (m *tomasulo) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 					m.rec.RecordIssue(op.Seq, c)
 				}
 				m.inFlight[op.Unit]++
-				e := &tomEntry{op: op, flags: po.Flags, addrID: po.AddrID, doneAt: math.MaxInt64, readyAt: c + 1}
+				r := m.alloc()
+				e := &m.slab[r]
+				// Field-wise reinitialization keeps the recycled
+				// waiters capacity (see the RUU's issue loop). A slot
+				// freed by reset, not by its broadcast, still holds the
+				// waiters of an aborted run.
+				e.pos, e.op, e.flags, e.addrID = pos, op, po.Flags, po.AddrID
+				e.depCount, e.readyAt, e.started, e.inUse = 0, c+1, false, true
+				e.waiters = e.waiters[:0]
+				m.live++
 				pos++
-				for _, r := range po.Reads() {
-					if prod := m.regTag[r]; prod != nil {
-						prod.waiters = append(prod.waiters, e)
+				for _, rg := range po.Reads() {
+					if prod := m.regTag[rg]; prod != 0 {
+						m.slab[prod].waiters = append(m.slab[prod].waiters, r)
 						e.depCount++
-					} else if m.regReady[r] > e.readyAt {
-						e.readyAt = m.regReady[r]
+					} else if m.regReady[rg] > e.readyAt {
+						e.readyAt = m.regReady[rg]
 					}
 				}
 				if po.Flags.Has(trace.FlagMemory) {
-					if prod := m.memTag[po.AddrID]; prod != nil {
-						prod.waiters = append(prod.waiters, e)
+					if prod := m.memTag[po.AddrID]; prod != 0 {
+						m.slab[prod].waiters = append(m.slab[prod].waiters, r)
 						e.depCount++
 					} else if d := m.memReady[po.AddrID]; d > e.readyAt {
 						e.readyAt = d
 					}
 				}
 				if po.Flags.Has(trace.FlagHasDst) {
-					m.regTag[op.Dst] = e
+					m.regTag[op.Dst] = r
 				}
 				if po.Flags.Has(trace.FlagStore) {
-					m.memTag[po.AddrID] = e
+					m.memTag[po.AddrID] = r
 				}
-				m.pending = append(m.pending, e)
+				if e.depCount == 0 {
+					m.insertReady(r)
+				}
 				bump(c)
 				g.Progress(c)
 			} else if m.probe != nil {

@@ -169,9 +169,6 @@ func PlanSweep(sweep SweepSpec) (*Planned, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("dse: sweep expands to no valid machine definitions")
-	}
 
 	w := workloadFor(s)
 	ts := w.Traces()
@@ -227,9 +224,14 @@ func (pl *Planned) Finish() *Report {
 
 // Run executes the sweep: expand, price, predict, prune, simulate,
 // and assemble the frontier. The sweep is canonicalized first, so any
-// parsed spec works. Cancellation via ctx skips unstarted points; the
-// partial report still assembles.
+// parsed spec works. Invalid execution limits are refused before
+// planning. Cancellation via ctx skips unstarted points; the partial
+// report still assembles.
 func Run(ctx context.Context, sweep SweepSpec, opt Options) (*Report, error) {
+	ro := runner.Options{Parallel: opt.Parallel, Limits: opt.Limits}
+	if err := ro.Validate(); err != nil {
+		return nil, err
+	}
 	pl, err := PlanSweep(sweep)
 	if err != nil {
 		return nil, err
@@ -237,7 +239,8 @@ func Run(ctx context.Context, sweep SweepSpec, opt Options) (*Report, error) {
 	r := pl.Report
 
 	// Partition the survivors against the journal, then fan the rest
-	// out over the worker pool.
+	// out over the worker pool. Points whose machines are the same
+	// machine (machdef.Identity) share one run.
 	var tasks []runner.Task
 	var taskIdx []int
 	for _, i := range pl.Need {
@@ -253,10 +256,9 @@ func Run(ctx context.Context, sweep SweepSpec, opt Options) (*Report, error) {
 		taskIdx = append(taskIdx, i)
 	}
 
-	results, _, errs := runner.RunCheckedStats(ctx, runner.Options{
-		Parallel: opt.Parallel,
-		Limits:   opt.Limits,
-	}, tasks)
+	results, _, errs := runner.RunDistinct(ctx, ro, tasks, func(ti int) (machdef.Identity, bool) {
+		return r.Points[taskIdx[ti]].Spec.Identity()
+	})
 	failed := make(map[int]string)
 	for _, e := range errs {
 		i := taskIdx[e.Task]

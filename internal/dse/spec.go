@@ -20,9 +20,10 @@ import (
 )
 
 // DefaultMaxPoints bounds how many machine definitions one sweep may
-// expand to; SweepSpec.MaxPoints overrides it. The bound is explicit,
-// not a silent truncation: an over-budget sweep is an error naming
-// the product.
+// expand to; SweepSpec.MaxPoints overrides it, except in a sweep sent
+// to a service (ParseRequest), which may not raise it. The bound is
+// explicit, not a silent truncation: an over-budget sweep is an error
+// naming the product.
 const DefaultMaxPoints = 10000
 
 // SweepSpec is the wire form of one design-space sweep: a base
@@ -76,9 +77,17 @@ type PruneSpec struct {
 // ([1,2,4] or ["nbus","1bus"]) or a range object
 // ({"from":1,"to":8,"step":2}). Values are sorted and deduplicated,
 // so two sweeps listing the same set in different orders share a Key.
+//
+// A range is counted, not built, when it is decoded. Canonicalize
+// builds it into Ints only when it holds no more values than the
+// sweep's point cap; a longer one stays a range, which Expand refuses
+// by name. So a document's size, not its numbers, bounds what parsing
+// it allocates.
 type Axis struct {
 	Ints []int    `json:"-"`
 	Strs []string `json:"-"`
+
+	rng *axisRange // a decoded range not yet built into Ints
 }
 
 // axisRange is the range wire form.
@@ -86,6 +95,25 @@ type axisRange struct {
 	From int `json:"from"`
 	To   int `json:"to"`
 	Step int `json:"step,omitempty"`
+}
+
+// over reports whether the range holds more than limit values. It
+// counts (to-from)/step+1 in unsigned arithmetic, which cannot
+// overflow for to >= from and step >= 1.
+func (r axisRange) over(limit int) bool {
+	return (uint64(r.To)-uint64(r.From))/uint64(r.Step) >= uint64(limit)
+}
+
+// values builds the range, which must not be over any cap. It steps
+// by count, not by comparing against To, so a range that ends near
+// the largest int cannot wrap around and run on.
+func (r axisRange) values() []int {
+	n := (uint64(r.To) - uint64(r.From)) / uint64(r.Step)
+	vs := make([]int, 0, n+1)
+	for i, v := uint64(0), r.From; i <= n; i, v = i+1, v+r.Step {
+		vs = append(vs, v)
+	}
+	return vs
 }
 
 // UnmarshalJSON accepts the list and range forms.
@@ -107,9 +135,7 @@ func (a *Axis) UnmarshalJSON(b []byte) error {
 		if r.To < r.From {
 			return fmt.Errorf("axis range: to %d below from %d", r.To, r.From)
 		}
-		for v := r.From; v <= r.To; v += r.Step {
-			a.Ints = append(a.Ints, v)
-		}
+		a.rng = &r
 		return nil
 	}
 	var raw []json.RawMessage
@@ -135,8 +161,12 @@ func (a *Axis) UnmarshalJSON(b []byte) error {
 }
 
 // MarshalJSON renders the canonical (sorted, deduplicated) value
-// list, which is what Key hashes.
+// list, which is what Key hashes. A range too long to build renders
+// in its range form; such a sweep never expands.
 func (a Axis) MarshalJSON() ([]byte, error) {
+	if a.rng != nil {
+		return json.Marshal(a.rng)
+	}
 	if len(a.Strs) > 0 {
 		return json.Marshal(a.Strs)
 	}
@@ -187,7 +217,7 @@ var intAxes = map[string]bool{
 func checkAxis(name string, a Axis) error {
 	switch {
 	case stringAxes[name]:
-		if len(a.Ints) > 0 {
+		if len(a.Ints) > 0 || a.rng != nil {
 			return fmt.Errorf("axis %q takes strings, got integers", name)
 		}
 		if name == "kind" {
@@ -204,7 +234,7 @@ func checkAxis(name string, a Axis) error {
 	default:
 		return fmt.Errorf("unknown axis %q (scalar knobs: kind, bus, mem, br, width, buses, ruu, stations, membanks; per-unit: fulat.<Unit>, fucount.<Unit>)", name)
 	}
-	if a.len() == 0 {
+	if a.len() == 0 && a.rng == nil {
 		return fmt.Errorf("axis %q has no values", name)
 	}
 	return nil
@@ -223,8 +253,17 @@ func (s SweepSpec) Canonicalize() (SweepSpec, error) {
 		return c, fmt.Errorf("dse: base: the vector machine has its own datapath and is outside the sweep space")
 	}
 	c.Base = base
+	if c.MaxPoints == 0 {
+		c.MaxPoints = DefaultMaxPoints
+	}
+	if c.MaxPoints < 1 {
+		return c, fmt.Errorf("dse: maxpoints %d must be positive", s.MaxPoints)
+	}
 	axes := make(map[string]Axis, len(c.Axes))
 	for name, a := range c.Axes {
+		if a.rng != nil && !a.rng.over(c.MaxPoints) {
+			a.Ints, a.rng = a.rng.values(), nil
+		}
 		a.canonical()
 		if err := checkAxis(name, a); err != nil {
 			return c, fmt.Errorf("dse: %w", err)
@@ -241,12 +280,6 @@ func (s SweepSpec) Canonicalize() (SweepSpec, error) {
 	}
 	if c.Scale < 0 {
 		return c, fmt.Errorf("dse: scale %d cannot be negative", c.Scale)
-	}
-	if c.MaxPoints == 0 {
-		c.MaxPoints = DefaultMaxPoints
-	}
-	if c.MaxPoints < 1 {
-		return c, fmt.Errorf("dse: maxpoints %d must be positive", s.MaxPoints)
 	}
 	if c.Prune != nil {
 		p := *c.Prune
@@ -267,13 +300,37 @@ func (s SweepSpec) Canonicalize() (SweepSpec, error) {
 // Parse strictly decodes a JSON sweep specification — unknown fields
 // are errors — and canonicalizes it.
 func Parse(data []byte) (SweepSpec, error) {
+	s, err := decode(data)
+	if err != nil {
+		return SweepSpec{}, err
+	}
+	return s.Canonicalize()
+}
+
+// ParseRequest is Parse for a sweep sent to a service: the document
+// may not raise maxpoints past DefaultMaxPoints. The check comes
+// before canonicalization, so a request can never make a service
+// build a longer range than the default cap allows.
+func ParseRequest(data []byte) (SweepSpec, error) {
+	s, err := decode(data)
+	if err != nil {
+		return SweepSpec{}, err
+	}
+	if s.MaxPoints > DefaultMaxPoints {
+		return SweepSpec{}, fmt.Errorf("dse: maxpoints %d exceeds the service limit of %d", s.MaxPoints, DefaultMaxPoints)
+	}
+	return s.Canonicalize()
+}
+
+// decode strictly decodes a JSON sweep specification.
+func decode(data []byte) (SweepSpec, error) {
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()
 	var s SweepSpec
 	if err := dec.Decode(&s); err != nil {
 		return SweepSpec{}, fmt.Errorf("dse: parsing sweep: %v", err)
 	}
-	return s.Canonicalize()
+	return s, nil
 }
 
 // ParseFile reads and parses the sweep specification at path.
@@ -357,15 +414,21 @@ func (s SweepSpec) Expand() (specs []machdef.Spec, expanded, invalid int, err er
 // (keys[i] is specs[i].Key()), computing it once per combination.
 func (s SweepSpec) expand() (specs []machdef.Spec, keys []string, expanded, invalid int, err error) {
 	names := make([]string, 0, len(s.Axes))
-	product := 1
-	for name, a := range s.Axes {
+	for name := range s.Axes {
 		names = append(names, name)
+	}
+	sort.Strings(names)
+	product := 1
+	for _, name := range names {
+		a := s.Axes[name]
+		if r := a.rng; r != nil {
+			return nil, nil, 0, 0, fmt.Errorf("dse: axis %q: range from %d to %d step %d holds more values than the %d-point cap; shrink the range or raise maxpoints", name, r.From, r.To, r.Step, s.MaxPoints)
+		}
 		product *= a.len()
 		if product > s.MaxPoints {
 			return nil, nil, 0, 0, fmt.Errorf("dse: sweep expands to at least %d points, over the %d-point cap; shrink the axes or raise maxpoints", product, s.MaxPoints)
 		}
 	}
-	sort.Strings(names)
 
 	type keyed struct {
 		spec machdef.Spec
@@ -408,6 +471,9 @@ func (s SweepSpec) expand() (specs []machdef.Spec, keys []string, expanded, inva
 		if i < 0 {
 			break
 		}
+	}
+	if len(points) == 0 {
+		return nil, nil, 0, 0, fmt.Errorf("dse: sweep expands to no valid machine definitions")
 	}
 	sort.Slice(points, func(a, b int) bool { return points[a].key < points[b].key })
 	specs = make([]machdef.Spec, len(points))

@@ -387,6 +387,32 @@ func (s Spec) Config() (core.Config, error) {
 	return cfg, nil
 }
 
+// Identity is the machine a canonical spec builds, as a comparable
+// value: two specs with equal identities give the same Result on every
+// trace, their machines' names aside. It is the compiled configuration,
+// so computing it costs neither JSON nor a hash.
+type Identity struct {
+	kind string
+	cfg  core.Config
+}
+
+// Identity returns the identity of the machine s builds; ok is false
+// when s does not compile. It folds the one equivalence between
+// different specs: with a single issue unit, a multi, ooo or ruu
+// machine on nbus, 1bus, or xbar with at most one bus builds one result
+// bus with one slot per cycle, and the RUU one bank, whichever is
+// named. A crossbar of two or more buses is a different machine.
+func (s Spec) Identity() (id Identity, ok bool) {
+	cfg, err := s.Config()
+	if err != nil {
+		return Identity{}, false
+	}
+	if kinds[s.Kind].multi && cfg.IssueUnits == 1 && cfg.BusCount <= 1 {
+		cfg.Bus, cfg.BusCount = bus.BusN, 0
+	}
+	return Identity{kind: s.Kind, cfg: cfg}, true
+}
+
 // New compiles a canonical spec into a concrete machine. Construction
 // errors surface as structured errors, never panics.
 func (s Spec) New() (core.Machine, error) {

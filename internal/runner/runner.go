@@ -43,7 +43,9 @@ type Task struct {
 	// Machine.RunChecked fully resets state between runs — which keeps
 	// the machine's internal allocations amortized as in a serial
 	// sweep. A constructor error is raised as a panic, which the cell's
-	// recover turns into a CellError.
+	// recover turns into a CellError. (RunDistinct calls a duplicate
+	// task's New on its own goroutine instead, only to read the
+	// machine's Name.)
 	New func() core.Machine
 
 	// Traces drive the runs. A trace may be shared with any number of
@@ -74,6 +76,7 @@ type TaskStat struct {
 	Events        int64         // events recorded (0 without a Recorder)
 	EventsDropped int64         // events dropped at the recorder's cap
 	Retries       int64         // re-attempts of transiently failed runs
+	Shared        bool          // took another task's run (RunDistinct)
 }
 
 // Workers normalizes a parallelism request: n itself when positive,

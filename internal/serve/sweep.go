@@ -40,14 +40,16 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("reading sweep spec: %v", err), 0)
 		return
 	}
-	sw, err := dse.Parse(body)
+	sw, err := dse.ParseRequest(body)
 	if err != nil {
 		s.stats.badSpec.Add(1)
 		s.writeError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
-	// Expansion errors (over the point cap) are deterministic spec
-	// defects; surface them at admission, not from a worker.
+	// Expansion errors (over the point cap, or no valid machine) are
+	// deterministic spec defects; surface them at admission, not from
+	// a worker. ParseRequest has already refused a maxpoints above
+	// dse.DefaultMaxPoints.
 	if _, _, _, err := sw.Expand(); err != nil {
 		s.stats.badSpec.Add(1)
 		s.writeError(w, http.StatusBadRequest, err.Error(), 0)

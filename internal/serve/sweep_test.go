@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -118,5 +120,36 @@ func TestSweepJournalSurvivesRestart(t *testing.T) {
 	}
 	if rep.Simulated != 0 || rep.FromJournal != 2 {
 		t.Fatalf("restarted sweep simulated %d, journal-served %d; want 0 and 2", rep.Simulated, rep.FromJournal)
+	}
+}
+
+// Sweep documents that ask for unbounded work are refused at admission
+// with 400, and the daemon stays ready: a range whose step wraps past
+// the largest int, a range of two billion values, and a maxpoints
+// above dse.DefaultMaxPoints.
+func TestSweepPoisonDocumentsRefused(t *testing.T) {
+	_, hs := testServer(t, Config{Workers: 1})
+	for _, tc := range []struct{ doc, want string }{
+		{`{"base":{"kind":"ooo"},"axes":{"width":{"from":9223372036854775800,"to":9223372036854775807,"step":5}}}`, "no valid machine definitions"},
+		{`{"base":{"kind":"ooo"},"axes":{"width":{"from":1,"to":2000000000}}}`, `axis \"width\"`},
+		{`{"base":{"kind":"ooo"},"axes":{"width":{"from":1,"to":100},"mem":{"from":1,"to":40},"br":{"from":1,"to":50}},"maxpoints":1000000}`, "exceeds the service limit"},
+	} {
+		resp, err := http.Post(hs.URL+"/v1/sweeps?wait=1", "application/json", strings.NewReader(tc.doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
+			t.Errorf("%s: %d %s, want 400 naming %q", tc.doc, resp.StatusCode, body, tc.want)
+		}
+	}
+	resp, err := http.Get(hs.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/readyz after the poison documents: %d, want 200", resp.StatusCode)
 	}
 }

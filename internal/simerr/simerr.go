@@ -246,6 +246,29 @@ func (g *Guard) Stalled(c, instr int64, snapshot func(max int) []string) *SimErr
 	return g.stalled(c, instr, snapshot)
 }
 
+// Jump returns the cycle a cycle-stepped machine moves to after cycle
+// c when it knows nothing can happen before cycle next: next itself,
+// pulled back to the first cycle at which Over or Stalled would fire
+// on the scan clock, so a budget or watchdog error carries the same
+// cycle and instruction as stepping through every cycle would. Jump
+// never returns less than c+1. An armed fault schedule is counted in
+// Tick calls, so while one is armed Jump refuses to skip and returns
+// c+1.
+func (g *Guard) Jump(c, next int64) int64 {
+	if g.armed || next <= c+1 {
+		return c + 1
+	}
+	if g.maxCycles > 0 && next > g.maxCycles+1 {
+		next = max(g.maxCycles+1, c+1)
+	}
+	if g.stallCycles > 0 {
+		if fire := g.lastProgress + g.stallCycles + 1; next > fire {
+			next = max(fire, c+1)
+		}
+	}
+	return next
+}
+
 func (g *Guard) stalled(c, instr int64, snapshot func(max int) []string) *SimError {
 	e := g.fail(KindStall, c, instr)
 	e.Msg = fmt.Sprintf("nothing issued or completed for %d cycles (last progress at cycle %d)",

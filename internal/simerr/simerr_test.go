@@ -69,3 +69,36 @@ func TestGuardDeadline(t *testing.T) {
 		t.Errorf("expired deadline never fired: %+v", err)
 	}
 }
+
+// TestGuardJump pins the clamp the next-event scan takes its jumps
+// through: a jump stops at the first cycle at which the budget or the
+// watchdog would fire, never goes backwards, and is refused while a
+// fault schedule is armed.
+func TestGuardJump(t *testing.T) {
+	g := NewGuard("m", "t", 100, 10, time.Time{})
+	g.Progress(40)
+	for _, tc := range []struct{ c, next, want int64 }{
+		{41, 45, 45},  // inside both limits
+		{41, 42, 42},  // the next cycle
+		{41, 41, 42},  // never backwards
+		{41, 80, 51},  // the watchdog fires at lastProgress+StallCycles+1
+		{60, 200, 61}, // already past the watchdog cycle: step
+	} {
+		if got := g.Jump(tc.c, tc.next); got != tc.want {
+			t.Errorf("Jump(%d, %d) = %d, want %d", tc.c, tc.next, got, tc.want)
+		}
+	}
+	budget := NewGuard("m", "t", 100, 0, time.Time{})
+	if got := budget.Jump(50, 500); got != 101 {
+		t.Errorf("budget Jump(50, 500) = %d, want 101", got)
+	}
+	armed := NewGuard("m", "t", 0, 0, time.Time{})
+	armed.Inject(InjectedFault{ErrAt: 1000})
+	if got := armed.Jump(50, 500); got != 51 {
+		t.Errorf("armed Jump(50, 500) = %d, want 51", got)
+	}
+	free := NewGuard("m", "t", 0, 0, time.Time{})
+	if got := free.Jump(50, 500); got != 500 {
+		t.Errorf("unbounded Jump(50, 500) = %d, want 500", got)
+	}
+}

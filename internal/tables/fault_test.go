@@ -11,6 +11,7 @@ import (
 	"mfup/internal/core"
 	"mfup/internal/events"
 	"mfup/internal/loops"
+	"mfup/internal/machdef"
 	"mfup/internal/probe"
 	"mfup/internal/runner"
 	"mfup/internal/trace"
@@ -34,17 +35,17 @@ func TestBatchIsolatesPanickingCell(t *testing.T) {
 	healthy := func() core.Machine { return must(core.NewBasic(core.CRAYLike, core.M11BR5)) }
 
 	var ref batch
-	ref.cell(healthy, ts)
-	ref.cell(healthy, ts)
+	ref.cell(machdef.Spec{}, healthy, ts)
+	ref.cell(machdef.Spec{}, healthy, ts)
 	refRates, refErrs := ref.rates()
 	if len(refErrs) != 0 {
 		t.Fatalf("reference batch failed: %v", refErrs)
 	}
 
 	var b batch
-	b.cell(healthy, ts)
-	b.cell(func() core.Machine { return &explodingMachine{} }, ts)
-	b.cell(healthy, ts)
+	b.cell(machdef.Spec{}, healthy, ts)
+	b.cell(machdef.Spec{}, func() core.Machine { return &explodingMachine{} }, ts)
+	b.cell(machdef.Spec{}, healthy, ts)
 	rates, errs := b.rates()
 
 	if len(rates) != 3 {

@@ -9,6 +9,7 @@ import (
 	"mfup/internal/core"
 	"mfup/internal/events"
 	"mfup/internal/loops"
+	"mfup/internal/machdef"
 	"mfup/internal/probe"
 	"mfup/internal/trace"
 )
@@ -176,8 +177,8 @@ func (zeroRateMachine) RunChecked(t *trace.Trace, lim core.Limits) (core.Result,
 func TestBatchRejectsNonPositiveRate(t *testing.T) {
 	ts := classTraces(loops.Scalar)
 	var b batch
-	b.cell(func() core.Machine { return must(core.NewBasic(core.CRAYLike, core.M11BR5)) }, ts)
-	b.cell(func() core.Machine { return zeroRateMachine{} }, ts)
+	b.cell(machdef.Spec{}, func() core.Machine { return must(core.NewBasic(core.CRAYLike, core.M11BR5)) }, ts)
+	b.cell(machdef.Spec{}, func() core.Machine { return zeroRateMachine{} }, ts)
 	rates, errs := b.rates()
 
 	if len(rates) != 2 {

@@ -12,6 +12,14 @@
 // fan out across a worker pool (internal/runner) bounded by
 // SetParallel — GOMAXPROCS by default. Results are assembled by cell
 // index, so a table's contents are bit-identical at any worker count.
+//
+// A cell whose machine is the same machine as another cell's in its
+// table, over the same traces, takes that cell's run instead of
+// simulating its own (runner.RunDistinct, machdef.Spec.Identity). With
+// one issue unit the N-Bus and 1-Bus interconnects are one result bus,
+// so each width-1 1-Bus cell of Tables 3-8 is its N-Bus twin. Sharing
+// changes the work only: every rate, error and journal line is the
+// one the cell's own run would give.
 package tables
 
 import (
@@ -373,6 +381,16 @@ func (t *Table) fill(labels []string, rates []float64) {
 	}
 }
 
+// resolve runs every cell of b and lays the results out in t: rates
+// row-major under labels, metrics, failures and retries.
+func (t *Table) resolve(labels []string, b *batch) {
+	rates, errs := b.rates()
+	t.fill(labels, rates)
+	t.attachMetrics(labels, b)
+	t.Errors = errs
+	t.Retries = b.retries
+}
+
 // attachMetrics records each cell's observability record — counters,
 // recorder, telemetry — with its grid position, in the same row-major
 // order as fill. A no-op when neither metrics nor trace collection
@@ -416,6 +434,7 @@ func classTraces(c loops.Class) []*trace.Trace {
 type batch struct {
 	table     int // table number, the checkpoint journal key
 	tasks     []runner.Task
+	specs     []machdef.Spec     // per cell: its machine definition
 	probes    []*probe.Counters  // per cell; nil entries when collection is off
 	recorders []*events.Recorder // per cell; nil entries when tracing is off
 	stats     []runner.TaskStat  // per cell, filled by rates
@@ -424,7 +443,10 @@ type batch struct {
 }
 
 // cell schedules one grid cell: one machine from mk over all traces.
-func (b *batch) cell(mk func() core.Machine, ts []*trace.Trace) {
+// s is the machine's definition, which names it for sharing a run
+// (see rates); a machine not built from one passes the zero Spec and
+// runs alone.
+func (b *batch) cell(s machdef.Spec, mk func() core.Machine, ts []*trace.Trace) {
 	if virtual := workload().Virtual; Extrapolate() || len(virtual) > 0 {
 		inner := mk
 		// Best effort: the rare machine/loop pair with no steady state
@@ -446,6 +468,7 @@ func (b *batch) cell(mk func() core.Machine, ts []*trace.Trace) {
 		b.observed = true
 	}
 	b.tasks = append(b.tasks, t)
+	b.specs = append(b.specs, s)
 	b.probes = append(b.probes, c)
 	b.recorders = append(b.recorders, r)
 }
@@ -477,7 +500,18 @@ func (b *batch) rates() ([]float64, []*runner.CellError) {
 		origIdx = append(origIdx, i)
 	}
 
-	results, taskStats, errs := runner.RunCheckedStats(batchContext(), runnerOptions(), run)
+	// Cells whose machines are the same machine (machdef.Identity) on
+	// the same traces share one run. Only the cells that simulate pay
+	// for an identity: a full resume computes none. A cell whose spec
+	// does not canonicalize (the zero Spec, say) runs alone.
+	results, taskStats, errs := runner.RunDistinct(batchContext(), runnerOptions(), run,
+		func(ri int) (machdef.Identity, bool) {
+			c, err := machdef.Canonicalize(b.specs[origIdx[ri]])
+			if err != nil {
+				return machdef.Identity{}, false
+			}
+			return c.Identity()
+		})
 
 	// Remap everything the runner reported from run order back to cell
 	// order, so grid layout, metrics, and error coordinates are
@@ -590,7 +624,7 @@ func ruuSpec(cfg core.Config, n int, busName string, size int) machdef.Spec {
 // programming error: the constructor panics, and the runner's
 // per-cell recovery turns that into the cell's ERR entry.
 func (b *batch) defCell(s machdef.Spec, ts []*trace.Trace) {
-	b.cell(func() core.Machine {
+	b.cell(s, func() core.Machine {
 		c, err := machdef.Canonicalize(s)
 		if err == nil {
 			var m core.Machine
@@ -696,11 +730,7 @@ func Table1() *Table {
 			}
 		}
 	}
-	rates, errs := b.rates()
-	t.fill(labels, rates)
-	t.attachMetrics(labels, &b)
-	t.Errors = errs
-	t.Retries = b.retries
+	t.resolve(labels, &b)
 	return t
 }
 
@@ -817,11 +847,7 @@ func multiIssueTable(number int, title string, class loops.Class, kind string) *
 			b.defCell(multiSpec(kind, cfg, n, "1bus"), ts)
 		}
 	}
-	rates, errs := b.rates()
-	t.fill(labels, rates)
-	t.attachMetrics(labels, &b)
-	t.Errors = errs
-	t.Retries = b.retries
+	t.resolve(labels, &b)
 	return t
 }
 
@@ -877,11 +903,7 @@ func ruuTable(number int, title string, class loops.Class) *Table {
 			}
 		}
 	}
-	rates, errs := b.rates()
-	t.fill(labels, rates)
-	t.attachMetrics(labels, &b)
-	t.Errors = errs
-	t.Retries = b.retries
+	t.resolve(labels, &b)
 	return t
 }
 
@@ -963,10 +985,6 @@ func SectionThreeThree() *Table {
 			}
 		}
 	}
-	rates, errs := b.rates()
-	t.fill(labels, rates)
-	t.attachMetrics(labels, &b)
-	t.Errors = errs
-	t.Retries = b.retries
+	t.resolve(labels, &b)
 	return t
 }
