@@ -40,6 +40,8 @@ func TestRunAllocations(t *testing.T) {
 // that has a period but fails the tail identity check (LFK 14): once
 // warmed, the wrapper decides from the cached period and the cached
 // tail verdict, so its run allocates no more than the bare machine's.
+// The two counts are compared only without the race detector, which
+// makes them differ between two runs of the same machine.
 func TestExtrapolatorFallbackAllocations(t *testing.T) {
 	k, err := loops.Get(14)
 	if err != nil {
@@ -59,7 +61,7 @@ func TestExtrapolatorFallbackAllocations(t *testing.T) {
 	bareAllocs := testing.AllocsPerRun(5, func() { must(bare.RunChecked(tr, Limits{})) })
 	wrappedAllocs := testing.AllocsPerRun(5, func() { must(e.RunChecked(tr, Limits{})) })
 	t.Logf("%s on %s: %.0f allocations bare, %.0f wrapped", bare.Name(), tr.Name, bareAllocs, wrappedAllocs)
-	if wrappedAllocs > bareAllocs {
+	if !raceEnabled && wrappedAllocs > bareAllocs {
 		t.Errorf("fallback run made %.0f allocations, the bare machine %.0f", wrappedAllocs, bareAllocs)
 	}
 }

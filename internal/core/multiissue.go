@@ -381,3 +381,6 @@ func (m *multiIssue) issueReason(op *trace.Op, po *trace.PreparedOp, isBranch bo
 
 // machineConfig exposes the configuration to the extrapolation engine.
 func (m *multiIssue) machineConfig() Config { return m.cfg }
+
+// unitsRefused exposes the pool's refusals to UnitsRefused.
+func (m *multiIssue) unitsRefused() fu.UnitSet { return m.pool.Refused() }

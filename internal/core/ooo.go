@@ -599,3 +599,6 @@ func (m *multiIssueOOO) hazardReason(t *trace.Trace, p *trace.Prepared, pos, i i
 
 // machineConfig exposes the configuration to the extrapolation engine.
 func (m *multiIssueOOO) machineConfig() Config { return m.cfg }
+
+// unitsRefused exposes the pool's refusals to UnitsRefused.
+func (m *multiIssueOOO) unitsRefused() fu.UnitSet { return m.pool.Refused() }

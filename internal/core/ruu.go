@@ -149,6 +149,9 @@ type ruuMachine struct {
 // machineConfig exposes the configuration to the extrapolation engine.
 func (s *ruuMachine) machineConfig() Config { return s.cfg }
 
+// unitsRefused exposes the pool's refusals to UnitsRefused.
+func (s *ruuMachine) unitsRefused() fu.UnitSet { return s.pool.Refused() }
+
 // NewRUU builds the §5.3 machine: cfg.IssueUnits issue units over a
 // cfg.RUUSize-entry Register Update Unit with the cfg.Bus
 // interconnect (bus.BusN or bus.Bus1). It reports an invalid

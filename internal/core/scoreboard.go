@@ -172,3 +172,6 @@ func (m *scoreboard) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 
 // machineConfig exposes the configuration to the extrapolation engine.
 func (m *scoreboard) machineConfig() Config { return m.cfg }
+
+// unitsRefused exposes the pool's refusals to UnitsRefused.
+func (m *scoreboard) unitsRefused() fu.UnitSet { return m.pool.Refused() }

@@ -286,3 +286,6 @@ func (m *singleIssue) issueReason(op *trace.Op, po *trace.PreparedOp, isBranch b
 
 // machineConfig exposes the configuration to the extrapolation engine.
 func (m *singleIssue) machineConfig() Config { return m.cfg }
+
+// unitsRefused exposes the pool's refusals to UnitsRefused.
+func (m *singleIssue) unitsRefused() fu.UnitSet { return m.pool.Refused() }

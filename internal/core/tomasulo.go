@@ -443,3 +443,6 @@ func (m *tomasulo) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 
 // machineConfig exposes the configuration to the extrapolation engine.
 func (m *tomasulo) machineConfig() Config { return m.cfg }
+
+// unitsRefused exposes the pool's refusals to UnitsRefused.
+func (m *tomasulo) unitsRefused() fu.UnitSet { return m.pool.Refused() }

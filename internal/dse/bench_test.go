@@ -1,6 +1,9 @@
 package dse
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // experimentsSweep is the "Design-space sweep" document of
 // EXPERIMENTS.md: 1728 grid points, 1152 distinct machines, at scale
@@ -41,5 +44,25 @@ func BenchmarkPlanSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 		planSink = pl
+	}
+}
+
+var reportSink *Report
+
+// BenchmarkRunSweep times a cold run of the EXPERIMENTS sweep with no
+// journal: planning, then a rate for each of the 123 points the model
+// keeps, from the runs of the 77 machines whose answers no other
+// point's run gives (runner.RunDistinct).
+func BenchmarkRunSweep(b *testing.B) {
+	s, err := Parse([]byte(experimentsSweep))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		r, err := Run(context.Background(), s, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		reportSink = r
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"mfup/internal/core"
+	"mfup/internal/isa"
 	"mfup/internal/loops"
 	"mfup/internal/machdef"
 	"mfup/internal/queuemodel"
@@ -240,7 +241,8 @@ func Run(ctx context.Context, sweep SweepSpec, opt Options) (*Report, error) {
 
 	// Partition the survivors against the journal, then fan the rest
 	// out over the worker pool. Points whose machines are the same
-	// machine (machdef.Identity) share one run.
+	// machine share one run, and a machine with more unit copies may
+	// take its family's (machdef.Spec.Family, runner.RunDistinct).
 	var tasks []runner.Task
 	var taskIdx []int
 	for _, i := range pl.Need {
@@ -256,8 +258,8 @@ func Run(ctx context.Context, sweep SweepSpec, opt Options) (*Report, error) {
 		taskIdx = append(taskIdx, i)
 	}
 
-	results, _, errs := runner.RunDistinct(ctx, ro, tasks, func(ti int) (machdef.Identity, bool) {
-		return r.Points[taskIdx[ti]].Spec.Identity()
+	results, _, errs := runner.RunDistinct(ctx, ro, tasks, func(ti int) (machdef.Identity, [isa.NumUnits]int, bool) {
+		return r.Points[taskIdx[ti]].Spec.Family()
 	})
 	failed := make(map[int]string)
 	for _, e := range errs {

@@ -8,6 +8,13 @@
 // memory is a non-segmented unit, an interleaved memory a segmented
 // one. That is exactly the axis along which the paper's four basic
 // machines differ.
+//
+// A pool also remembers every unit class that was ever busy when a
+// machine asked for it: EarliestAccept adds u to Refused whenever it
+// answers a cycle later than the one asked. Reset keeps that set, so
+// it covers every run a machine makes on its pool. A unit that a run
+// never found busy never held that run back: a pool with more copies
+// of it gives every call of the run the same answer (see Refused).
 package fu
 
 import (
@@ -27,7 +34,18 @@ type Pool struct {
 	// nextFree, so the base machine's hot path stays scan-free and
 	// cycle-identical to the unreplicated pool.
 	copies [isa.NumUnits][]int64
+	// refused collects every unit EarliestAccept found busy.
+	refused UnitSet
 }
+
+// UnitSet is a set of functional-unit classes, bit u for unit u.
+type UnitSet uint16
+
+// AllUnits holds every unit class.
+const AllUnits UnitSet = 1<<isa.NumUnits - 1
+
+// Has reports whether u is in the set.
+func (s UnitSet) Has(u isa.Unit) bool { return s&(1<<u) != 0 }
 
 // NewPool builds a pool with the given latency table. Segmentation
 // defaults to non-segmented everywhere (use SetSegmented /
@@ -74,7 +92,7 @@ func (p *Pool) Segmented(u isa.Unit) bool { return p.segmented[u] }
 // Latency returns the latency of unit u under this pool's table.
 func (p *Pool) Latency(u isa.Unit) int { return p.lat.Of(u) }
 
-// Reset marks every unit free at cycle 0.
+// Reset marks every unit free at cycle 0. It keeps Refused.
 func (p *Pool) Reset() {
 	p.nextFree = [isa.NumUnits]int64{}
 	for _, c := range p.copies {
@@ -85,7 +103,8 @@ func (p *Pool) Reset() {
 }
 
 // EarliestAccept returns the earliest cycle >= t at which unit u can
-// accept a new operation (on any copy, if replicated).
+// accept a new operation (on any copy, if replicated). An answer later
+// than t adds u to Refused.
 func (p *Pool) EarliestAccept(u isa.Unit, t int64) int64 {
 	if c := p.copies[u]; c != nil {
 		min := c[0]
@@ -95,15 +114,31 @@ func (p *Pool) EarliestAccept(u isa.Unit, t int64) int64 {
 			}
 		}
 		if min > t {
+			p.refused |= 1 << u
 			return min
 		}
 		return t
 	}
 	if p.nextFree[u] > t {
+		p.refused |= 1 << u
 		return p.nextFree[u]
 	}
 	return t
 }
+
+// Refused reports every unit that EarliestAccept ever answered with a
+// cycle later than the one asked, over every run since the pool was
+// built.
+//
+// A unit u missing from it was free at every call. Accept answers
+// t + latency whichever copy takes the operation and overwrites the
+// copy that frees first, so after the same calls a pool with n > k
+// copies of u has its k latest free times no later, one for one, than
+// a k-copy pool's, and its earliest free time is never later. Where
+// the k-copy pool answered t to every EarliestAccept(u, t), the
+// n-copy pool does too, so a machine built on either makes the same
+// calls and gets the same answers.
+func (p *Pool) Refused() UnitSet { return p.refused }
 
 // Accept records that unit u starts an operation at cycle t and
 // returns the completion cycle. A segmented unit (copy) can accept

@@ -1,6 +1,8 @@
 package fu
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"mfup/internal/isa"
@@ -148,4 +150,89 @@ func TestSetCountPanicsBelowOne(t *testing.T) {
 		}
 	}()
 	pool().SetCount(isa.ScalarAdd, 0)
+}
+
+// TestMoreCopiesAnswerAlike holds the rule behind Refused. A driver
+// that issues like a machine — each operation asks EarliestAccept for
+// its unit, sometimes only to look, and otherwise starts there —
+// gives one random sequence to a pool and to a copy of it with more
+// copies of one or two units, segmented and not. When the first pool
+// never refused an added unit, the second answers every call the same
+// and refuses exactly the same units. Where the first did refuse one,
+// the answers must differ somewhere, or the check shows nothing.
+func TestMoreCopiesAnswerAlike(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	type op struct {
+		u      isa.Unit
+		dt     int64
+		accept bool
+		reset  bool
+	}
+	used := []isa.Unit{isa.FloatMul, isa.FloatAdd, isa.Memory, isa.ScalarAdd}
+	alike, differ := 0, 0
+	for n := 0; n < 3000; n++ {
+		lat := isa.NewLatencies(1+rng.Intn(12), 1+rng.Intn(6))
+		few, more := NewPool(lat), NewPool(lat)
+		for _, u := range used {
+			seg := n%3 == 0 || (n%3 == 1 && rng.Intn(2) == 0)
+			few.SetSegmented(u, seg)
+			more.SetSegmented(u, seg)
+			if c := 1 + rng.Intn(2); c > 1 {
+				few.SetCount(u, c)
+				more.SetCount(u, c)
+			}
+		}
+		var added []isa.Unit
+		for _, i := range rng.Perm(len(used))[:1+rng.Intn(2)] {
+			u := used[i]
+			more.SetCount(u, few.Count(u)+1+rng.Intn(2))
+			added = append(added, u)
+		}
+		ops := make([]op, 10+rng.Intn(40))
+		for i := range ops {
+			ops[i] = op{
+				u:      used[rng.Intn(len(used))],
+				dt:     int64(rng.Intn(8)) - 1,
+				accept: rng.Intn(4) != 0,
+				reset:  rng.Intn(40) == 0,
+			}
+		}
+		drive := func(p *Pool) []int64 {
+			var t int64
+			answers := make([]int64, 0, len(ops))
+			for _, o := range ops {
+				if o.reset {
+					p.Reset()
+					t = 0
+				}
+				t = max(t+o.dt, 0)
+				e := p.EarliestAccept(o.u, t)
+				answers = append(answers, e)
+				if o.accept {
+					p.Accept(o.u, e)
+					t = e
+				}
+			}
+			return answers
+		}
+		a, b := drive(few), drive(more)
+		refused := false
+		for _, u := range added {
+			refused = refused || few.Refused().Has(u)
+		}
+		switch {
+		case !refused:
+			alike++
+			if !slices.Equal(a, b) || few.Refused() != more.Refused() {
+				t.Fatalf("case %d: more copies of %v answered %v, refusing %b; fewer answered %v, refusing %b",
+					n, added, b, more.Refused(), a, few.Refused())
+			}
+		case !slices.Equal(a, b):
+			differ++
+		}
+	}
+	t.Logf("%d sequences never found an added unit busy, %d found one and answered differently", alike, differ)
+	if alike < 500 || differ < 500 {
+		t.Errorf("%d alike and %d differing sequences, want at least 500 of each", alike, differ)
+	}
 }

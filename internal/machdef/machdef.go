@@ -387,30 +387,41 @@ func (s Spec) Config() (core.Config, error) {
 	return cfg, nil
 }
 
-// Identity is the machine a canonical spec builds, as a comparable
-// value: two specs with equal identities give the same Result on every
-// trace, their machines' names aside. It is the compiled configuration,
-// so computing it costs neither JSON nor a hash.
+// Identity is the machine a canonical spec builds, its
+// functional-unit copy counts aside, as a comparable value. It is the
+// compiled configuration, so computing it costs neither JSON nor a
+// hash.
 type Identity struct {
 	kind string
 	cfg  core.Config
 }
 
-// Identity returns the identity of the machine s builds; ok is false
-// when s does not compile. It folds the one equivalence between
-// different specs: with a single issue unit, a multi, ooo or ruu
-// machine on nbus, 1bus, or xbar with at most one bus builds one result
-// bus with one slot per cycle, and the RUU one bank, whichever is
-// named. A crossbar of two or more buses is a different machine.
-func (s Spec) Identity() (id Identity, ok bool) {
+// Family returns the identity of the machine s builds and its
+// functional-unit copy counts: copies[u] is how many copies of unit u
+// the machine has. Two specs with equal identities and equal copies
+// give the same Result on every trace, their machines' names aside.
+// Specs with equal identities form a family: they differ only in unit
+// copies, which act on a run only through its functional-unit pool
+// (fu.Pool.Refused). ok is false when s does not compile.
+//
+// Family folds the one equivalence between different specs: with a
+// single issue unit, a multi, ooo or ruu machine on nbus, 1bus, or
+// xbar with at most one bus builds one result bus with one slot per
+// cycle, and the RUU one bank, whichever is named. A crossbar of two
+// or more buses is a different machine.
+func (s Spec) Family() (id Identity, copies [isa.NumUnits]int, ok bool) {
 	cfg, err := s.Config()
 	if err != nil {
-		return Identity{}, false
+		return Identity{}, copies, false
 	}
 	if kinds[s.Kind].multi && cfg.IssueUnits == 1 && cfg.BusCount <= 1 {
 		cfg.Bus, cfg.BusCount = bus.BusN, 0
 	}
-	return Identity{kind: s.Kind, cfg: cfg}, true
+	for u, n := range cfg.FUCount {
+		copies[u] = max(n, 1)
+	}
+	cfg.FUCount = [isa.NumUnits]int{}
+	return Identity{kind: s.Kind, cfg: cfg}, copies, true
 }
 
 // New compiles a canonical spec into a concrete machine. Construction

@@ -29,6 +29,7 @@ import (
 
 	"mfup/internal/core"
 	"mfup/internal/events"
+	"mfup/internal/fu"
 	"mfup/internal/probe"
 	"mfup/internal/trace"
 )
@@ -77,6 +78,11 @@ type TaskStat struct {
 	EventsDropped int64         // events dropped at the recorder's cap
 	Retries       int64         // re-attempts of transiently failed runs
 	Shared        bool          // took another task's run (RunDistinct)
+
+	// Refused is every unit class the cell's machine found busy when
+	// it asked for one, over all its runs (core.UnitsRefused); every
+	// class for a machine without a functional-unit pool.
+	Refused fu.UnitSet
 }
 
 // Workers normalizes a parallelism request: n itself when positive,
@@ -346,6 +352,10 @@ func RunCheckedStats(ctx context.Context, opts Options, tasks []Task) ([][]core.
 			stats[i].Cycles += r.Cycles
 		}
 		stats[i].Wall = time.Since(start)
+		stats[i].Refused = fu.AllUnits
+		if units, ok := core.UnitsRefused(m); ok {
+			stats[i].Refused = units
+		}
 		if task.Recorder != nil {
 			stats[i].Events = task.Recorder.Events()
 			stats[i].EventsDropped = task.Recorder.Dropped()

@@ -137,3 +137,24 @@ func TestLimitsDoNotDisturbHealthyTables(t *testing.T) {
 		t.Errorf("Table 1 changed under DefaultLimits:\n--- unguarded ---\n%s\n--- guarded ---\n%s", base, guarded)
 	}
 }
+
+// TestInvalidLimitsFailEveryCell: limits the runner cannot honor,
+// set through the package setter, make every simulated cell ERR and
+// put the *runner.OptionError in the table's errors; they must not
+// panic.
+func TestInvalidLimitsFailEveryCell(t *testing.T) {
+	SetLimits(core.Limits{MaxCycles: -1})
+	defer SetLimits(core.Limits{})
+	tab := Table3()
+	for _, r := range tab.Rows {
+		for _, v := range r.Rates {
+			if !math.IsNaN(v) {
+				t.Fatalf("row %s: rate %v under invalid limits, want ERR", r.Label, v)
+			}
+		}
+	}
+	var oe *runner.OptionError
+	if len(tab.Errors) != 1 || !errors.As(tab.Errors[0], &oe) || oe.Field != "Limits.MaxCycles" {
+		t.Errorf("errors %v, want the one *runner.OptionError for Limits.MaxCycles", tab.Errors)
+	}
+}

@@ -15,11 +15,13 @@
 //
 // A cell whose machine is the same machine as another cell's in its
 // table, over the same traces, takes that cell's run instead of
-// simulating its own (runner.RunDistinct, machdef.Spec.Identity). With
-// one issue unit the N-Bus and 1-Bus interconnects are one result bus,
-// so each width-1 1-Bus cell of Tables 3-8 is its N-Bus twin. Sharing
-// changes the work only: every rate, error and journal line is the
-// one the cell's own run would give.
+// simulating its own (runner.RunDistinct, machdef.Spec.Family), as
+// does a cell whose machine has more unit copies than another's that
+// never found those units busy. With one issue unit the N-Bus and
+// 1-Bus interconnects are one result bus, so each width-1 1-Bus cell
+// of Tables 3-8 is its N-Bus twin. Sharing changes the work only:
+// every rate, error and journal line is the one the cell's own run
+// would give.
 package tables
 
 import (
@@ -37,6 +39,7 @@ import (
 
 	"mfup/internal/core"
 	"mfup/internal/events"
+	"mfup/internal/isa"
 	"mfup/internal/limits"
 	"mfup/internal/loops"
 	"mfup/internal/machdef"
@@ -482,6 +485,17 @@ func (b *batch) cell(s machdef.Spec, mk func() core.Machine, ts []*trace.Trace) 
 // NaN), so the cell is marked ERR with a diagnostic naming the loop
 // instead of leaking NaN into the rendered table.
 func (b *batch) rates() ([]float64, []*runner.CellError) {
+	// Options the runner cannot honor fail every cell, and the table
+	// reports the *runner.OptionError once.
+	opts := runnerOptions()
+	if err := opts.Validate(); err != nil {
+		out := make([]float64, len(b.tasks))
+		for i := range out {
+			out[i] = math.NaN()
+		}
+		return out, []*runner.CellError{{Task: -1, Trace: -1, Err: err}}
+	}
+
 	// Partition against the checkpoint journal: cells already
 	// completed by an earlier (interrupted) run are served from it and
 	// never re-simulated; only the remainder goes to the worker pool.
@@ -500,17 +514,18 @@ func (b *batch) rates() ([]float64, []*runner.CellError) {
 		origIdx = append(origIdx, i)
 	}
 
-	// Cells whose machines are the same machine (machdef.Identity) on
-	// the same traces share one run. Only the cells that simulate pay
-	// for an identity: a full resume computes none. A cell whose spec
+	// Cells whose machines are the same machine on the same traces
+	// share one run, and a machine with more unit copies may take its
+	// family's (machdef.Spec.Family). Only the cells that simulate pay
+	// for a family: a full resume computes none. A cell whose spec
 	// does not canonicalize (the zero Spec, say) runs alone.
-	results, taskStats, errs := runner.RunDistinct(batchContext(), runnerOptions(), run,
-		func(ri int) (machdef.Identity, bool) {
+	results, taskStats, errs := runner.RunDistinct(batchContext(), opts, run,
+		func(ri int) (machdef.Identity, [isa.NumUnits]int, bool) {
 			c, err := machdef.Canonicalize(b.specs[origIdx[ri]])
 			if err != nil {
-				return machdef.Identity{}, false
+				return machdef.Identity{}, [isa.NumUnits]int{}, false
 			}
-			return c.Identity()
+			return c.Family()
 		})
 
 	// Remap everything the runner reported from run order back to cell
