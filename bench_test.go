@@ -429,6 +429,42 @@ func BenchmarkExtrapolation(b *testing.B) {
 	b.ReportMetric(fullEstimate/(b.Elapsed().Seconds()/float64(b.N)), "speedup")
 }
 
+// BenchmarkExtrapolationNest closes LFK 6 at its largest build (256:
+// 263,674 instructions in 255 outer iterations of growing inner loops)
+// through the engine's second differences on the 2-wide out-of-order
+// machine. "speedup" is the ratio against full simulation of the same
+// trace, timed before the loop; "refops" is the reference instructions
+// the ladder simulates per run.
+func BenchmarkExtrapolationNest(b *testing.B) {
+	k, err := loops.Scaled(6, 256)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := k.SharedTrace()
+	cfg := core.M11BR5.WithIssue(2, mfup.BusN)
+	full := must(core.NewMultiIssueOOO(cfg))
+	const fullRuns = 3
+	start := time.Now()
+	for i := 0; i < fullRuns; i++ {
+		must(full.RunChecked(tr, core.Limits{}))
+	}
+	fullRun := time.Since(start).Seconds() / fullRuns
+
+	e := core.Extrapolate(must(core.NewMultiIssueOOO(cfg)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.RunChecked(tr, core.DefaultLimits()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s := e.Stats()
+	if !s.Engaged {
+		b.Fatalf("LFK 6 fell back: %s", s.Reason)
+	}
+	b.ReportMetric(float64(s.SimulatedOps), "refops")
+	b.ReportMetric(fullRun/(b.Elapsed().Seconds()/float64(b.N)), "speedup")
+}
+
 // BenchmarkExtrapolationOverhead measures the wrapper against the bare
 // machine on the two kinds of trace it can never extrapolate: LFK 13
 // has no period (data-dependent control flow), and LFK 14 has one but

@@ -298,8 +298,12 @@ func main() {
 			w.label, r.Instructions, r.Cycles, r.IssueRate())
 		if engine != nil {
 			if s := engine.Stats(); s.Engaged {
-				fmt.Printf("    extrapolated: lag %d, %d of %d windows bridged analytically, %d ops simulated\n",
-					s.Lag, s.Skipped, s.Windows, s.SimulatedOps)
+				what := "windows"
+				if s.Order == 2 {
+					what = "outer iterations"
+				}
+				fmt.Printf("    extrapolated: lag %d, %d of %d %s bridged analytically, %d ops simulated\n",
+					s.Lag, s.Skipped, s.Windows, what, s.SimulatedOps)
 			} else {
 				fmt.Printf("    full simulation: %s\n", s.Reason)
 			}

@@ -146,6 +146,55 @@ func TestExtrapolationMatrix(t *testing.T) {
 	}
 }
 
+// TestExtrapolationNest is the differential test for the nest closure:
+// LFK 6 at its largest build (256, 255 outer iterations of growing
+// inner loops) on the nine scalar machines of the matrix, extrapolated
+// against full simulation. Results and counters must be identical bit
+// for bit, and every one of them closes the run by second differences
+// at under a fifth of the trace's simulation cost.
+func TestExtrapolationNest(t *testing.T) {
+	k, err := mfup.ScaledKernel(6, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := k.SharedTrace()
+	for _, cfg := range []mfup.Config{mfup.M11BR5, mfup.M5BR2} {
+		for _, mm := range matrixMachines() {
+			if mm.name == "Vector" {
+				continue
+			}
+			cfg, mm := cfg, mm
+			t.Run(cfg.Name()+"/"+mm.name, func(t *testing.T) {
+				t.Parallel()
+				bare := mm.mk(cfg)
+				var wantC probe.Counters
+				bare.SetProbe(&wantC)
+				want, err := bare.RunChecked(tr, mfup.DefaultSimLimits())
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := mfup.Extrapolate(mm.mk(cfg))
+				var gotC probe.Counters
+				e.SetProbe(&gotC)
+				got, err := e.RunChecked(tr, mfup.DefaultSimLimits())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("result diverged:\n extrapolated %+v\n full         %+v", got, want)
+				}
+				if diff := countersEqual(&gotC, &wantC); diff != "" {
+					t.Errorf("counters diverged: %s", diff)
+				}
+				s := e.Stats()
+				if !s.Engaged || s.Order != 2 || s.Span != 8 || 5*s.SimulatedOps > int64(len(tr.Ops)) {
+					t.Errorf("stats %+v, want a nest closure (order 2, 8 ops more per outer iteration) costing under a fifth of the %d-op trace", s, len(tr.Ops))
+				}
+			})
+		}
+	}
+}
+
 // TestExtrapolationTablesIdentical is the acceptance criterion on the
 // paper artifacts: regenerating tables with the engine enabled must
 // render byte-identical output — cycles, issue rates, and metrics —
@@ -212,6 +261,9 @@ func TestExtrapolationFacade(t *testing.T) {
 	vw, err := mfup.VirtualWindows(k, extra)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := mfup.VirtualWindows(k, -5); err == nil {
+		t.Error("VirtualWindows accepted a negative iteration count")
 	}
 	e := mfup.Extrapolate(must(mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5))).
 		WithVirtual(map[string]int64{k.SharedTrace().Name: vw})

@@ -36,10 +36,20 @@ import (
 // the simulated epilogue, so cycle counts, issue rates, and stall
 // breakdowns are exact — bit-identical to full simulation — whenever
 // the steady-state premise holds; the differential matrix test
-// asserts exactly that across every machine and kernel. When no
-// period or no fixed delta exists (data-dependent control flow,
-// too few iterations, bank-hostile strides), the wrapper falls back
-// to full simulation, so it is always safe to apply.
+// asserts exactly that across every machine and kernel.
+//
+// A triangular nest (trace.Nest: LFK 6, whose inner trip count is the
+// outer index) has no such period, but its outer iterations grow by a
+// fixed op count, so in steady state each further outer iteration
+// costs a fixed amount more than the last. The same ladder, run over
+// prefixes of K, K+1, ... outer iterations, confirms a fixed second
+// difference instead, and the closure evaluates the quadratic through
+// three reference runs L apart at the trace's outer count. A nest is
+// closed only at its built length: it is never extended.
+//
+// When no period or no fixed delta exists (data-dependent control
+// flow, too few iterations, bank-hostile strides), the wrapper falls
+// back to full simulation, so it is always safe to apply.
 const (
 	// The reference ladder is adaptive: most machines show a fixed
 	// delta at lag 1 or 2, so a short ladder settles them cheaply; the
@@ -56,7 +66,8 @@ const (
 	extrapMaxLagMax  = 192
 
 	// extrapMinPairs is the smallest number of confirming sample pairs
-	// a lag must exhibit before the engine trusts it.
+	// (triples, for a nest) a lag must exhibit before the engine trusts
+	// it.
 	extrapMinPairs = 8
 
 	// extrapHorizonOps and extrapHorizonWindows size the warmup the
@@ -79,19 +90,30 @@ type ExtrapolationStats struct {
 	// Reason explains a fallback ("" when Engaged).
 	Reason string
 
+	// Order is the degree of the closure: 1 for a loop, whose runs grow
+	// by a fixed delta per iteration (a line), 2 for a triangular nest,
+	// whose per-iteration deltas grow by a fixed amount (a quadratic).
+	// It is 0 when the run fell back before choosing either.
+	Order int
+
 	// Span and Lag are the detected ops-per-iteration and steady-state
-	// period in iterations.
+	// period in iterations. For a nest, Span is the ops each outer
+	// iteration adds over the one before and Lag counts outer
+	// iterations.
 	Span, Lag int
 
 	// Windows is the total body-window count accounted for, including
 	// virtual iterations; Skipped of them were bridged analytically.
+	// For a nest both count outer iterations.
 	Windows, Skipped int64
 
 	// SimulatedOps counts the ops actually simulated across the
 	// reference runs (the engine's entire per-machine cost).
 	SimulatedOps int64
 
-	// CyclesPerLag is the fixed cycle delta per Lag iterations.
+	// CyclesPerLag is the fixed cycle delta per Lag iterations; for a
+	// nest, the fixed second difference: how many cycles more each Lag
+	// outer iterations cost than the Lag before.
 	CyclesPerLag int64
 }
 
@@ -107,14 +129,17 @@ func extrapWarmup(span int) int {
 }
 
 // CanExtrapolate reports whether t satisfies the machine-independent
-// prerequisites of the extrapolation engine: a detectable steady-state
-// period, enough iterations for the reference ladder, and reduced
-// traces that preserve the tail's address-identity structure. A nil
-// return does not guarantee engagement — a machine can still fall
-// back (or, with virtual iterations, fail) for machine-dependent
+// prerequisites for extending t past its built length: a detectable
+// steady-state period, enough iterations for the reference ladder, and
+// reduced traces that preserve the tail's address-identity structure.
+// A nil return does not guarantee engagement — a machine can still
+// fall back (or, with virtual iterations, fail) for machine-dependent
 // reasons such as a bank-hostile stride — but callers deciding
 // whether a loop length beyond the materializable range is reachable
-// should require it.
+// should require it. A triangular nest (LFK 6) has no period, so it is
+// refused here even though the engine can close it at its built
+// length: extending it would change every scaled rate under today's
+// keys.
 func CanExtrapolate(t *trace.Trace) error {
 	prep := t.Prepared()
 	if prep.Err != nil {
@@ -164,6 +189,7 @@ func Extrapolate(m Machine) *Extrapolator {
 // kernel's memory layout caps the buildable trace far lower. A run
 // whose trace has virtual iterations but no detectable steady state
 // fails with a structured error: there is nothing to fall back to.
+// So does a run whose count is negative, BestEffort or not.
 func (e *Extrapolator) WithVirtual(extra map[string]int64) *Extrapolator {
 	e.extra = extra
 	return e
@@ -205,6 +231,10 @@ func (e *Extrapolator) SetRecorder(r *events.Recorder) { e.rec = r }
 func (e *Extrapolator) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 	e.last = ExtrapolationStats{}
 	extraIters := e.extra[t.Name]
+	if extraIters < 0 {
+		e.last.Reason = "negative virtual iteration count"
+		return Result{}, e.errVirtual(t, extraIters, "the count is negative")
+	}
 	if r, err, done := e.tryExtrapolate(t, lim, extraIters); done {
 		return r, err
 	}
@@ -230,13 +260,6 @@ func (e *Extrapolator) errVirtual(t *trace.Trace, extra int64, reason string) er
 	}
 }
 
-// addMul returns a + n*d for n >= 0 and whether it fits in an int64.
-func addMul(a, n, d int64) (int64, bool) {
-	p := n * d
-	s := a + p
-	return s, (n == 0 || p/n == d) && (s > a) == (p > 0)
-}
-
 // tryExtrapolate attempts the analytic closure. done reports whether
 // the run is finished (result or error); false means fall back, with
 // the reason recorded in e.last.
@@ -260,115 +283,28 @@ func (e *Extrapolator) tryExtrapolate(t *trace.Trace, lim Limits, extraIters int
 	if prep.Err != nil {
 		return fallback("invalid trace")
 	}
-	pd := prep.Period()
-	if pd == nil {
-		return fallback("no steady-state period detected")
+	l, reason := e.ladderFor(prep, extraIters)
+	if reason != "" {
+		return fallback(reason)
 	}
-	e.last.Span = pd.Span
-	// Warmup: the smallest reference run must hold the full identity
-	// horizon before its tail window.
-	k0 := extrapWarmup(pd.Span)
-	windows := int64(pd.Iterations())
-	if windows < int64(k0+extrapSamples+1) {
-		return fallback(fmt.Sprintf("too few iterations (%d, need %d)", windows, k0+extrapSamples+1))
+	samples, lag, reason := e.climb(l, lim)
+	if reason != "" {
+		return fallback(reason)
 	}
-	cm, ok := e.inner.(configured)
-	if !ok {
-		return fallback("machine does not expose its configuration")
-	}
-	if nb := cm.machineConfig().MemBanks; nb > 1 && !pd.BankSafe(nb) {
-		return fallback(fmt.Sprintf("address strides not aligned to %d memory banks", nb))
-	}
-	if !pd.TailIdentityOK(k0) {
-		return fallback("reduced trace does not preserve tail address identity")
-	}
-	// Reference ladder: simulate k0..k0+S-1 iterations, each run
-	// observed by a fresh counter set.
-	type sample struct {
-		r Result
-		c *probe.Counters
-	}
-	samples := make([]sample, 0, extrapSamplesExt)
-	defer e.inner.SetProbe(nil)
-	extendTo := func(n int) string {
-		for i := len(samples); i < n; i++ {
-			tr := pd.Slice(k0 + i)
-			if tr == nil {
-				return "reduced trace construction failed"
-			}
-			c := new(probe.Counters)
-			e.inner.SetProbe(c)
-			r, err := e.inner.RunChecked(tr, lim)
-			if err != nil {
-				return fmt.Sprintf("reference run (%d iterations) failed: %v", k0+i, err)
-			}
-			samples = append(samples, sample{r, c})
-			e.last.SimulatedOps += int64(len(tr.Ops))
-		}
-		return ""
-	}
-	// findLag returns the smallest L in [lo, hi] for which every
-	// L-apart pair of reference runs differs by one fixed observable
-	// delta, or 0 if there is none. A lag is only trusted with at
-	// least extrapMinPairs confirming pairs.
-	findLag := func(lo, hi int) int {
-		if max := len(samples) - extrapMinPairs; hi > max {
-			hi = max
-		}
-		for l := lo; l <= hi; l++ {
-			ok := samples[l].r.Cycles > samples[0].r.Cycles
-			for i := 1; ok && i+l < len(samples); i++ {
-				ok = samples[i+l].r.Cycles-samples[i].r.Cycles == samples[l].r.Cycles-samples[0].r.Cycles &&
-					samples[i+l].r.Instructions-samples[i].r.Instructions == samples[l].r.Instructions-samples[0].r.Instructions &&
-					probe.DeltaEqual(samples[0].c, samples[l].c, samples[i].c, samples[i+l].c)
-			}
-			if ok {
-				return l
-			}
-		}
-		return 0
-	}
-	stages := []struct{ samples, maxLag int }{
-		{extrapSamples, extrapMaxLag},
-		{extrapSamplesExt, extrapMaxLagExt},
-		{extrapSamplesMax, extrapMaxLagMax},
-	}
-	lag := 0
-	for _, st := range stages {
-		// Later stages shrink to the iterations the trace has; the
-		// first is guaranteed by the engagement check above. Re-search
-		// from lag 1 each stage: a short lag can sit above an earlier
-		// stage's pair-count ceiling, and re-checking the rest is cheap
-		// next to one reference simulation.
-		if n := int(windows) - k0 - 1; st.samples > n {
-			st.samples = n
-		}
-		if st.samples > len(samples) {
-			if reason := extendTo(st.samples); reason != "" {
-				return fallback(reason)
-			}
-		}
-		if lag = findLag(1, st.maxLag); lag != 0 {
-			break
-		}
-	}
-	if lag == 0 {
-		return fallback("no fixed per-iteration delta within the sampled ladder")
-	}
-	// Close the run at the target window count from a reference
-	// congruent to it modulo the lag. A total past int64 is an error,
-	// never a wrapped count: even a best-effort caller must not record
-	// it, as a clamped rate would then stand for the unreachable length.
+	// Close the run at the target size from a reference congruent to it
+	// modulo the lag. A total past int64 is an error, never a wrapped
+	// count: even a best-effort caller must not record it, as a clamped
+	// rate would then stand for the unreachable length.
 	overflow := func(what string) (Result, error, bool) {
 		return Result{}, e.errVirtual(t, extraIters, what+" overflows int64"), true
 	}
-	target, ok := addMul(windows, 1, extraIters)
-	if !ok {
+	target := int64(l.full) + extraIters
+	if target < extraIters {
 		return overflow("the window count")
 	}
 	ref := -1
-	for i := len(samples) - 1 - lag; i >= 0; i-- {
-		if (target-int64(k0+i))%int64(lag) == 0 {
+	for i := len(samples) - 1 - l.order*lag; i >= 0; i-- {
+		if (target-int64(l.warmup+i))%int64(lag) == 0 {
 			ref = i
 			break
 		}
@@ -376,10 +312,10 @@ func (e *Extrapolator) tryExtrapolate(t *trace.Trace, lim Limits, extraIters int
 	if ref < 0 {
 		return fallback("no reference run congruent to the target length")
 	}
-	lo, hi := &samples[ref], &samples[ref+lag]
-	times := (target - int64(k0+ref)) / int64(lag)
-	cycles, okC := addMul(lo.r.Cycles, times, hi.r.Cycles-lo.r.Cycles)
-	instrs, okI := addMul(lo.r.Instructions, times, hi.r.Instructions-lo.r.Instructions)
+	pts := newLadderPoints(l.order).gather(samples, ref, lag)
+	times := (target - int64(l.warmup+ref)) / int64(lag)
+	cycles, okC := probe.Newton(times, pts.cycles...)
+	instrs, okI := probe.Newton(times, pts.instrs...)
 	if !okC || !okI {
 		return overflow("the cycle or instruction count")
 	}
@@ -393,17 +329,216 @@ func (e *Extrapolator) tryExtrapolate(t *trace.Trace, lim Limits, extraIters int
 	e.last.Lag = lag
 	e.last.Windows = target
 	e.last.Skipped = times * int64(lag) // at most target, so it fits
-	e.last.CyclesPerLag = hi.r.Cycles - lo.r.Cycles
+	e.last.CyclesPerLag = probe.Diff(pts.cycles...)
 	if err := g.Over(cycles, instrs); err != nil {
 		return Result{}, err, true
 	}
-	if uc != nil && !uc.AddExtrapolated(lo.c, hi.c, times) {
+	if uc != nil && !uc.AddExtrapolated(times, pts.counters...) {
 		return overflow("a stall-attribution total")
 	}
 	return Result{
-		Machine:      lo.r.Machine,
+		Machine:      samples[ref].r.Machine,
 		Trace:        t.Name,
 		Instructions: instrs,
 		Cycles:       cycles,
 	}, nil, true
+}
+
+// ladder is one family of reduced traces of a trace, indexed by size —
+// body windows of a Period, outer iterations of a Nest — and the rules
+// for sampling it.
+type ladder struct {
+	// order is the degree of the closure: 1 fits a line through runs
+	// one lag apart, 2 a quadratic.
+	order int
+
+	// reduce builds the reduced trace of a size; full is the trace's own
+	// size, which every reference stays below.
+	reduce func(size int) *trace.Trace
+	full   int
+
+	// warmup is the smallest reference size; stages grow the sample
+	// count and the lags searched until one confirms.
+	warmup int
+	stages []ladderStage
+
+	// budget bounds the reference ops a stage may bring the ladder to
+	// (0: no bound), and delta names what a confirmed lag fixes.
+	budget int64
+	delta  string
+}
+
+// ladderStage samples the first samples reduced traces of a ladder and
+// searches lags up to maxLag among them.
+type ladderStage struct{ samples, maxLag int }
+
+// sample is one reference run: its result, observed by its own
+// counters.
+type sample struct {
+	r Result
+	c *probe.Counters
+}
+
+// ladderPoints are the order+1 reference runs one lag apart that a
+// difference or a closure spans.
+type ladderPoints struct {
+	cycles, instrs []int64
+	counters       []*probe.Counters
+}
+
+// newLadderPoints returns storage for the points of an order.
+func newLadderPoints(order int) *ladderPoints {
+	n := order + 1
+	return &ladderPoints{make([]int64, n), make([]int64, n), make([]*probe.Counters, n)}
+}
+
+// gather fills p with the runs from sample i on, lag apart.
+func (p *ladderPoints) gather(samples []sample, i, lag int) *ladderPoints {
+	for j := range p.counters {
+		s := &samples[i+j*lag]
+		p.cycles[j], p.instrs[j], p.counters[j] = s.r.Cycles, s.r.Instructions, s.c
+	}
+	return p
+}
+
+var (
+	// periodStages are the loop ladder's stages (see extrapSamples).
+	periodStages = []ladderStage{
+		{extrapSamples, extrapMaxLag},
+		{extrapSamplesExt, extrapMaxLagExt},
+		{extrapSamplesMax, extrapMaxLagMax},
+	}
+
+	// nestStages are the nest ladder's stages: each allows the lags
+	// that leave extrapMinPairs confirming triples.
+	nestStages = []ladderStage{{16, 4}, {32, 12}, {64, 28}}
+)
+
+// nestWarmup is the smallest reference prefix of a nest, in outer
+// iterations. It keeps a margin: with 8, a prototype closed two of
+// 847 runs on the EXPERIMENTS grid to a wrong cycle count.
+const nestWarmup = 16
+
+// ladderFor picks the reduced-trace family for a trace: body-window
+// slices of its Period, or — for a trace with no Period and no virtual
+// iterations — outer-iteration prefixes of its Nest. A non-empty
+// reason means fall back.
+func (e *Extrapolator) ladderFor(prep *trace.Prepared, extraIters int64) (ladder, string) {
+	pd := prep.Period()
+	if pd == nil {
+		nt := prep.Nest()
+		if nt == nil || extraIters > 0 {
+			return ladder{}, "no steady-state period detected"
+		}
+		e.last.Span, e.last.Order = nt.Step, 2
+		if need := nestWarmup + nestStages[0].samples + 1; nt.Outer < need {
+			return ladder{}, fmt.Sprintf("too few outer iterations (%d, need %d)", nt.Outer, need)
+		}
+		// Prefixes are exact leading parts of the trace: no address
+		// moves, so banks and tail identity need no check.
+		return ladder{
+			order: 2, reduce: nt.Prefix, full: nt.Outer,
+			warmup: nestWarmup, stages: nestStages,
+			budget: int64(len(prep.Ops) / 2), delta: "second difference per outer iteration",
+		}, ""
+	}
+	e.last.Span, e.last.Order = pd.Span, 1
+	// Warmup: the smallest reference run must hold the full identity
+	// horizon before its tail window.
+	k0 := extrapWarmup(pd.Span)
+	if need := k0 + extrapSamples + 1; pd.Iterations() < need {
+		return ladder{}, fmt.Sprintf("too few iterations (%d, need %d)", pd.Iterations(), need)
+	}
+	cm, ok := e.inner.(configured)
+	if !ok {
+		return ladder{}, "machine does not expose its configuration"
+	}
+	if nb := cm.machineConfig().MemBanks; nb > 1 && !pd.BankSafe(nb) {
+		return ladder{}, fmt.Sprintf("address strides not aligned to %d memory banks", nb)
+	}
+	if !pd.TailIdentityOK(k0) {
+		return ladder{}, "reduced trace does not preserve tail address identity"
+	}
+	return ladder{
+		order: 1, reduce: pd.Slice, full: pd.Iterations(),
+		warmup: k0, stages: periodStages, delta: "per-iteration delta",
+	}, ""
+}
+
+// climb simulates the ladder's reference runs, each observed by a
+// fresh counter set, stage by stage until a lag confirms, and returns
+// the runs and the lag; a non-empty reason means fall back.
+func (e *Extrapolator) climb(l ladder, lim Limits) ([]sample, int, string) {
+	samples := make([]sample, 0, l.stages[1].samples)
+	defer e.inner.SetProbe(nil)
+	extendTo := func(n int) string {
+		trs := make([]*trace.Trace, 0, n-len(samples))
+		ops := e.last.SimulatedOps
+		for size := l.warmup + len(samples); size < l.warmup+n; size++ {
+			tr := l.reduce(size)
+			if tr == nil {
+				return "reduced trace construction failed"
+			}
+			trs = append(trs, tr)
+			ops += int64(len(tr.Ops))
+		}
+		if l.budget > 0 && ops > l.budget {
+			return fmt.Sprintf("a ladder of %d reference ops exceeds its budget of %d, half the trace", ops, l.budget)
+		}
+		for _, tr := range trs {
+			c := new(probe.Counters)
+			e.inner.SetProbe(c)
+			r, err := e.inner.RunChecked(tr, lim)
+			if err != nil {
+				return fmt.Sprintf("reference run (%d iterations) failed: %v", l.warmup+len(samples), err)
+			}
+			samples = append(samples, sample{r, c})
+			e.last.SimulatedOps += int64(len(tr.Ops))
+		}
+		return ""
+	}
+	// findLag returns the smallest lag in [1, hi] at which every run of
+	// order+1 samples that lag apart has the same order-th difference
+	// in cycles, instructions and every counter, or 0 if there is none.
+	// A lag is only trusted with at least extrapMinPairs confirming
+	// runs.
+	base, p := newLadderPoints(l.order), newLadderPoints(l.order)
+	findLag := func(hi int) int {
+		if max := (len(samples) - extrapMinPairs) / l.order; hi > max {
+			hi = max
+		}
+		for lag := 1; lag <= hi; lag++ {
+			base.gather(samples, 0, lag)
+			ok := samples[lag].r.Cycles > samples[0].r.Cycles
+			for i := 1; ok && i+l.order*lag < len(samples); i++ {
+				p.gather(samples, i, lag)
+				ok = probe.Diff(p.cycles...) == probe.Diff(base.cycles...) &&
+					probe.Diff(p.instrs...) == probe.Diff(base.instrs...) &&
+					probe.DeltaEqual(base.counters, p.counters)
+			}
+			if ok {
+				return lag
+			}
+		}
+		return 0
+	}
+	for _, st := range l.stages {
+		// Later stages shrink to the iterations the trace has; the
+		// first is guaranteed by the engagement check in ladderFor.
+		// Re-search from lag 1 each stage: a short lag can sit above an
+		// earlier stage's pair-count ceiling, and re-checking the rest
+		// is cheap next to one reference simulation.
+		if n := l.full - l.warmup - 1; st.samples > n {
+			st.samples = n
+		}
+		if st.samples > len(samples) {
+			if reason := extendTo(st.samples); reason != "" {
+				return nil, 0, reason
+			}
+		}
+		if lag := findLag(st.maxLag); lag != 0 {
+			return samples, lag, ""
+		}
+	}
+	return nil, 0, "no fixed " + l.delta + " within the sampled ladder"
 }

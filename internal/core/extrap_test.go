@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -324,5 +327,104 @@ func TestCanExtrapolatePerKernel(t *testing.T) {
 		} else if err != nil {
 			t.Errorf("LFK %d: CanExtrapolate = %v, want nil", n, err)
 		}
+	}
+}
+
+// TestExtrapolatorVirtualNegative checks that a negative virtual
+// iteration count fails the run with a permanent bad-trace SimError,
+// under BestEffort too, instead of subtracting iterations from the
+// built trace (on LFK 1 at 4000, -1 once returned 55,995 of its 56,009
+// instructions, and -10000 a negative count).
+func TestExtrapolatorVirtualNegative(t *testing.T) {
+	k, err := loops.Scaled(1, 4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := k.SharedTrace()
+	for _, extra := range []int64{-1, -10000} {
+		for _, bestEffort := range []bool{false, true} {
+			e := Extrapolate(must(NewBasic(CRAYLike, M11BR5))).WithVirtual(map[string]int64{tr.Name: extra})
+			if bestEffort {
+				e.BestEffort()
+			}
+			r, err := e.RunChecked(tr, DefaultLimits())
+			se, ok := err.(*SimError)
+			if !ok || se.Kind != simerr.KindBadTrace || se.Transient || r != (Result{}) {
+				t.Errorf("extra %d, best effort %v: result %+v, err %v; want a permanent bad-trace SimError",
+					extra, bestEffort, r, err)
+			}
+		}
+	}
+}
+
+// TestNestPrefixViewsMatchCopies checks the premise of the nest ladder
+// on every machine model: a prefix view, whose last op is a branch the
+// source took, runs exactly like a copied prefix whose last branch
+// falls through, for every prefix of LFK 6 at 64.
+func TestNestPrefixViewsMatchCopies(t *testing.T) {
+	k, err := loops.Scaled(6, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nt := k.SharedTrace().Prepared().Nest()
+	for _, m := range everyMachine(M11BR5) {
+		m := m
+		t.Run(m.Name(), func(t *testing.T) {
+			t.Parallel()
+			for kk := 1; kk < nt.Outer; kk++ {
+				view := nt.Prefix(kk)
+				cp := &trace.Trace{Name: view.Name, Ops: append([]trace.Op(nil), view.Ops...)}
+				cp.Ops[len(cp.Ops)-1].Taken = false
+				got, gotErr := m.RunChecked(view, DefaultLimits())
+				want, wantErr := m.RunChecked(cp, DefaultLimits())
+				if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Fatalf("prefix of %d outer iterations: view %+v, %v; copy %+v, %v", kk, got, gotErr, want, wantErr)
+				}
+			}
+		})
+	}
+}
+
+// TestExtrapolatorNestPaperLength checks that at the paper's length
+// (40) LFK 6 falls back before simulating anything: the first stage's
+// 16 prefixes would cost 42,032 ops, more than half the trace's 6,634.
+func TestExtrapolatorNestPaperLength(t *testing.T) {
+	tr := kernelTrace(t, 6)
+	cfg := M11BR5.WithIssue(2, bus.BusN)
+	want := must(must(NewMultiIssueOOO(cfg)).RunChecked(tr, DefaultLimits()))
+	e := Extrapolate(must(NewMultiIssueOOO(cfg)))
+	if got := must(e.RunChecked(tr, DefaultLimits())); got != want {
+		t.Errorf("fallback result %+v differs from bare %+v", got, want)
+	}
+	if s := e.Stats(); s.Engaged || s.Order != 2 || s.SimulatedOps != 0 || !strings.Contains(s.Reason, "exceeds its budget") {
+		t.Errorf("stats %+v, want the nest ladder refused by its budget before any reference run", s)
+	}
+}
+
+// TestNestNeverExtends pins that the nest closure changes no workload:
+// CanExtrapolate still refuses LFK 6 at every build, so ScaleKernels
+// clamps it with the same note, and the scalar loops at 100000 carry
+// exactly the virtual windows and notes they did before nests closed.
+func TestNestNeverExtends(t *testing.T) {
+	for _, n := range []int{40, 256} {
+		k, err := loops.Scaled(6, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := CanExtrapolate(k.SharedTrace()); err == nil || !strings.Contains(err.Error(), "no steady-state period") {
+			t.Errorf("LFK 6 at %d: CanExtrapolate = %v, want the no-period refusal", n, err)
+		}
+	}
+	w := ScaleKernels(loops.ByClass(loops.Scalar), 100000)
+	if want := map[string]int64{"lfk05": 96000, "lfk11": 96000}; !maps.Equal(w.Virtual, want) {
+		t.Errorf("Virtual = %v, want %v", w.Virtual, want)
+	}
+	wantNotes := []string{
+		"LFK 6 (general linear recurrence): clamped to 256 iterations: core: lfk06: no steady-state period detected",
+		"LFK 13 (2-D particle in cell): clamped to 1000 iterations: core: lfk13: no steady-state period detected",
+		"LFK 14 (1-D particle in cell): clamped to 250 iterations: core: lfk14: a reduced trace does not preserve tail address identity",
+	}
+	if !slices.Equal(w.Notes, wantNotes) {
+		t.Errorf("Notes = %q, want %q", w.Notes, wantNotes)
 	}
 }

@@ -281,8 +281,12 @@ func ForScale(number, n int) (k *Kernel, extra int64, err error) {
 // window count of a counted loop is affine in its trip count, so the
 // slope measured between k and a build a few iterations shorter is
 // exact; kernels with no detectable steady state (data-dependent
-// control flow) cannot be extended analytically and return an error.
+// control flow) cannot be extended analytically and return an error,
+// as does a negative extra.
 func VirtualWindows(k *Kernel, extra int64) (int64, error) {
+	if extra < 0 {
+		return 0, fmt.Errorf("loops: %s: negative extra iteration count %d", k, extra)
+	}
 	if extra == 0 {
 		return 0, nil
 	}

@@ -85,6 +85,16 @@ func TestScaledRejectsBadLengths(t *testing.T) {
 	}
 }
 
+// TestVirtualWindowsRefusesNegative: a negative remainder is an
+// error, not a negative window count for the extrapolation engine.
+func TestVirtualWindowsRefusesNegative(t *testing.T) {
+	for _, extra := range []int64{-1, -5} {
+		if vw, err := VirtualWindows(registry[1], extra); err == nil {
+			t.Errorf("VirtualWindows(LFK 1, %d) = %d, want an error", extra, vw)
+		}
+	}
+}
+
 func TestScaledDoesNotDisturbRegistry(t *testing.T) {
 	before := registry[1].SharedTrace().Len()
 	if _, err := Scaled(1, 500); err != nil {

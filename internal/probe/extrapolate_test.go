@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -40,7 +41,7 @@ func TestAddExtrapolatedPreservesCheck(t *testing.T) {
 	}
 	for _, times := range []int64{0, 1, 2, 1_000_000_000} {
 		var c Counters
-		c.AddExtrapolated(ref, next, times)
+		c.AddExtrapolated(times, ref, next)
 		if err := c.Check(); err != nil {
 			t.Errorf("times=%d: Check failed: %v", times, err)
 		}
@@ -66,13 +67,13 @@ func TestAddExtrapolatedOverflow(t *testing.T) {
 	next := runCounters(2, 103, 124, 52, map[int]int64{2: 92, 3: 11})
 	c := *ref
 	c.OccupancyHist = append([]int64(nil), ref.OccupancyHist...)
-	if c.AddExtrapolated(ref, next, 4_000_000_000_000_000_000) {
+	if c.AddExtrapolated(4_000_000_000_000_000_000, ref, next) {
 		t.Fatalf("overflowing multiplier accepted: %+v", c)
 	}
 	if !reflect.DeepEqual(&c, ref) {
 		t.Errorf("refused fold changed the counters:\n got  %+v\n want %+v", c, *ref)
 	}
-	if !c.AddExtrapolated(ref, next, 1_000_000_000_000_000) {
+	if !c.AddExtrapolated(1_000_000_000_000_000, ref, next) {
 		t.Error("a multiplier whose totals fit was refused")
 	}
 }
@@ -86,7 +87,7 @@ func TestAddExtrapolatedSkippedRegion(t *testing.T) {
 	next := runCounters(1, 44, 33, 11, map[int]int64{1: 42, 5: 2})
 	const times = 1000
 	var c Counters
-	c.AddExtrapolated(ref, next, times)
+	c.AddExtrapolated(times, ref, next)
 	if want := ref.Branches + times*(next.Branches-ref.Branches); c.Branches != want {
 		t.Errorf("Branches = %d, want %d", c.Branches, want)
 	}
@@ -104,7 +105,7 @@ func TestAddExtrapolatedSkippedRegion(t *testing.T) {
 	}
 	// Accumulation: folding a second extrapolated run into the same
 	// Counters adds on top, as one Counters observing two runs.
-	c.AddExtrapolated(ref, next, 1)
+	c.AddExtrapolated(1, ref, next)
 	if err := c.Check(); err != nil {
 		t.Errorf("after second fold: %v", err)
 	}
@@ -125,7 +126,7 @@ func TestDeltaEqual(t *testing.T) {
 		return a0, a1, b0, b1
 	}
 	a0, a1, b0, b1 := mk()
-	if !DeltaEqual(a0, a1, b0, b1) {
+	if !DeltaEqual([]*Counters{a0, a1}, []*Counters{b0, b1}) {
 		t.Fatal("identical deltas reported unequal")
 	}
 	perturb := []struct {
@@ -146,7 +147,7 @@ func TestDeltaEqual(t *testing.T) {
 	for _, p := range perturb {
 		a0, a1, b0, b1 := mk()
 		p.mut(b1)
-		if DeltaEqual(a0, a1, b0, b1) {
+		if DeltaEqual([]*Counters{a0, a1}, []*Counters{b0, b1}) {
 			t.Errorf("%s perturbation went undetected", p.name)
 		}
 	}
@@ -154,7 +155,74 @@ func TestDeltaEqual(t *testing.T) {
 	// still equal: levels beyond the recorded range read as zero.
 	a0, a1, b0, b1 = mk()
 	b0.Occupancy(9, 0)
-	if !DeltaEqual(a0, a1, b0, b1) {
+	if !DeltaEqual([]*Counters{a0, a1}, []*Counters{b0, b1}) {
 		t.Error("zero-padded histogram broke equality")
+	}
+}
+
+// TestNewton checks the closure arithmetic against direct evaluation:
+// a line through two samples and a quadratic through three, at
+// multipliers from 0 to 1e9, and overflow refused rather than wrapped.
+func TestNewton(t *testing.T) {
+	line := func(x int64) int64 { return 7 + 3*x }
+	quad := func(x int64) int64 { return 5 - 2*x + 4*x*x }
+	for _, times := range []int64{0, 1, 2, 3, 17, 1_000_000_000} {
+		if got, ok := Newton(times, line(0), line(1)); !ok || got != line(times) {
+			t.Errorf("line at %d: %d, %v; want %d", times, got, ok, line(times))
+		}
+		if got, ok := Newton(times, quad(0), quad(1), quad(2)); !ok || got != quad(times) {
+			t.Errorf("quadratic at %d: %d, %v; want %d", times, got, ok, quad(times))
+		}
+	}
+	if d := Diff(quad(5), quad(6), quad(7)); d != 8 {
+		t.Errorf("second difference %d, want 8", d)
+	}
+	if d := Diff(line(5), line(6)); d != 3 {
+		t.Errorf("first difference %d, want 3", d)
+	}
+	for _, times := range []int64{3_100_000_000, math.MaxInt64} {
+		if got, ok := Newton(times, quad(0), quad(1), quad(2)); ok {
+			t.Errorf("quadratic at %d: %d accepted, want overflow", times, got)
+		}
+	}
+}
+
+// TestAddExtrapolatedQuadratic folds three reference runs one lag
+// apart, whose per-lag deltas grow by a fixed amount, and checks every
+// total against the quadratic and the slot ledger.
+func TestAddExtrapolatedQuadratic(t *testing.T) {
+	// Each lag adds 10 more cycles and 12 more issues than the last.
+	r0 := runCounters(2, 100, 120, 50, map[int]int64{2: 90})
+	r1 := runCounters(2, 130, 160, 65, map[int]int64{2: 115})
+	r2 := runCounters(2, 170, 212, 84, map[int]int64{2: 150})
+	at := func(a, b, c, times int64) int64 { return a + times*(b-a) + times*(times-1)/2*(c-2*b+a) }
+	for _, times := range []int64{0, 1, 2, 5, 100_000} {
+		var c Counters
+		if !c.AddExtrapolated(times, r0, r1, r2) {
+			t.Fatalf("times=%d: refused", times)
+		}
+		if err := c.Check(); err != nil {
+			t.Errorf("times=%d: Check failed: %v", times, err)
+		}
+		if want := at(r0.Cycles, r1.Cycles, r2.Cycles, times); c.Cycles != want {
+			t.Errorf("times=%d: Cycles = %d, want %d", times, c.Cycles, want)
+		}
+		if want := at(r0.Stalls[ReasonRAW], r1.Stalls[ReasonRAW], r2.Stalls[ReasonRAW], times); c.Stalls[ReasonRAW] != want {
+			t.Errorf("times=%d: RAW stalls = %d, want %d", times, c.Stalls[ReasonRAW], want)
+		}
+		if want := at(histAt(r0, 2), histAt(r1, 2), histAt(r2, 2), times); histAt(&c, 2) != want {
+			t.Errorf("times=%d: occupancy level 2 = %d, want %d", times, histAt(&c, 2), want)
+		}
+	}
+	if !DeltaEqual([]*Counters{r0, r1, r2}, []*Counters{r0, r1, r2}) {
+		t.Error("a run's second differences differ from themselves")
+	}
+	r3 := runCounters(2, 220, 276, 107, map[int]int64{2: 195})
+	if !DeltaEqual([]*Counters{r0, r1, r2}, []*Counters{r1, r2, r3}) {
+		t.Error("runs with one fixed second difference reported unequal")
+	}
+	r3.Stalls[ReasonRAW]++
+	if DeltaEqual([]*Counters{r0, r1, r2}, []*Counters{r1, r2, r3}) {
+		t.Error("a perturbed second difference went undetected")
 	}
 }

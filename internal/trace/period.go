@@ -21,8 +21,9 @@ import (
 // A trace with data-dependent control flow (different window contents
 // per iteration, as in LFK 13), data-dependent addressing, a
 // triangular iteration space (LFK 2/6), or too few iterations has no
-// Period; Prepared.Period returns nil and callers fall back to full
-// simulation.
+// Period; Prepared.Period returns nil. A triangular nest whose outer
+// iterations grow by a fixed op count (LFK 6) has a Nest instead;
+// anything else falls back to full simulation.
 type Period struct {
 	// Start is the index of the first loop-body window.
 	Start int

@@ -26,10 +26,10 @@ func kernelPeriod(t *testing.T, n int) *trace.Period {
 
 // TestPeriodDetectionPerKernel pins which Livermore traces expose a
 // steady-state period. The loops with data-dependent control flow
-// (LFK 13), data-dependent addressing (LFK 8), conditional bodies
-// (LFK 6), or non-counted structure (LFK 2's recursive halving) must
-// yield nil — they are exactly the traces the extrapolation engine
-// falls back on.
+// (LFK 13), data-dependent addressing (LFK 8), a triangular nest
+// (LFK 6, which has a Nest instead), or non-counted structure (LFK 2's
+// recursive halving) must yield nil — they are exactly the traces the
+// extrapolation engine cannot close by first differences.
 func TestPeriodDetectionPerKernel(t *testing.T) {
 	periodic := map[int]bool{
 		1: true, 2: false, 3: true, 4: true, 5: true,

@@ -84,6 +84,11 @@ type Prepared struct {
 	periodOnce sync.Once
 	period     *Period
 
+	// nestOnce guards the lazily computed triangular loop nest (Nest),
+	// asked for only of traces with no Period.
+	nestOnce sync.Once
+	nest     *Nest
+
 	// Err is non-nil when the trace failed validation: an undefined
 	// opcode, a functional-unit or register index outside the dense
 	// arrays the timing models key by it, a malformed parcel count, or
