@@ -431,38 +431,80 @@ func BenchmarkExtrapolation(b *testing.B) {
 
 // BenchmarkExtrapolationNest closes LFK 6 at its largest build (256:
 // 263,674 instructions in 255 outer iterations of growing inner loops)
-// through the engine's second differences on the 2-wide out-of-order
-// machine. "speedup" is the ratio against full simulation of the same
-// trace, timed before the loop; "refops" is the reference instructions
-// the ladder simulates per run.
+// through the engine's second differences, on the 2-wide out-of-order
+// machine and on the 2-wide RUU with 25 entries at M5BR2, whose ladder
+// needs 16 outer iterations per lag. "speedup" is the ratio against
+// full simulation of the same trace, timed before the loop; "refops"
+// is the instructions the forked ladder simulates per run.
 func BenchmarkExtrapolationNest(b *testing.B) {
 	k, err := loops.Scaled(6, 256)
 	if err != nil {
 		b.Fatal(err)
 	}
 	tr := k.SharedTrace()
-	cfg := core.M11BR5.WithIssue(2, mfup.BusN)
-	full := must(core.NewMultiIssueOOO(cfg))
+	for _, c := range []struct {
+		name string
+		mk   func() core.Machine
+	}{
+		{"OOO", func() core.Machine { return must(core.NewMultiIssueOOO(core.M11BR5.WithIssue(2, mfup.BusN))) }},
+		{"RUU", func() core.Machine { return must(core.NewRUU(core.M5BR2.WithIssue(2, mfup.BusN).WithRUU(25))) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			benchmarkClosure(b, c.mk, tr, nil)
+		})
+	}
+}
+
+// BenchmarkExtrapolationPeriod closes LFK 11 at scale 100000 (4000
+// built iterations, 28,001 instructions, the rest virtual) on the
+// 8-wide RUU with 25 entries over an N-Bus at M11BR2, whose ladder
+// climbs to its third stage for a lag of 40 windows. "speedup" is the
+// ratio against full simulation at the same length, estimated from
+// the built trace's measured throughput; "refops" is the instructions
+// the forked ladder simulates per run.
+func BenchmarkExtrapolationPeriod(b *testing.B) {
+	k, extra, err := loops.ForScale(11, 100000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	vw, err := loops.VirtualWindows(k, extra)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := k.SharedTrace()
+	mk := func() core.Machine { return must(core.NewRUU(core.M11BR2.WithIssue(8, mfup.BusN).WithRUU(25))) }
+	benchmarkClosure(b, mk, tr, map[string]int64{tr.Name: vw})
+}
+
+// benchmarkClosure times the engine closing tr on mk's machine, with
+// virtual windows, and reports "refops" and "speedup" over full
+// simulation, scaled by instruction count when the run is longer than
+// the trace.
+func benchmarkClosure(b *testing.B, mk func() core.Machine, tr *trace.Trace, virtual map[string]int64) {
+	full := mk()
 	const fullRuns = 3
 	start := time.Now()
 	for i := 0; i < fullRuns; i++ {
 		must(full.RunChecked(tr, core.Limits{}))
 	}
-	fullRun := time.Since(start).Seconds() / fullRuns
+	fullPerInstr := time.Since(start).Seconds() / fullRuns / float64(len(tr.Ops))
 
-	e := core.Extrapolate(must(core.NewMultiIssueOOO(cfg)))
+	e := core.Extrapolate(mk()).WithVirtual(virtual)
+	var last core.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.RunChecked(tr, core.DefaultLimits()); err != nil {
+		r, err := e.RunChecked(tr, core.DefaultLimits())
+		if err != nil {
 			b.Fatal(err)
 		}
+		last = r
 	}
 	s := e.Stats()
 	if !s.Engaged {
-		b.Fatalf("LFK 6 fell back: %s", s.Reason)
+		b.Fatalf("%s on %s fell back: %s", e.Name(), tr.Name, s.Reason)
 	}
 	b.ReportMetric(float64(s.SimulatedOps), "refops")
-	b.ReportMetric(fullRun/(b.Elapsed().Seconds()/float64(b.N)), "speedup")
+	b.ReportMetric(fullPerInstr*float64(last.Instructions)/(b.Elapsed().Seconds()/float64(b.N)), "speedup")
 }
 
 // BenchmarkExtrapolationOverhead measures the wrapper against the bare

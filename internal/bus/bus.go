@@ -140,6 +140,14 @@ func (t *Tracker) Kind() Kind { return t.kind }
 // Reset clears all reservations.
 func (t *Tracker) Reset() { clear(t.slots) }
 
+// CopyFrom makes t a copy of src, a tracker of the same kind, station
+// count and horizon, reusing t's ring.
+func (t *Tracker) CopyFrom(src *Tracker) {
+	slots := append(t.slots[:0], src.slots...)
+	*t = *src
+	t.slots = slots
+}
+
 // Free reports whether station's bus can deliver a result on cycle c.
 func (t *Tracker) Free(station int, c int64) bool {
 	s := &t.slots[station*t.stride+int(c&t.mask)]

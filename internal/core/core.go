@@ -313,10 +313,6 @@ type Machine interface {
 	SetRecorder(r *events.Recorder)
 }
 
-// pooled is implemented by the machines built on a functional-unit
-// pool: every machine but the vector one.
-type pooled interface{ unitsRefused() fu.UnitSet }
-
 // UnitsRefused reports every functional-unit class m's pool was busy
 // for when m asked for it, over every run m has made (fu.Pool.Refused),
 // looking through an Extrapolator to the machine it runs. ok is false
@@ -325,9 +321,9 @@ func UnitsRefused(m Machine) (units fu.UnitSet, ok bool) {
 	if e, wrapped := m.(*Extrapolator); wrapped {
 		m = e.inner
 	}
-	p, ok := m.(pooled)
-	if !ok {
+	f, ok := m.(forker)
+	if !ok || f.units() == nil {
 		return 0, false
 	}
-	return p.unitsRefused(), true
+	return f.units().Refused(), true
 }

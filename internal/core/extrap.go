@@ -20,10 +20,12 @@ import (
 // simulating a billion of them recomputes one number a billion times.
 //
 // The Extrapolator wrapper exploits that without touching a machine's
-// timing model. For a trace with B body windows it simulates a ladder
-// of reduced traces holding k0, k0+1, ..., k0+S-1 windows (Period
-// Slice; each run is a full prologue + tail, so end effects are
-// included), then looks for a lag L such that growing the loop by L
+// timing model. For a trace with B body windows it takes a ladder of
+// runs of reduced traces holding k0, k0+1, ..., k0+S-1 windows (Period
+// Slice; each is a full prologue + tail, so end effects are included)
+// — each forked from one run of the longest where its reduced trace
+// parts from it, so the ladder costs one run plus a tail per sample
+// (sampler) — then looks for a lag L such that growing the loop by L
 // iterations always adds the same cycle count, the same issued/stall
 // slot counts per reason, the same per-unit work, and the same
 // occupancy histogram increments. A machine in steady state must show
@@ -71,11 +73,11 @@ const (
 	extrapMinPairs = 8
 
 	// extrapHorizonOps and extrapHorizonWindows size the warmup the
-	// smallest reference run must contain before its tail: enough ops
-	// to flush any in-flight window (the largest RUU holds 100
-	// entries) and enough windows to retire any store-to-load distance
-	// a machine could still observe (each window costs at least one
-	// cycle; memory latency is at most 11).
+	// smallest reference run holds before its tail window. They only
+	// set where sampling starts: no fixed warm-up can outlast every
+	// latency (the sweep runs memory latency 20, and Config.Validate
+	// allows up to MaxLatency), so exactness rests on the confirming
+	// pairs, which must show one fixed delta over the whole ladder.
 	extrapHorizonOps     = 256
 	extrapHorizonWindows = 16
 )
@@ -107,8 +109,11 @@ type ExtrapolationStats struct {
 	// For a nest both count outer iterations.
 	Windows, Skipped int64
 
-	// SimulatedOps counts the ops actually simulated across the
-	// reference runs (the engine's entire per-machine cost).
+	// SimulatedOps counts the ops actually simulated for the reference
+	// ladder (the engine's entire per-machine cost): the one run that
+	// reaches every sample's divergence point, up to its last pause,
+	// plus each sample's tail from where its copy of that run resumed.
+	// Samples simulate the ops they share once.
 	SimulatedOps int64
 
 	// CyclesPerLag is the fixed cycle delta per Lag iterations; for a
@@ -167,6 +172,7 @@ func CanExtrapolate(t *trace.Trace) error {
 // reusable but not safe for concurrent use.
 type Extrapolator struct {
 	inner      Machine
+	spare      forker // the machine the ladder forks its samples into, built on first use
 	probe      probe.Probe
 	rec        *events.Recorder
 	extra      map[string]int64 // virtual iterations to add, by trace name
@@ -287,7 +293,8 @@ func (e *Extrapolator) tryExtrapolate(t *trace.Trace, lim Limits, extraIters int
 	if reason != "" {
 		return fallback(reason)
 	}
-	samples, lag, reason := e.climb(l, lim)
+	target := int64(l.full) + extraIters
+	samples, lag, reason := e.climb(l, lim, target)
 	if reason != "" {
 		return fallback(reason)
 	}
@@ -298,17 +305,10 @@ func (e *Extrapolator) tryExtrapolate(t *trace.Trace, lim Limits, extraIters int
 	overflow := func(what string) (Result, error, bool) {
 		return Result{}, e.errVirtual(t, extraIters, what+" overflows int64"), true
 	}
-	target := int64(l.full) + extraIters
 	if target < extraIters {
 		return overflow("the window count")
 	}
-	ref := -1
-	for i := len(samples) - 1 - l.order*lag; i >= 0; i-- {
-		if (target-int64(l.warmup+i))%int64(lag) == 0 {
-			ref = i
-			break
-		}
-	}
+	ref := l.congruentRef(len(samples), lag, target)
 	if ref < 0 {
 		return fallback("no reference run congruent to the target length")
 	}
@@ -353,8 +353,12 @@ type ladder struct {
 	order int
 
 	// reduce builds the reduced trace of a size; full is the trace's own
-	// size, which every reference stays below.
+	// size, which every reference stays below. split(size) is the first
+	// op at which the reduced trace may differ from every longer one and
+	// from the trace itself: a run of the trace stands for a run of the
+	// reduced trace up to there.
 	reduce func(size int) *trace.Trace
+	split  func(size int) int
 	full   int
 
 	// warmup is the smallest reference size; stages grow the sample
@@ -362,10 +366,22 @@ type ladder struct {
 	warmup int
 	stages []ladderStage
 
-	// budget bounds the reference ops a stage may bring the ladder to
-	// (0: no bound), and delta names what a confirmed lag fixes.
+	// budget bounds the simulated ops a stage may bring the ladder to (0:
+	// no bound), and delta names what a confirmed lag fixes.
 	budget int64
 	delta  string
+}
+
+// congruentRef returns the latest of n samples that closes the run at
+// target: congruent to it modulo lag, with order·lag samples after it;
+// -1 when none is.
+func (l *ladder) congruentRef(n, lag int, target int64) int {
+	for i := n - 1 - l.order*lag; i >= 0; i-- {
+		if (target-int64(l.warmup+i))%int64(lag) == 0 {
+			return i
+		}
+	}
+	return -1
 }
 
 // ladderStage samples the first samples reduced traces of a ladder and
@@ -435,9 +451,10 @@ func (e *Extrapolator) ladderFor(prep *trace.Prepared, extraIters int64) (ladder
 			return ladder{}, fmt.Sprintf("too few outer iterations (%d, need %d)", nt.Outer, need)
 		}
 		// Prefixes are exact leading parts of the trace: no address
-		// moves, so banks and tail identity need no check.
+		// moves, so banks and tail identity need no check. A prefix
+		// parts from longer ones where it ends.
 		return ladder{
-			order: 2, reduce: nt.Prefix, full: nt.Outer,
+			order: 2, reduce: nt.Prefix, split: nt.Len, full: nt.Outer,
 			warmup: nestWarmup, stages: nestStages,
 			budget: int64(len(prep.Ops) / 2), delta: "second difference per outer iteration",
 		}, ""
@@ -460,85 +477,178 @@ func (e *Extrapolator) ladderFor(prep *trace.Prepared, extraIters int64) (ladder
 		return ladder{}, "reduced trace does not preserve tail address identity"
 	}
 	return ladder{
-		order: 1, reduce: pd.Slice, full: pd.Iterations(),
+		order: 1, reduce: pd.Slice, split: pd.Diverge, full: pd.Iterations(),
 		warmup: k0, stages: periodStages, delta: "per-iteration delta",
 	}, ""
 }
 
-// climb simulates the ladder's reference runs, each observed by a
-// fresh counter set, stage by stage until a lag confirms, and returns
-// the runs and the lag; a non-empty reason means fall back.
-func (e *Extrapolator) climb(l ladder, lim Limits) ([]sample, int, string) {
-	samples := make([]sample, 0, l.stages[1].samples)
-	defer e.inner.SetProbe(nil)
-	extendTo := func(n int) string {
-		trs := make([]*trace.Trace, 0, n-len(samples))
-		ops := e.last.SimulatedOps
-		for size := l.warmup + len(samples); size < l.warmup+n; size++ {
-			tr := l.reduce(size)
-			if tr == nil {
-				return "reduced trace construction failed"
-			}
-			trs = append(trs, tr)
-			ops += int64(len(tr.Ops))
-		}
-		if l.budget > 0 && ops > l.budget {
-			return fmt.Sprintf("a ladder of %d reference ops exceeds its budget of %d, half the trace", ops, l.budget)
-		}
-		for _, tr := range trs {
-			c := new(probe.Counters)
-			e.inner.SetProbe(c)
-			r, err := e.inner.RunChecked(tr, lim)
-			if err != nil {
-				return fmt.Sprintf("reference run (%d iterations) failed: %v", l.warmup+len(samples), err)
-			}
-			samples = append(samples, sample{r, c})
-			e.last.SimulatedOps += int64(len(tr.Ops))
-		}
-		return ""
+// climb simulates the ladder's samples, each observed by a fresh
+// counter set, stage by stage until a lag confirms, and returns them
+// and the lag; a non-empty reason means fall back.
+func (e *Extrapolator) climb(l ladder, lim Limits, target int64) ([]sample, int, string) {
+	sp, reason := e.sampler(l, lim)
+	if reason != "" {
+		return nil, 0, reason
 	}
-	// findLag returns the smallest lag in [1, hi] at which every run of
-	// order+1 samples that lag apart has the same order-th difference
-	// in cycles, instructions and every counter, or 0 if there is none.
-	// A lag is only trusted with at least extrapMinPairs confirming
-	// runs.
+	defer sp.close()
+	// holds reports whether every run of order+1 samples lag apart has
+	// the same order-th difference in cycles, instructions and every
+	// counter.
 	base, p := newLadderPoints(l.order), newLadderPoints(l.order)
+	holds := func(lag int) bool {
+		samples := sp.samples
+		base.gather(samples, 0, lag)
+		ok := samples[lag].r.Cycles > samples[0].r.Cycles
+		for i := 1; ok && i+l.order*lag < len(samples); i++ {
+			p.gather(samples, i, lag)
+			ok = probe.Diff(p.cycles...) == probe.Diff(base.cycles...) &&
+				probe.Diff(p.instrs...) == probe.Diff(base.instrs...) &&
+				probe.DeltaEqual(base.counters, p.counters)
+		}
+		return ok
+	}
+	// findLag returns the smallest lag in [1, hi] that holds, or 0 if
+	// there is none. A lag is only trusted with at least extrapMinPairs
+	// confirming runs.
 	findLag := func(hi int) int {
-		if max := (len(samples) - extrapMinPairs) / l.order; hi > max {
+		if max := (len(sp.samples) - extrapMinPairs) / l.order; hi > max {
 			hi = max
 		}
 		for lag := 1; lag <= hi; lag++ {
-			base.gather(samples, 0, lag)
-			ok := samples[lag].r.Cycles > samples[0].r.Cycles
-			for i := 1; ok && i+l.order*lag < len(samples); i++ {
-				p.gather(samples, i, lag)
-				ok = probe.Diff(p.cycles...) == probe.Diff(base.cycles...) &&
-					probe.Diff(p.instrs...) == probe.Diff(base.instrs...) &&
-					probe.DeltaEqual(base.counters, p.counters)
-			}
-			if ok {
+			if holds(lag) {
 				return lag
 			}
 		}
 		return 0
 	}
+	// Later stages shrink to the iterations the trace has; the first is
+	// guaranteed by the engagement check in ladderFor.
+	most := l.full - l.warmup - 1
 	for _, st := range l.stages {
-		// Later stages shrink to the iterations the trace has; the
-		// first is guaranteed by the engagement check in ladderFor.
 		// Re-search from lag 1 each stage: a short lag can sit above an
-		// earlier stage's pair-count ceiling, and re-checking the rest
-		// is cheap next to one reference simulation.
-		if n := l.full - l.warmup - 1; st.samples > n {
-			st.samples = n
+		// earlier stage's pair-count ceiling, and re-checking the rest is
+		// cheap next to one reference simulation.
+		if reason := sp.grow(min(st.samples, most)); reason != "" {
+			return nil, 0, reason
 		}
-		if st.samples > len(samples) {
-			if reason := extendTo(st.samples); reason != "" {
-				return nil, 0, reason
+		lag := findLag(st.maxLag)
+		if lag == 0 {
+			continue
+		}
+		if l.order == 2 {
+			// A nest extends its prefixes one at a time, within the
+			// budget, until a reference congruent to the target has
+			// order·lag samples after it, and the lag must then hold over
+			// every sample. A loop never extends.
+			for l.congruentRef(len(sp.samples), lag, target) < 0 && len(sp.samples) < most {
+				if reason := sp.grow(len(sp.samples) + 1); reason != "" {
+					return nil, 0, reason
+				}
+			}
+			if !holds(lag) {
+				return nil, 0, "the " + l.delta + " changed as the ladder grew to a congruent reference"
 			}
 		}
-		if lag := findLag(st.maxLag); lag != 0 {
-			return samples, lag, ""
-		}
+		return sp.samples, lag, ""
 	}
 	return nil, 0, "no fixed " + l.delta + " within the sampled ladder"
+}
+
+// sampler forks a ladder's samples. One run simulates them all: the
+// spine, a probed run of the reduced trace one size past the largest
+// sample so far, which holds every sample's ops up to its split. It
+// pauses at each split, and a copy of it (the spare) resumes there on
+// the sample's reduced trace and simulates only its tail, so every
+// sample is the run of its reduced trace from cycle 0, at the cost of
+// that tail (forker). When the ladder grows, the paused spine moves on
+// to a longer reduced trace, so no op is simulated twice, across
+// stages too.
+type sampler struct {
+	e       *Extrapolator
+	l       ladder
+	lim     Limits
+	spine   forker
+	spineC  *probe.Counters
+	begun   bool // whether the spine's run has begun
+	samples []sample
+}
+
+// sampler readies the ladder's spine; a non-empty reason means fall
+// back.
+func (e *Extrapolator) sampler(l ladder, lim Limits) (*sampler, string) {
+	spine, ok := e.inner.(forker)
+	if !ok {
+		return nil, "machine cannot fork a run"
+	}
+	if e.spare == nil {
+		e.spare = spine.spare()
+	}
+	sp := &sampler{e: e, l: l, lim: lim, spine: spine, spineC: new(probe.Counters),
+		samples: make([]sample, 0, l.stages[1].samples)}
+	spine.SetProbe(sp.spineC)
+	return sp, ""
+}
+
+// close detaches the ladder's counters from both machines.
+func (sp *sampler) close() {
+	sp.spine.SetProbe(nil)
+	sp.e.spare.SetProbe(nil)
+}
+
+// grow forks the samples up to n. The budget counts what they cost:
+// the spine's way to the last split and each tail past its split.
+func (sp *sampler) grow(n int) string {
+	e, l, spine := sp.e, &sp.l, sp.spine
+	if n <= len(sp.samples) {
+		return ""
+	}
+	pos := 0
+	if sp.begun {
+		pos = spine.state().pos
+	}
+	trs := make([]*trace.Trace, 0, n-len(sp.samples))
+	ops := e.last.SimulatedOps + int64(l.split(l.warmup+n-1)-pos)
+	for size := l.warmup + len(sp.samples); size < l.warmup+n; size++ {
+		tr := l.reduce(size)
+		if tr == nil {
+			return "reduced trace construction failed"
+		}
+		trs = append(trs, tr)
+		ops += int64(len(tr.Ops) - l.split(size))
+	}
+	if l.budget > 0 && ops > l.budget {
+		return fmt.Sprintf("a ladder of %d forked reference ops exceeds its budget of %d, half the trace", ops, l.budget)
+	}
+	long := l.reduce(l.warmup + n)
+	if long == nil {
+		return "reduced trace construction failed"
+	}
+	if sp.begun {
+		spine.fork(spine, long, sp.spineC)
+	} else if err := spine.begin(long, sp.lim); err != nil {
+		return fmt.Sprintf("reference run failed: %v", err)
+	}
+	sp.begun = true
+	for _, tr := range trs {
+		size := l.warmup + len(sp.samples)
+		from := spine.state().pos
+		if _, _, err := spine.advance(l.split(size)); err != nil {
+			return fmt.Sprintf("reference run (%d iterations) failed: %v", size, err)
+		}
+		c := sp.spineC.Clone()
+		e.spare.fork(spine, tr, c)
+		forked := e.spare.state().pos
+		r, _, err := e.spare.advance(noPause)
+		// The spare's refusals are the machine's: UnitsRefused covers
+		// every sample.
+		if p := spine.units(); p != nil {
+			p.MergeRefused(e.spare.units())
+		}
+		e.last.SimulatedOps += int64(spine.state().pos-from) + int64(len(tr.Ops)-forked)
+		if err != nil {
+			return fmt.Sprintf("reference run (%d iterations) failed: %v", size, err)
+		}
+		sp.samples = append(sp.samples, sample{r, c})
+	}
+	return ""
 }

@@ -387,7 +387,8 @@ func TestNestPrefixViewsMatchCopies(t *testing.T) {
 
 // TestExtrapolatorNestPaperLength checks that at the paper's length
 // (40) LFK 6 falls back before simulating anything: the first stage's
-// 16 prefixes would cost 42,032 ops, more than half the trace's 6,634.
+// 16 prefixes would cost 4,282 forked ops (the run of the longest one),
+// more than half the trace's 6,634.
 func TestExtrapolatorNestPaperLength(t *testing.T) {
 	tr := kernelTrace(t, 6)
 	cfg := M11BR5.WithIssue(2, bus.BusN)

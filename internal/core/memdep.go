@@ -29,6 +29,12 @@ func (m *memScoreboard) Reset(numAddrs int) {
 	clear(m.storeDone)
 }
 
+// copyFrom makes m a copy of src for a trace with numAddrs distinct
+// addresses (copyResized).
+func (m *memScoreboard) copyFrom(src *memScoreboard, numAddrs int) {
+	m.storeDone = copyResized(m.storeDone, src.storeDone, numAddrs)
+}
+
 // EarliestLoad returns the earliest cycle >= t at which a load of
 // address id may issue.
 func (m *memScoreboard) EarliestLoad(id int32, t int64) int64 {

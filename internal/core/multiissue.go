@@ -9,7 +9,6 @@ import (
 	"mfup/internal/mem"
 	"mfup/internal/probe"
 	"mfup/internal/regfile"
-	"mfup/internal/simerr"
 	"mfup/internal/trace"
 )
 
@@ -32,6 +31,7 @@ type multiIssue struct {
 	bt    *bus.Tracker
 	mem   memScoreboard
 	banks *mem.Banks
+	st    run
 	probe probe.Probe
 	rec   *events.Recorder
 }
@@ -75,22 +75,16 @@ func (m *multiIssue) SetRecorder(r *events.Recorder) { m.rec = r }
 // RunChecked simulates t under the limits; issue times are computed
 // directly, so only the cycle budget and deadline apply.
 func (m *multiIssue) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
-	p := t.Prepared()
-	if err := scalarOnly(m.Name(), p); err != nil {
+	if err := m.begin(t, lim); err != nil {
 		return Result{}, err
 	}
-	m.pool.Reset()
-	m.sb.Reset()
-	m.bt.Reset()
-	m.mem.Reset(p.NumAddrs)
-	m.banks.Reset()
-	g := newGuard(m.Name(), t.Name, lim)
-
 	if m.probe != nil || m.rec != nil {
 		// The observed copy of the run lives in its own method so this
 		// loop carries no attribution or event bookkeeping.
-		return m.runCheckedObserved(t, p, &g)
+		r, _, err := m.advance(noPause)
+		return r, err
 	}
+	p, g := m.st.p, m.st.g
 
 	w := m.cfg.IssueUnits
 	brLat := int64(m.cfg.BranchLatency)
@@ -179,34 +173,59 @@ func (m *multiIssue) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 	}, nil
 }
 
-// runCheckedObserved is the observed copy of the RunChecked loop,
-// filing every issue with the attached probe and/or event recorder
-// (either may be nil, not both). The duplication is deliberate — the
+func (m *multiIssue) begin(t *trace.Trace, lim Limits) error {
+	p := t.Prepared()
+	if err := scalarOnly(m.Name(), p); err != nil {
+		return err
+	}
+	m.pool.Reset()
+	m.sb.Reset()
+	m.bt.Reset()
+	m.mem.Reset(p.NumAddrs)
+	m.banks.Reset()
+	m.st = run{t: t, p: p, g: newGuard(m.Name(), t.Name, lim)}
+	w := m.cfg.IssueUnits
+	if m.probe != nil {
+		m.probe.Begin(m.Name(), t.Name, w, w)
+		m.st.acct = *probe.NewAccount(m.probe, w)
+	}
+	if m.rec != nil {
+		m.rec.Begin(m.Name(), t.Name, w)
+	}
+	return nil
+}
+
+// advance is the observed copy of the RunChecked loop, filing every
+// issue with the attached probe and/or event recorder (either may be
+// nil, not both), buffer by buffer until the next buffer could reach
+// op at: its fetch reads the ops it holds, and its end asks whether
+// the op after it exists. The duplication is deliberate — the
 // unobserved loop stays the seed computation with no attribution or
 // event bookkeeping, which is what keeps the nil path at seed speed.
 // Any timing change must be made to both copies; the probe and trace
 // invariant tests compare their cycle counts across all machines and
 // loops.
-func (m *multiIssue) runCheckedObserved(t *trace.Trace, p *trace.Prepared, g *simerr.Guard) (Result, error) {
+func (m *multiIssue) advance(at int) (Result, bool, error) {
+	t, p, g := m.st.t, m.st.p, m.st.g
 	w := m.cfg.IssueUnits
 	brLat := int64(m.cfg.BranchLatency)
 
 	var acct *probe.Account
 	if m.probe != nil {
-		m.probe.Begin(m.Name(), t.Name, w, w)
-		acct = probe.NewAccount(m.probe, w)
-	}
-	if m.rec != nil {
-		m.rec.Begin(m.Name(), t.Name, w)
+		acct = &m.st.acct
 	}
 
 	var (
-		nextFetch int64 // earliest issue cycle for the next buffer
-		lastDone  int64
+		nextFetch = m.st.next // earliest issue cycle for the next buffer
+		lastDone  = m.st.last
 	)
 
-	pos := 0
+	pos := m.st.pos
 	for pos < len(t.Ops) {
+		if pos >= at-w {
+			m.st.pos, m.st.next, m.st.last, m.st.g = pos, nextFetch, lastDone, g
+			return Result{}, false, nil
+		}
 		// Fetch a buffer: up to w ops, ending early at a taken branch
 		// (the rest of the line is squashed and refetched from the
 		// target).
@@ -279,10 +298,10 @@ func (m *multiIssue) runCheckedObserved(t *trace.Trace, p *trace.Prepared, g *si
 				lastDone = done
 			}
 			if err := g.Over(lastDone, int64(i)); err != nil {
-				return Result{}, err
+				return Result{}, false, err
 			}
 			if err := g.Tick(lastDone, int64(i)); err != nil {
-				return Result{}, err
+				return Result{}, false, err
 			}
 
 			if isBranch && m.cfg.PerfectBranches {
@@ -320,18 +339,14 @@ func (m *multiIssue) runCheckedObserved(t *trace.Trace, p *trace.Prepared, g *si
 			acct.Advance(nextFetch, probe.ReasonIssueWidth)
 		}
 	}
+	m.st.pos, m.st.next, m.st.last = pos, nextFetch, lastDone
 	if m.probe != nil {
 		m.probe.End(lastDone)
 	}
 	if m.rec != nil {
 		m.rec.End(lastDone)
 	}
-	return Result{
-		Machine:      m.Name(),
-		Trace:        t.Name,
-		Instructions: int64(len(t.Ops)),
-		Cycles:       lastDone,
-	}, nil
+	return m.st.result(), true, nil
 }
 
 // issueReason replays the issue-constraint chain from e to name the
@@ -382,5 +397,20 @@ func (m *multiIssue) issueReason(op *trace.Op, po *trace.PreparedOp, isBranch bo
 // machineConfig exposes the configuration to the extrapolation engine.
 func (m *multiIssue) machineConfig() Config { return m.cfg }
 
-// unitsRefused exposes the pool's refusals to UnitsRefused.
-func (m *multiIssue) unitsRefused() fu.UnitSet { return m.pool.Refused() }
+func (m *multiIssue) units() *fu.Pool { return m.pool }
+
+func (m *multiIssue) state() *run { return &m.st }
+
+func (m *multiIssue) spare() forker { return spareOf(NewMultiIssue(m.cfg)) }
+
+func (m *multiIssue) fork(src forker, t *trace.Trace, p probe.Probe) {
+	s := src.(*multiIssue)
+	m.pool.CopyFrom(s.pool)
+	m.sb = s.sb
+	m.bt.CopyFrom(s.bt)
+	m.mem.copyFrom(&s.mem, t.Prepared().NumAddrs)
+	m.banks.CopyFrom(s.banks)
+	m.st = s.st
+	m.st.retarget(t, p)
+	m.probe = p
+}

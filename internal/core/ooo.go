@@ -34,6 +34,16 @@ type multiIssueOOO struct {
 	bt    *bus.Tracker
 	mem   memScoreboard
 	banks *mem.Banks
+
+	// The buffer scan's per-entry state, w entries each: whether and
+	// when each entry issued, how many older entries hold it back, and
+	// (probed) why it waited this cycle. Dead between buffers.
+	issuedAt []int64
+	issued   []bool
+	blockers []int
+	reasons  []probe.Reason
+
+	st    run
 	probe probe.Probe
 	rec   *events.Recorder
 }
@@ -54,11 +64,16 @@ func NewMultiIssueOOO(cfg Config) (Machine, error) {
 	}
 	pool := cfg.newPool()
 	pool.SegmentAll()
+	w := cfg.IssueUnits
 	return &multiIssueOOO{
-		cfg:   cfg,
-		pool:  pool,
-		bt:    bt,
-		banks: mem.NewBanks(cfg.MemBanks, cfg.MemLatency),
+		cfg:      cfg,
+		pool:     pool,
+		bt:       bt,
+		banks:    mem.NewBanks(cfg.MemBanks, cfg.MemLatency),
+		issuedAt: make([]int64, w),
+		issued:   make([]bool, w),
+		blockers: make([]int, w),
+		reasons:  make([]probe.Reason, w),
 	}, nil
 }
 
@@ -77,26 +92,48 @@ func (m *multiIssueOOO) SetRecorder(r *events.Recorder) { m.rec = r }
 // buffer in which nothing can ever issue would otherwise spin the scan
 // forever.
 func (m *multiIssueOOO) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
+	if err := m.begin(t, lim); err != nil {
+		return Result{}, err
+	}
+	r, _, err := m.advance(noPause)
+	return r, err
+}
+
+func (m *multiIssueOOO) begin(t *trace.Trace, lim Limits) error {
 	p := t.Prepared()
 	if err := scalarOnly(m.Name(), p); err != nil {
-		return Result{}, err
+		return err
 	}
 	m.pool.Reset()
 	m.sb.Reset()
 	m.bt.Reset()
 	m.mem.Reset(p.NumAddrs)
 	m.banks.Reset()
-	g := newGuard(m.Name(), t.Name, lim)
+	m.st = run{t: t, p: p, g: newGuard(m.Name(), t.Name, lim)}
+	w := m.cfg.IssueUnits
+	if m.probe != nil {
+		m.probe.Begin(m.Name(), t.Name, w, w)
+	}
+	if m.rec != nil {
+		m.rec.Begin(m.Name(), t.Name, w)
+	}
+	return nil
+}
 
+// advance runs buffer by buffer until the next buffer could reach op
+// at: its fetch reads the ops it holds, and its end asks whether the
+// op after it exists.
+func (m *multiIssueOOO) advance(at int) (Result, bool, error) {
+	t, p, g := m.st.t, m.st.p, m.st.g
 	w := m.cfg.IssueUnits
 	brLat := int64(m.cfg.BranchLatency)
 
 	var (
-		nextFetch int64
-		lastDone  int64
-		issuedAt  = make([]int64, w)
-		issued    = make([]bool, w)
-		blockers  = make([]int, w)
+		nextFetch = m.st.next
+		lastDone  = m.st.last
+		issuedAt  = m.issuedAt
+		issued    = m.issued
+		blockers  = m.blockers
 	)
 
 	// reasons[i] is the stall reason recorded for the i-th buffer entry
@@ -105,15 +142,15 @@ func (m *multiIssueOOO) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 	// than through a probe.Account.
 	var reasons []probe.Reason
 	if m.probe != nil {
-		m.probe.Begin(m.Name(), t.Name, w, w)
-		reasons = make([]probe.Reason, w)
-	}
-	if m.rec != nil {
-		m.rec.Begin(m.Name(), t.Name, w)
+		reasons = m.reasons
 	}
 
-	pos := 0
+	pos := m.st.pos
 	for pos < len(t.Ops) {
+		if pos >= at-w {
+			m.st.pos, m.st.next, m.st.last, m.st.g = pos, nextFetch, lastDone, g
+			return Result{}, false, nil
+		}
 		end := p.Window(pos, w)
 		size := end - pos
 		for i := 0; i < size; i++ {
@@ -137,7 +174,7 @@ func (m *multiIssueOOO) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 			// bookkeeping.
 			mi, ld, err := m.scanBufferObserved(t, p, &g, pos, size, nextFetch, issued, issuedAt, blockers, snapshot, reasons, lastDone)
 			if err != nil {
-				return Result{}, err
+				return Result{}, false, err
 			}
 			maxIssue, lastDone = mi, ld
 		} else {
@@ -159,13 +196,13 @@ func (m *multiIssueOOO) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 			// older unissued entry moves only after another issues.
 			for c := nextFetch; remaining > 0; {
 				if err := g.Stalled(c, int64(pos), snapshot); err != nil {
-					return Result{}, err
+					return Result{}, false, err
 				}
 				if err := g.Over(c, int64(pos)); err != nil {
-					return Result{}, err
+					return Result{}, false, err
 				}
 				if err := g.Tick(c, int64(pos)); err != nil {
-					return Result{}, err
+					return Result{}, false, err
 				}
 				wake := int64(math.MaxInt64)
 				before := remaining
@@ -252,7 +289,7 @@ func (m *multiIssueOOO) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 						lastDone = done
 					}
 					if err := g.Over(lastDone, int64(pos+i)); err != nil {
-						return Result{}, err
+						return Result{}, false, err
 					}
 					if isBranch && !m.cfg.PerfectBranches {
 						brGate = c + brLat
@@ -284,18 +321,14 @@ func (m *multiIssueOOO) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 		}
 		pos = end
 	}
+	m.st.pos, m.st.next, m.st.last = pos, nextFetch, lastDone
 	if m.probe != nil {
 		m.probe.End(lastDone)
 	}
 	if m.rec != nil {
 		m.rec.End(lastDone)
 	}
-	return Result{
-		Machine:      m.Name(),
-		Trace:        t.Name,
-		Instructions: int64(len(t.Ops)),
-		Cycles:       lastDone,
-	}, nil
+	return m.st.result(), true, nil
 }
 
 // scanBufferObserved is the observed copy of the buffer scan in
@@ -600,5 +633,20 @@ func (m *multiIssueOOO) hazardReason(t *trace.Trace, p *trace.Prepared, pos, i i
 // machineConfig exposes the configuration to the extrapolation engine.
 func (m *multiIssueOOO) machineConfig() Config { return m.cfg }
 
-// unitsRefused exposes the pool's refusals to UnitsRefused.
-func (m *multiIssueOOO) unitsRefused() fu.UnitSet { return m.pool.Refused() }
+func (m *multiIssueOOO) units() *fu.Pool { return m.pool }
+
+func (m *multiIssueOOO) state() *run { return &m.st }
+
+func (m *multiIssueOOO) spare() forker { return spareOf(NewMultiIssueOOO(m.cfg)) }
+
+func (m *multiIssueOOO) fork(src forker, t *trace.Trace, p probe.Probe) {
+	s := src.(*multiIssueOOO)
+	m.pool.CopyFrom(s.pool)
+	m.sb = s.sb
+	m.bt.CopyFrom(s.bt)
+	m.mem.copyFrom(&s.mem, t.Prepared().NumAddrs)
+	m.banks.CopyFrom(s.banks)
+	m.st = s.st
+	m.st.retarget(t, p)
+	m.probe = p
+}

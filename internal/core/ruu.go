@@ -63,6 +63,16 @@ func (l *cycleList) reset() {
 	}
 }
 
+// copyFrom makes l a copy of src, a list of the same horizon, reusing
+// l's lists.
+func (l *cycleList) copyFrom(src *cycleList) {
+	l.mask = src.mask
+	l.cycle = append(l.cycle[:0], src.cycle...)
+	for i, e := range src.entries {
+		l.entries[i] = append(l.entries[i][:0], e...)
+	}
+}
+
 func (l *cycleList) add(c int64, r ref) {
 	i := c & l.mask
 	if l.cycle[i] != c {
@@ -142,6 +152,7 @@ type ruuMachine struct {
 	commitAt   []int64      // per bank: the last cycle its commit bus carried a commit
 	memBanks   *mem.Banks
 
+	st    run
 	probe probe.Probe
 	rec   *events.Recorder
 }
@@ -149,8 +160,35 @@ type ruuMachine struct {
 // machineConfig exposes the configuration to the extrapolation engine.
 func (s *ruuMachine) machineConfig() Config { return s.cfg }
 
-// unitsRefused exposes the pool's refusals to UnitsRefused.
-func (s *ruuMachine) unitsRefused() fu.UnitSet { return s.pool.Refused() }
+func (s *ruuMachine) units() *fu.Pool { return s.pool }
+
+func (s *ruuMachine) state() *run { return &s.st }
+
+func (s *ruuMachine) spare() forker { return spareOf(NewRUU(s.cfg)) }
+
+func (s *ruuMachine) fork(src forker, t *trace.Trace, p probe.Probe) {
+	o := src.(*ruuMachine)
+	s.pool.CopyFrom(o.pool)
+	copy(s.free, o.free)
+	s.regProducer, s.regReadyAt = o.regProducer, o.regReadyAt
+	n := t.Prepared().NumAddrs
+	s.memProducer = copyResized(s.memProducer, o.memProducer, n)
+	s.memReadyAt = copyResized(s.memReadyAt, o.memReadyAt, n)
+	s.slab = copySlab(s.slab, o.slab, func(e *entry) *[]ref { return &e.waiters })
+	s.freeEnt = append(s.freeEnt[:0], o.freeEnt...)
+	copy(s.fifo, o.fifo)
+	s.fifoHead, s.fifoTail, s.fifoLen = o.fifoHead, o.fifoTail, o.fifoLen
+	for b, l := range o.ready {
+		s.ready[b] = append(s.ready[b][:0], l...)
+	}
+	s.broadcasts.copyFrom(&o.broadcasts)
+	s.results.CopyFrom(o.results)
+	copy(s.commitAt, o.commitAt)
+	s.memBanks.CopyFrom(o.memBanks)
+	s.st = o.st
+	s.st.retarget(t, p)
+	s.probe = p
+}
 
 // NewRUU builds the §5.3 machine: cfg.IssueUnits issue units over a
 // cfg.RUUSize-entry Register Update Unit with the cfg.Bus
@@ -254,26 +292,41 @@ func (s *ruuMachine) snapshot(max int) []string {
 // cycle, so all three checks apply: cycle budget, no-forward-progress
 // watchdog, and wall-clock deadline.
 func (s *ruuMachine) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
+	if err := s.begin(t, lim); err != nil {
+		return Result{}, err
+	}
+	r, _, err := s.advance(noPause)
+	return r, err
+}
+
+func (s *ruuMachine) begin(t *trace.Trace, lim Limits) error {
 	name := s.Name()
 	p := t.Prepared()
 	if err := scalarOnly(name, p); err != nil {
-		return Result{}, err
+		return err
 	}
 	s.reset(p.NumAddrs)
-	g := newGuard(name, t.Name, lim)
+	s.st = run{t: t, p: p, g: newGuard(name, t.Name, lim)}
 	if s.probe != nil {
 		s.probe.Begin(name, t.Name, s.cfg.IssueUnits, s.cfg.RUUSize)
 	}
 	if s.rec != nil {
 		s.rec.Begin(name, t.Name, s.cfg.IssueUnits)
 	}
+	return nil
+}
 
+// advance steps cycles until one starts within IssueUnits ops of op
+// at, where the issue stage could reach it.
+func (s *ruuMachine) advance(at int) (Result, bool, error) {
+	t, p, g := s.st.t, s.st.p, s.st.g
 	var (
-		pos       int   // next trace op to issue
-		seq       int64 // issue sequence counter
-		seqBank   int   // seq mod s.banks: the bank instruction seq goes to
-		issueGate int64 // no issue before this cycle (branch resolution)
-		lastEvent int64
+		pos       = s.st.pos      // next trace op to issue
+		seq       = int64(pos)    // issue sequence counter
+		seqBank   = pos % s.banks // seq mod s.banks: the bank instruction seq goes to
+		issueGate = s.st.next     // no issue before this cycle (branch resolution)
+		lastEvent = s.st.last
+		stop      = at - s.cfg.IssueUnits + 1
 	)
 	bump := func(c int64) {
 		if c > lastEvent {
@@ -290,15 +343,19 @@ func (s *ruuMachine) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 	}
 	snapshot := s.snapshot
 
-	for c := int64(0); pos < len(t.Ops) || s.fifoLen > 0; c++ {
+	for c := s.st.c; pos < len(t.Ops) || s.fifoLen > 0; c++ {
+		if pos >= stop {
+			s.st.pos, s.st.c, s.st.next, s.st.last, s.st.g = pos, c, issueGate, lastEvent, g
+			return Result{}, false, nil
+		}
 		if err := g.Stalled(c, int64(pos), snapshot); err != nil {
-			return Result{}, err
+			return Result{}, false, err
 		}
 		if err := g.Over(max(c, lastEvent), int64(pos)); err != nil {
-			return Result{}, err
+			return Result{}, false, err
 		}
 		if err := g.Tick(c, int64(pos)); err != nil {
-			return Result{}, err
+			return Result{}, false, err
 		}
 		if s.probe != nil {
 			s.probe.Occupancy(s.fifoLen, 1)
@@ -507,18 +564,14 @@ func (s *ruuMachine) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 			}
 		}
 	}
+	s.st.pos, s.st.next, s.st.last = pos, issueGate, lastEvent
 	if s.probe != nil {
 		s.probe.End(lastEvent)
 	}
 	if s.rec != nil {
 		s.rec.End(lastEvent)
 	}
-	return Result{
-		Machine:      name,
-		Trace:        t.Name,
-		Instructions: int64(len(t.Ops)),
-		Cycles:       lastEvent,
-	}, nil
+	return s.st.result(), true, nil
 }
 
 // insertReady files entry r in its bank's age-ordered ready list.

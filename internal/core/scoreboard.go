@@ -26,6 +26,7 @@ type scoreboard struct {
 	pool  *fu.Pool
 	sb    regfile.Scoreboard
 	mem   memScoreboard
+	st    run
 	probe probe.Probe
 	rec   *events.Recorder
 }
@@ -50,29 +51,45 @@ func (m *scoreboard) SetRecorder(r *events.Recorder) { m.rec = r }
 // RunChecked simulates t under the limits; issue times are computed
 // directly, so only the cycle budget and deadline apply.
 func (m *scoreboard) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
+	if err := m.begin(t, lim); err != nil {
+		return Result{}, err
+	}
+	r, _, err := m.advance(noPause)
+	return r, err
+}
+
+func (m *scoreboard) begin(t *trace.Trace, lim Limits) error {
 	p := t.Prepared()
 	if err := scalarOnly("Scoreboard", p); err != nil {
-		return Result{}, err
+		return err
 	}
 	m.pool.Reset()
 	m.sb.Reset()
 	m.mem.Reset(p.NumAddrs)
-	g := newGuard("Scoreboard", t.Name, lim)
-
-	var acct *probe.Account
+	m.st = run{t: t, p: p, g: newGuard("Scoreboard", t.Name, lim)}
 	if m.probe != nil {
 		m.probe.Begin("Scoreboard", t.Name, 1, 0)
-		acct = probe.NewAccount(m.probe, 1)
+		m.st.acct = *probe.NewAccount(m.probe, 1)
 	}
 	if m.rec != nil {
 		m.rec.Begin("Scoreboard", t.Name, 1)
 	}
+	return nil
+}
 
+// advance issues ops up to op at, one op at a time.
+func (m *scoreboard) advance(at int) (Result, bool, error) {
+	t, p, g := m.st.t, m.st.p, m.st.g
+	var acct *probe.Account
+	if m.probe != nil {
+		acct = &m.st.acct
+	}
 	var (
-		nextIssue int64
-		lastDone  int64
+		nextIssue = m.st.next
+		lastDone  = m.st.last
 	)
-	for i := range t.Ops {
+	end := min(at, len(t.Ops))
+	for i := m.st.pos; i < end; i++ {
 		op := &t.Ops[i]
 		po := &p.Ops[i]
 
@@ -110,7 +127,7 @@ func (m *scoreboard) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 				lastDone = done
 			}
 			if err := g.Over(lastDone, int64(i)); err != nil {
-				return Result{}, err
+				return Result{}, false, err
 			}
 			continue
 		}
@@ -149,12 +166,16 @@ func (m *scoreboard) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 			lastDone = done
 		}
 		if err := g.Over(lastDone, int64(i)); err != nil {
-			return Result{}, err
+			return Result{}, false, err
 		}
 		if err := g.Tick(lastDone, int64(i)); err != nil {
-			return Result{}, err
+			return Result{}, false, err
 		}
 		nextIssue = e + 1
+	}
+	m.st.pos, m.st.next, m.st.last, m.st.g = end, nextIssue, lastDone, g
+	if end < len(t.Ops) {
+		return Result{}, false, nil
 	}
 	if m.probe != nil {
 		m.probe.End(lastDone)
@@ -162,16 +183,24 @@ func (m *scoreboard) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 	if m.rec != nil {
 		m.rec.End(lastDone)
 	}
-	return Result{
-		Machine:      m.Name(),
-		Trace:        t.Name,
-		Instructions: int64(len(t.Ops)),
-		Cycles:       lastDone,
-	}, nil
+	return m.st.result(), true, nil
 }
 
 // machineConfig exposes the configuration to the extrapolation engine.
 func (m *scoreboard) machineConfig() Config { return m.cfg }
 
-// unitsRefused exposes the pool's refusals to UnitsRefused.
-func (m *scoreboard) unitsRefused() fu.UnitSet { return m.pool.Refused() }
+func (m *scoreboard) units() *fu.Pool { return m.pool }
+
+func (m *scoreboard) state() *run { return &m.st }
+
+func (m *scoreboard) spare() forker { return spareOf(NewScoreboard(m.cfg)) }
+
+func (m *scoreboard) fork(src forker, t *trace.Trace, p probe.Probe) {
+	s := src.(*scoreboard)
+	m.pool.CopyFrom(s.pool)
+	m.sb = s.sb
+	m.mem.copyFrom(&s.mem, t.Prepared().NumAddrs)
+	m.st = s.st
+	m.st.retarget(t, p)
+	m.probe = p
+}

@@ -23,6 +23,7 @@ import (
 //	CRAYLike      interleaved memory and fully segmented units
 type singleIssue struct {
 	name      string
+	org       Organization
 	cfg       Config
 	exclusive bool // Simple machine: one instruction in execution
 
@@ -30,6 +31,7 @@ type singleIssue struct {
 	sb    regfile.Scoreboard
 	mem   memScoreboard
 	banks *mem.Banks
+	st    run
 	probe probe.Probe
 	rec   *events.Recorder
 }
@@ -91,6 +93,7 @@ func NewBasic(o Organization, cfg Config) (Machine, error) {
 	}
 	return &singleIssue{
 		name:      o.String(),
+		org:       o,
 		cfg:       cfg,
 		exclusive: o == Simple,
 		pool:      pool,
@@ -108,30 +111,46 @@ func (m *singleIssue) SetRecorder(r *events.Recorder) { m.rec = r }
 // directly (the machine cannot stall), so only the cycle budget and
 // deadline apply.
 func (m *singleIssue) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
+	if err := m.begin(t, lim); err != nil {
+		return Result{}, err
+	}
+	r, _, err := m.advance(noPause)
+	return r, err
+}
+
+func (m *singleIssue) begin(t *trace.Trace, lim Limits) error {
 	p := t.Prepared()
 	if err := scalarOnly(m.name, p); err != nil {
-		return Result{}, err
+		return err
 	}
 	m.pool.Reset()
 	m.sb.Reset()
 	m.mem.Reset(p.NumAddrs)
 	m.banks.Reset()
-	g := newGuard(m.name, t.Name, lim)
-
-	var acct *probe.Account
+	m.st = run{t: t, p: p, g: newGuard(m.name, t.Name, lim)}
 	if m.probe != nil {
 		m.probe.Begin(m.name, t.Name, 1, 0)
-		acct = probe.NewAccount(m.probe, 1)
+		m.st.acct = *probe.NewAccount(m.probe, 1)
 	}
 	if m.rec != nil {
 		m.rec.Begin(m.name, t.Name, 1)
 	}
+	return nil
+}
 
+// advance issues ops up to op at, one op at a time.
+func (m *singleIssue) advance(at int) (Result, bool, error) {
+	t, p, g := m.st.t, m.st.p, m.st.g
+	var acct *probe.Account
+	if m.probe != nil {
+		acct = &m.st.acct
+	}
 	var (
-		nextIssue int64 // earliest cycle the next instruction may issue
-		lastDone  int64
+		nextIssue = m.st.next // earliest cycle the next instruction may issue
+		lastDone  = m.st.last
 	)
-	for i := range t.Ops {
+	end := min(at, len(t.Ops))
+	for i := m.st.pos; i < end; i++ {
 		op := &t.Ops[i]
 		po := &p.Ops[i]
 		isBranch := po.Flags.Has(trace.FlagBranch)
@@ -184,10 +203,10 @@ func (m *singleIssue) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 			lastDone = done
 		}
 		if err := g.Over(lastDone, int64(i)); err != nil {
-			return Result{}, err
+			return Result{}, false, err
 		}
 		if err := g.Tick(lastDone, int64(i)); err != nil {
-			return Result{}, err
+			return Result{}, false, err
 		}
 
 		switch {
@@ -229,18 +248,17 @@ func (m *singleIssue) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 			nextIssue = e + 1
 		}
 	}
+	m.st.pos, m.st.next, m.st.last, m.st.g = end, nextIssue, lastDone, g
+	if end < len(t.Ops) {
+		return Result{}, false, nil
+	}
 	if m.probe != nil {
 		m.probe.End(lastDone)
 	}
 	if m.rec != nil {
 		m.rec.End(lastDone)
 	}
-	return Result{
-		Machine:      m.name,
-		Trace:        t.Name,
-		Instructions: int64(len(t.Ops)),
-		Cycles:       lastDone,
-	}, nil
+	return m.st.result(), true, nil
 }
 
 // issueReason replays the issue-constraint chain from e to name the
@@ -287,5 +305,19 @@ func (m *singleIssue) issueReason(op *trace.Op, po *trace.PreparedOp, isBranch b
 // machineConfig exposes the configuration to the extrapolation engine.
 func (m *singleIssue) machineConfig() Config { return m.cfg }
 
-// unitsRefused exposes the pool's refusals to UnitsRefused.
-func (m *singleIssue) unitsRefused() fu.UnitSet { return m.pool.Refused() }
+func (m *singleIssue) units() *fu.Pool { return m.pool }
+
+func (m *singleIssue) state() *run { return &m.st }
+
+func (m *singleIssue) spare() forker { return spareOf(NewBasic(m.org, m.cfg)) }
+
+func (m *singleIssue) fork(src forker, t *trace.Trace, p probe.Probe) {
+	s := src.(*singleIssue)
+	m.pool.CopyFrom(s.pool)
+	m.sb = s.sb
+	m.mem.copyFrom(&s.mem, t.Prepared().NumAddrs)
+	m.banks.CopyFrom(s.banks)
+	m.st = s.st
+	m.st.retarget(t, p)
+	m.probe = p
+}

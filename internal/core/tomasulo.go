@@ -60,6 +60,7 @@ type tomasulo struct {
 	broadcasts cycleList // started entries by the cycle their result broadcasts
 	ready      []ref     // unstarted entries with every operand, oldest first
 
+	st    run
 	probe probe.Probe
 	rec   *events.Recorder
 }
@@ -198,24 +199,20 @@ func (m *tomasulo) snapshot(max int) []string {
 // cycle, so all three checks apply: cycle budget, stall watchdog, and
 // wall-clock deadline.
 func (m *tomasulo) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
-	p := t.Prepared()
-	if err := scalarOnly(m.Name(), p); err != nil {
+	if err := m.begin(t, lim); err != nil {
 		return Result{}, err
 	}
-	m.reset(p.NumAddrs)
-	g := newGuard(m.Name(), t.Name, lim)
+	r, _, err := m.advance(noPause)
+	return r, err
+}
 
-	var (
-		pos       int
-		issueGate int64
-		lastEvent int64
-	)
-	bump := func(c int64) {
-		if c > lastEvent {
-			lastEvent = c
-		}
+func (m *tomasulo) begin(t *trace.Trace, lim Limits) error {
+	p := t.Prepared()
+	if err := scalarOnly(m.Name(), p); err != nil {
+		return err
 	}
-	observed := m.probe != nil || m.rec != nil
+	m.reset(p.NumAddrs)
+	m.st = run{t: t, p: p, g: newGuard(m.Name(), t.Name, lim)}
 	if m.probe != nil {
 		// One issue slot per cycle; occupancy levels range over the
 		// whole reservation-station pool.
@@ -224,16 +221,37 @@ func (m *tomasulo) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 	if m.rec != nil {
 		m.rec.Begin(m.Name(), t.Name, 1)
 	}
+	return nil
+}
 
-	for c := int64(0); pos < len(t.Ops) || m.live > 0; c++ {
+// advance steps cycles until one starts with op at next to issue.
+func (m *tomasulo) advance(at int) (Result, bool, error) {
+	t, p, g := m.st.t, m.st.p, m.st.g
+	var (
+		pos       = m.st.pos
+		issueGate = m.st.next
+		lastEvent = m.st.last
+	)
+	bump := func(c int64) {
+		if c > lastEvent {
+			lastEvent = c
+		}
+	}
+	observed := m.probe != nil || m.rec != nil
+
+	for c := m.st.c; pos < len(t.Ops) || m.live > 0; c++ {
+		if pos >= at {
+			m.st.pos, m.st.c, m.st.next, m.st.last, m.st.g = pos, c, issueGate, lastEvent, g
+			return Result{}, false, nil
+		}
 		if err := g.Stalled(c, int64(pos), m.snapshot); err != nil {
-			return Result{}, err
+			return Result{}, false, err
 		}
 		if err := g.Over(max(c, lastEvent), int64(pos)); err != nil {
-			return Result{}, err
+			return Result{}, false, err
 		}
 		if err := g.Tick(c, int64(pos)); err != nil {
-			return Result{}, err
+			return Result{}, false, err
 		}
 		if m.probe != nil {
 			m.probe.Occupancy(m.live, 1)
@@ -427,22 +445,39 @@ func (m *tomasulo) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 			}
 		}
 	}
+	m.st.pos, m.st.next, m.st.last = pos, issueGate, lastEvent
 	if m.probe != nil {
 		m.probe.End(lastEvent)
 	}
 	if m.rec != nil {
 		m.rec.End(lastEvent)
 	}
-	return Result{
-		Machine:      m.Name(),
-		Trace:        t.Name,
-		Instructions: int64(len(t.Ops)),
-		Cycles:       lastEvent,
-	}, nil
+	return m.st.result(), true, nil
 }
 
 // machineConfig exposes the configuration to the extrapolation engine.
 func (m *tomasulo) machineConfig() Config { return m.cfg }
 
-// unitsRefused exposes the pool's refusals to UnitsRefused.
-func (m *tomasulo) unitsRefused() fu.UnitSet { return m.pool.Refused() }
+func (m *tomasulo) units() *fu.Pool { return m.pool }
+
+func (m *tomasulo) state() *run { return &m.st }
+
+func (m *tomasulo) spare() forker { return spareOf(NewTomasulo(m.cfg)) }
+
+func (m *tomasulo) fork(src forker, t *trace.Trace, p probe.Probe) {
+	s := src.(*tomasulo)
+	m.pool.CopyFrom(s.pool)
+	m.inFlight, m.regTag, m.regReady = s.inFlight, s.regTag, s.regReady
+	n := t.Prepared().NumAddrs
+	m.memTag = copyResized(m.memTag, s.memTag, n)
+	m.memReady = copyResized(m.memReady, s.memReady, n)
+	copy(m.cdb, s.cdb)
+	m.slab = copySlab(m.slab, s.slab, func(e *tomEntry) *[]ref { return &e.waiters })
+	m.freeEnt = append(m.freeEnt[:0], s.freeEnt...)
+	m.live = s.live
+	m.broadcasts.copyFrom(&s.broadcasts)
+	m.ready = append(m.ready[:0], s.ready...)
+	m.st = s.st
+	m.st.retarget(t, p)
+	m.probe = p
+}

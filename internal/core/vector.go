@@ -2,6 +2,7 @@ package core
 
 import (
 	"mfup/internal/events"
+	"mfup/internal/fu"
 	"mfup/internal/isa"
 	"mfup/internal/probe"
 	"mfup/internal/trace"
@@ -51,6 +52,7 @@ type vectorMachine struct {
 
 	mem memScoreboard // scalar store-to-load dependences
 
+	st    run
 	probe probe.Probe
 	rec   *events.Recorder
 }
@@ -90,25 +92,40 @@ func (m *vectorMachine) latency(u isa.Unit) int64 {
 // RunChecked simulates t under the limits; issue times are computed
 // directly, so only the cycle budget and deadline apply.
 func (m *vectorMachine) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
-	p := t.Prepared()
-	if err := badTrace(m.Name(), p); err != nil {
+	if err := m.begin(t, lim); err != nil {
 		return Result{}, err
 	}
-	m.reset(p.NumAddrs)
-	g := newGuard(m.Name(), t.Name, lim)
+	r, _, err := m.advance(noPause)
+	return r, err
+}
 
-	var acct *probe.Account
+func (m *vectorMachine) begin(t *trace.Trace, lim Limits) error {
+	p := t.Prepared()
+	if err := badTrace(m.Name(), p); err != nil {
+		return err
+	}
+	m.reset(p.NumAddrs)
+	m.st = run{t: t, p: p, g: newGuard(m.Name(), t.Name, lim)}
 	if m.probe != nil {
 		m.probe.Begin(m.Name(), t.Name, 1, 0)
-		acct = probe.NewAccount(m.probe, 1)
+		m.st.acct = *probe.NewAccount(m.probe, 1)
 	}
 	if m.rec != nil {
 		m.rec.Begin(m.Name(), t.Name, 1)
 	}
+	return nil
+}
 
+// advance issues ops up to op at, one op at a time.
+func (m *vectorMachine) advance(at int) (Result, bool, error) {
+	t, p, g := m.st.t, m.st.p, m.st.g
+	var acct *probe.Account
+	if m.probe != nil {
+		acct = &m.st.acct
+	}
 	var (
-		nextIssue int64
-		lastDone  int64
+		nextIssue = m.st.next
+		lastDone  = m.st.last
 	)
 	bump := func(c int64) {
 		if c > lastDone {
@@ -116,7 +133,8 @@ func (m *vectorMachine) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 		}
 	}
 
-	for i := range t.Ops {
+	end := min(at, len(t.Ops))
+	for i := m.st.pos; i < end; i++ {
 		op := &t.Ops[i]
 		po := &p.Ops[i]
 		unit := op.Unit
@@ -240,11 +258,15 @@ func (m *vectorMachine) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 			nextIssue = e + 1
 		}
 		if err := g.Over(lastDone, int64(i)); err != nil {
-			return Result{}, err
+			return Result{}, false, err
 		}
 		if err := g.Tick(lastDone, int64(i)); err != nil {
-			return Result{}, err
+			return Result{}, false, err
 		}
+	}
+	m.st.pos, m.st.next, m.st.last, m.st.g = end, nextIssue, lastDone, g
+	if end < len(t.Ops) {
+		return Result{}, false, nil
 	}
 	if m.probe != nil {
 		m.probe.End(lastDone)
@@ -252,12 +274,7 @@ func (m *vectorMachine) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
 	if m.rec != nil {
 		m.rec.End(lastDone)
 	}
-	return Result{
-		Machine:      m.Name(),
-		Trace:        t.Name,
-		Instructions: int64(len(t.Ops)),
-		Cycles:       lastDone,
-	}, nil
+	return m.st.result(), true, nil
 }
 
 // issueReason replays the issue-condition chain from e to name the
@@ -304,3 +321,20 @@ func (m *vectorMachine) issueReason(op *trace.Op, po *trace.PreparedOp, unit isa
 
 // machineConfig exposes the configuration to the extrapolation engine.
 func (m *vectorMachine) machineConfig() Config { return m.cfg }
+
+// units reports no pool: the vector machine tracks its units itself.
+func (m *vectorMachine) units() *fu.Pool { return nil }
+
+func (m *vectorMachine) state() *run { return &m.st }
+
+func (m *vectorMachine) spare() forker { return spareOf(NewVector(m.cfg)) }
+
+func (m *vectorMachine) fork(src forker, t *trace.Trace, p probe.Probe) {
+	s := src.(*vectorMachine)
+	m.readyRead, m.fullDone, m.readersDone = s.readyRead, s.fullDone, s.readersDone
+	m.lastAccept, m.busyUntil = s.lastAccept, s.busyUntil
+	m.mem.copyFrom(&s.mem, t.Prepared().NumAddrs)
+	m.st = s.st
+	m.st.retarget(t, p)
+	m.probe = p
+}

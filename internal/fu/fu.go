@@ -140,6 +140,27 @@ func (p *Pool) EarliestAccept(u isa.Unit, t int64) int64 {
 // calls and gets the same answers.
 func (p *Pool) Refused() UnitSet { return p.refused }
 
+// CopyFrom makes p a copy of src: every unit's free times, its
+// segmentation, latencies and copy counts, and its refusals. It reuses
+// p's storage, so copying between two pools of one configuration
+// allocates nothing.
+func (p *Pool) CopyFrom(src *Pool) {
+	copies := p.copies
+	*p = *src
+	for u, c := range src.copies {
+		if c == nil {
+			copies[u] = nil
+		} else {
+			copies[u] = append(copies[u][:0], c...)
+		}
+	}
+	p.copies = copies
+}
+
+// MergeRefused adds every unit q refused to p's Refused: a machine
+// whose run continued on a copy of its pool keeps covering that run.
+func (p *Pool) MergeRefused(q *Pool) { p.refused |= q.refused }
+
 // Accept records that unit u starts an operation at cycle t and
 // returns the completion cycle. A segmented unit (copy) can accept
 // again at t+1, a non-segmented one at completion. With replication

@@ -14,11 +14,11 @@ import (
 	"mfup/internal/trace"
 )
 
-// The exhaustive nest check runs LFK 6 extrapolated and in full on
-// every machine of the EXPERIMENTS.md design-space grid and on seeded
-// random definitions, and wants identical results and counters on
-// every run. It takes about a minute on two CPUs, so it sits behind a
-// build tag:
+// The exhaustive checks run kernels extrapolated and in full on every
+// machine of the EXPERIMENTS.md design-space grid, and LFK 6 also on
+// seeded random definitions, and want identical results and counters
+// on every run. They take a few minutes on two CPUs, so they sit
+// behind a build tag:
 //
 //	go test -tags exhaustive -run Exhaustive ./internal/machdef/
 
@@ -60,9 +60,10 @@ func experimentsGrid(t *testing.T) []Spec {
 	return specs
 }
 
-// checkNest runs tr extrapolated and in full on a fresh machine of s
-// and reports any difference, and whether the engine engaged.
-func checkNest(t *testing.T, s Spec, tr *trace.Trace) bool {
+// checkExtrapolated runs tr extrapolated and in full on a fresh
+// machine of s and reports any difference, and whether the engine
+// engaged.
+func checkExtrapolated(t *testing.T, s Spec, tr *trace.Trace) bool {
 	run := func(m core.Machine) (core.Result, *probe.Counters) {
 		c := new(probe.Counters)
 		m.SetProbe(c)
@@ -101,8 +102,8 @@ func trimZeros(h []int64) []int64 {
 	return h
 }
 
-// checkAll runs checkNest on every spec in parallel and returns how
-// many runs the engine closed.
+// checkAll runs checkExtrapolated on every spec in parallel and
+// returns how many runs the engine closed.
 func checkAll(t *testing.T, specs []Spec, tr *trace.Trace) int {
 	res := make(chan bool, len(specs))
 	t.Run(fmt.Sprint(len(tr.Ops)), func(t *testing.T) {
@@ -110,7 +111,7 @@ func checkAll(t *testing.T, specs []Spec, tr *trace.Trace) int {
 			s := s
 			t.Run("", func(t *testing.T) {
 				t.Parallel()
-				res <- checkNest(t, s, tr)
+				res <- checkExtrapolated(t, s, tr)
 			})
 		}
 	})
@@ -133,6 +134,31 @@ func TestExhaustiveNestGrid(t *testing.T) {
 		}
 		closed := checkAll(t, specs, k.SharedTrace())
 		t.Logf("LFK 6 at %d: %d of %d grid machines closed", n, closed, len(specs))
+	}
+}
+
+// TestExhaustivePeriodGrid checks the grid on every kernel whose
+// largest build has a Period the ladder can sample (core.CanExtrapolate:
+// LFK 4 has too few iterations, LFK 14 fails the tail identity check):
+// 8 kernels, 9,216 runs.
+func TestExhaustivePeriodGrid(t *testing.T) {
+	specs := experimentsGrid(t)
+	kernels := 0
+	for n := 1; n <= 14; n++ {
+		k, _, err := loops.ForScale(n, 100000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := k.SharedTrace()
+		if core.CanExtrapolate(tr) != nil {
+			continue
+		}
+		kernels++
+		closed := checkAll(t, specs, tr)
+		t.Logf("LFK %d at %d: %d of %d grid machines closed", n, k.N, closed, len(specs))
+	}
+	if kernels != 8 {
+		t.Errorf("%d kernels have a Period the ladder can sample at their largest build, want 8", kernels)
 	}
 }
 

@@ -43,6 +43,12 @@ func (b *Banks) Reset() {
 	}
 }
 
+// CopyFrom makes b a copy of src, reusing b's storage.
+func (b *Banks) CopyFrom(src *Banks) {
+	b.latency = src.latency
+	b.busy = append(b.busy[:0], src.busy...)
+}
+
 // EarliestAccept returns the earliest cycle >= t at which the bank
 // holding addr can take a request.
 func (b *Banks) EarliestAccept(addr, t int64) int64 {

@@ -56,3 +56,7 @@ func (a *Account) Advance(to int64, r Reason) {
 	}
 	a.cur, a.n = to, 0
 }
+
+// Retarget points the accountant at p, keeping its place: a copied run
+// goes on filing its slots with its own probe.
+func (a *Account) Retarget(p Probe) { a.p = p }

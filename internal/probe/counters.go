@@ -107,6 +107,14 @@ func (c *Counters) End(cycles int64) {
 	c.Stalls[ReasonDrain] = c.Slots - c.Issued - attributed
 }
 
+// Clone returns a copy of c with its own occupancy histogram: what a
+// copied run's probe starts from.
+func (c *Counters) Clone() *Counters {
+	d := *c
+	d.OccupancyHist = append([]int64(nil), c.OccupancyHist...)
+	return &d
+}
+
 // StallTotal returns the slots lost to all reasons, drain included.
 func (c *Counters) StallTotal() int64 {
 	var total int64

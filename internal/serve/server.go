@@ -308,17 +308,16 @@ func (s *Server) run(j *job) {
 }
 
 // finish publishes a job's outcome and retires it from the active set
-// into the bounded recent set.
+// into the bounded recent set. It releases the job's waiters last, so a
+// client that has its result finds the job counted and retired.
 func (s *Server) finish(j *job, result json.RawMessage, jerr *jobError) {
 	j.result, j.jerr = result, jerr
-	close(j.done)
 	if jerr == nil {
 		s.stats.completed.Add(1)
 	} else {
 		s.stats.failed.Add(1)
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	delete(s.active, j.key)
 	if _, dup := s.recent[j.key]; !dup {
 		s.recent[j.key] = j
@@ -330,6 +329,8 @@ func (s *Server) finish(j *job, result json.RawMessage, jerr *jobError) {
 	} else {
 		s.recent[j.key] = j // refresh: newest outcome wins
 	}
+	s.mu.Unlock()
+	close(j.done)
 }
 
 // Handler returns the daemon's routes behind a recovering middleware:

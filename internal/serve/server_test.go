@@ -544,6 +544,34 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestStatsCountJobBeforeRelease submits 200 distinct jobs one at a
+// time with ?wait=1 and reads /v1/stats as soon as each answer arrives:
+// a job must be counted before its waiters are released, so every
+// read sees completed == submitted. The window is narrow; run it under
+// -race to widen it.
+func TestStatsCountJobBeforeRelease(t *testing.T) {
+	_, hs := testServer(t, Config{Workers: 1})
+	for i := 1; i <= 200; i++ {
+		doc := fmt.Sprintf(`{"machine":{"kind":"cray","mem":%d},"workload":{"loops":"1"}}`, i)
+		if code, _, _ := post(t, hs.URL+"/v1/jobs?wait=1", doc); code != http.StatusOK {
+			t.Fatalf("job %d: status %d", i, code)
+		}
+		resp, err := http.Get(hs.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st Stats
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Submitted != int64(i) || st.Completed != int64(i) {
+			t.Fatalf("after job %d: stats %+v, want submitted = completed = %d", i, st, i)
+		}
+	}
+}
+
 // TestConcurrentMixedLoad drives many concurrent clients with a mixed
 // healthy/overload workload; under -race this is the data-race net
 // over the whole admission/execution/cache path.

@@ -1,5 +1,7 @@
 package trace
 
+import "sync"
+
 // Nest describes a triangular loop nest: a trace with no one-level
 // Period whose outer iterations grow by a fixed number of ops each, as
 // when the inner trip count is the outer index (LFK 6).
@@ -31,6 +33,11 @@ type Nest struct {
 	ends, addrs []int32
 
 	src *Prepared
+
+	// prefixes caches the views Prefix builds, by outer count, so the
+	// machines of a grid share them.
+	mu       sync.Mutex
+	prefixes map[int]*Trace
 }
 
 // Nest returns the trace's triangular loop-nest structure, or nil when
@@ -116,11 +123,16 @@ func (n *Nest) Len(k int) int {
 // the last real one falls through. No timing model can tell: only
 // Prepared.Window reads taken-ness, and a taken branch that is a
 // trace's last op ends the last fetch buffer exactly where the end of
-// the trace would.
+// the trace would. Prefixes are cached and shared.
 func (n *Nest) Prefix(k int) *Trace {
 	end := n.Len(k)
 	if end == 0 {
 		return nil
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if t, ok := n.prefixes[k]; ok {
+		return t
 	}
 	src := n.src
 	t := &Trace{Name: src.Trace.Name, Ops: src.Trace.Ops[:end:end]}
@@ -136,5 +148,9 @@ func (n *Nest) Prefix(k int) *Trace {
 		nextTaken:   src.nextTaken[: end+1 : end+1],
 	}
 	t.prepOnce.Do(func() { t.prep = p })
+	if n.prefixes == nil {
+		n.prefixes = map[int]*Trace{}
+	}
+	n.prefixes[k] = t
 	return t
 }

@@ -275,6 +275,15 @@ func (pd *Period) Slice(k int) *Trace {
 	return t
 }
 
+// Diverge returns the index of the first op at which Slice(k) may
+// differ from a longer slice or from the source trace: the closing
+// branch of its final window, the same instruction, which the slice
+// falls through and the longer traces take. The ops before it are
+// equal, and so are their address ids (Prepare numbers addresses
+// densely in first-occurrence order), so a run of the source can stand
+// for a run of the slice up to there.
+func (pd *Period) Diverge(k int) int { return pd.Start + k*pd.Span - 1 }
+
 // TailIdentityOK verifies that the reduced trace with k windows
 // reproduces the source's tail address-identity structure: for every
 // memory op of the final window and epilogue, the backward distance

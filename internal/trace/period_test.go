@@ -209,3 +209,39 @@ func TestPeriodBankSafe(t *testing.T) {
 		}
 	}
 }
+
+// TestPeriodDiverge pins the divergence point a forked ladder pauses
+// at: Slice(k) equals the source trace, address ids included, on every
+// op before Diverge(k), and at Diverge(k) holds the same instruction
+// falling through where the source takes it.
+func TestPeriodDiverge(t *testing.T) {
+	checked := 0
+	for n := 1; n <= 14; n++ {
+		pd := kernelPeriod(t, n)
+		if pd == nil {
+			continue
+		}
+		k, _ := loops.Get(n)
+		src := k.SharedTrace()
+		for w := 2; w < pd.Windows; w++ {
+			s := pd.Slice(w)
+			d := pd.Diverge(w)
+			for i := 0; i < d; i++ {
+				if s.Ops[i] != src.Ops[i] || s.Prepared().Ops[i].AddrID != src.Prepared().Ops[i].AddrID {
+					t.Fatalf("LFK %d, %d windows: op %d %+v differs from the source's %+v before Diverge %d", n, w, i, s.Ops[i], src.Ops[i], d)
+				}
+			}
+			got, want := s.Ops[d], src.Ops[d]
+			if !got.IsBranch() || got.Taken || !want.Taken {
+				t.Fatalf("LFK %d, %d windows: op %d at Diverge is %+v, source %+v; want the closing branch, taken only in the source", n, w, d, got, want)
+			}
+			if got.Taken = true; got != want {
+				t.Fatalf("LFK %d, %d windows: op %d at Diverge is %+v, source %+v", n, w, d, got, want)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no slice checked")
+	}
+}
