@@ -43,6 +43,7 @@ import (
 
 	"mfup/internal/cli"
 	"mfup/internal/faultinject"
+	"mfup/internal/serve"
 	"mfup/internal/stats"
 )
 
@@ -266,13 +267,7 @@ func oneRequest(hc *http.Client, base, path, doc string, wait, chaos bool) outco
 		return outcome{latency: lat, class: "error",
 			note: fmt.Sprintf("status %d: %.120s", resp.StatusCode, body)}
 	}
-	var jr struct {
-		ID     string          `json:"id"`
-		Status string          `json:"status"`
-		Cached bool            `json:"cached"`
-		Result json.RawMessage `json:"result"`
-		Error  string          `json:"error"`
-	}
+	var jr serve.JobResponse
 	if err := json.Unmarshal(body, &jr); err != nil {
 		return outcome{latency: lat, class: "error", note: fmt.Sprintf("bad response body: %v", err)}
 	}

@@ -748,24 +748,8 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	rt.writeJSON(w, http.StatusOK, rt.Snapshot())
 }
 
-// jobResponse mirrors the worker's envelope field for field, so a
-// router-composed reply (sweeps) is shaped exactly like a worker's.
-type jobResponse struct {
-	ID        string          `json:"id"`
-	Status    string          `json:"status"`
-	Cached    bool            `json:"cached,omitempty"`
-	Result    json.RawMessage `json:"result,omitempty"`
-	Error     string          `json:"error,omitempty"`
-	Transient bool            `json:"transient,omitempty"`
-}
-
-type errorResponse struct {
-	Error      string `json:"error"`
-	RetryAfter int    `json:"retry_after,omitempty"`
-}
-
 func (rt *Router) writeError(w http.ResponseWriter, status int, msg string, retry time.Duration) {
-	resp := errorResponse{Error: msg}
+	resp := serve.ErrorResponse{Error: msg}
 	if retry > 0 {
 		resp.RetryAfter = serve.RetryAfterSeconds(retry)
 		w.Header().Set("Retry-After", strconv.Itoa(resp.RetryAfter))

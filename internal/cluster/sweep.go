@@ -92,7 +92,7 @@ func (rt *Router) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	} else if rs.finished() && rs.errMsg == "" {
 		// A repeat of a completed sweep is a cache hit, same as a
 		// worker serving from its result journal.
-		rt.writeJSON(w, http.StatusOK, jobResponse{ID: rs.id, Status: "done", Cached: true, Result: rs.result})
+		rt.writeJSON(w, http.StatusOK, serve.JobResponse{ID: rs.id, Status: "done", Cached: true, Result: rs.result})
 		return
 	}
 
@@ -106,7 +106,7 @@ func (rt *Router) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	rt.writeJSON(w, http.StatusAccepted, jobResponse{ID: rs.id, Status: "running"})
+	rt.writeJSON(w, http.StatusAccepted, serve.JobResponse{ID: rs.id, Status: "running"})
 }
 
 // handleSweepGet serves a routed sweep from the registry, falling
@@ -119,7 +119,7 @@ func (rt *Router) handleSweepGet(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Unlock()
 	if ok {
 		if !rs.finished() {
-			rt.writeJSON(w, http.StatusOK, jobResponse{ID: rs.id, Status: "running"})
+			rt.writeJSON(w, http.StatusOK, serve.JobResponse{ID: rs.id, Status: "running"})
 			return
 		}
 		rt.writeSweepFinished(w, rs, rs.errMsg == "")
@@ -160,10 +160,10 @@ func (rt *Router) handleSweepGet(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) writeSweepFinished(w http.ResponseWriter, rs *routedSweep, cached bool) {
 	if rs.errMsg != "" {
-		rt.writeJSON(w, http.StatusOK, jobResponse{ID: rs.id, Status: "failed", Error: rs.errMsg, Transient: rs.transi})
+		rt.writeJSON(w, http.StatusOK, serve.JobResponse{ID: rs.id, Status: "failed", Error: rs.errMsg, Transient: rs.transi})
 		return
 	}
-	rt.writeJSON(w, http.StatusOK, jobResponse{ID: rs.id, Status: "done", Cached: cached, Result: rs.result})
+	rt.writeJSON(w, http.StatusOK, serve.JobResponse{ID: rs.id, Status: "done", Cached: cached, Result: rs.result})
 }
 
 // evictLocked trims the registry FIFO, skipping entries still
@@ -291,7 +291,7 @@ func (rt *Router) resolvePoint(ctx context.Context, key string, body []byte) (ra
 		var retryIn time.Duration
 		switch {
 		case fr.res != nil && fr.res.status == http.StatusOK:
-			var env jobResponse
+			var env serve.JobResponse
 			if err := json.Unmarshal(fr.res.body, &env); err != nil {
 				return 0, "", fmt.Sprintf("bad point envelope from %s: %v", fr.res.peer.url, err)
 			}

@@ -68,7 +68,7 @@ func localReport(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-func submitSweep(t *testing.T, rt *Router, doc string) (status int, env jobResponse, hdr http.Header) {
+func submitSweep(t *testing.T, rt *Router, doc string) (status int, env serve.JobResponse, hdr http.Header) {
 	t.Helper()
 	w := post(t, rt.Handler(), "/v1/sweeps?wait=1", doc)
 	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
@@ -121,7 +121,7 @@ func TestRoutedSweepMatchesLocalRunByteForByte(t *testing.T) {
 	req := httptest.NewRequest(http.MethodGet, "/v1/sweeps/"+env.ID, nil)
 	rec := httptest.NewRecorder()
 	rt.Handler().ServeHTTP(rec, req)
-	var env3 jobResponse
+	var env3 serve.JobResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &env3); err != nil || env3.Status != "done" {
 		t.Fatalf("GET sweep: %d %v %s", rec.Code, err, rec.Body)
 	}

@@ -302,10 +302,10 @@ func (r Result) String() string {
 // independent: either, both, or neither may be attached. Neither ever
 // changes timing — simulated cycle counts are identical observed and
 // unobserved — and each nil default costs only a predicted-not-taken
-// branch per event site (machines that duplicate their hot loop for
-// observation fork once per run instead). Like the machine itself, an
-// attached probe or recorder is driven from the running goroutine and
-// must not be shared across concurrently running machines.
+// branch per event site: every machine runs one loop, observed or not.
+// Like the machine itself, an attached probe or recorder is driven from
+// the running goroutine and must not be shared across concurrently
+// running machines.
 type Machine interface {
 	Name() string
 	RunChecked(t *trace.Trace, lim Limits) (Result, error)

@@ -238,10 +238,11 @@ func TestTraceGoldenChromeCRAY(t *testing.T) {
 	}
 }
 
-// BenchmarkTraceOverhead compares the nil-recorder hot path against a
-// run with a recorder attached; CI greps the nil case to guard the
-// zero-overhead contract, exactly as BenchmarkProbeOverhead does for
-// the probe layer.
+// BenchmarkTraceOverhead records the 4-wide out-of-order machine on
+// LFK 1 with no observer (nil) against the same run with a recorder
+// attached, both on the machine's one loop, as BenchmarkProbeOverhead
+// does for the probe layer. CI runs it as a record; nothing compares
+// the numbers.
 func BenchmarkTraceOverhead(b *testing.B) {
 	k, err := loops.Get(1)
 	if err != nil {

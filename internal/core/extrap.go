@@ -122,10 +122,6 @@ type ExtrapolationStats struct {
 	CyclesPerLag int64
 }
 
-// configured is implemented by every concrete machine in this
-// package; the engine consults the configuration for bank-safety.
-type configured interface{ machineConfig() Config }
-
 // extrapWarmup returns the smallest reference-run window count k0 for
 // a period of the given span: the full identity horizon must fit
 // before the reduced trace's tail window.
@@ -289,12 +285,16 @@ func (e *Extrapolator) tryExtrapolate(t *trace.Trace, lim Limits, extraIters int
 	if prep.Err != nil {
 		return fallback("invalid trace")
 	}
-	l, reason := e.ladderFor(prep, extraIters)
+	spine, ok := e.inner.(forker)
+	if !ok {
+		return fallback("machine cannot fork a run")
+	}
+	l, reason := e.ladderFor(prep, extraIters, spine.machineConfig().MemBanks)
 	if reason != "" {
 		return fallback(reason)
 	}
 	target := int64(l.full) + extraIters
-	samples, lag, reason := e.climb(l, lim, target)
+	samples, lag, reason := e.climb(spine, l, lim, target)
 	if reason != "" {
 		return fallback(reason)
 	}
@@ -437,9 +437,9 @@ const nestWarmup = 16
 
 // ladderFor picks the reduced-trace family for a trace: body-window
 // slices of its Period, or — for a trace with no Period and no virtual
-// iterations — outer-iteration prefixes of its Nest. A non-empty
-// reason means fall back.
-func (e *Extrapolator) ladderFor(prep *trace.Prepared, extraIters int64) (ladder, string) {
+// iterations — outer-iteration prefixes of its Nest. banks is the
+// machine's memory bank count. A non-empty reason means fall back.
+func (e *Extrapolator) ladderFor(prep *trace.Prepared, extraIters int64, banks int) (ladder, string) {
 	pd := prep.Period()
 	if pd == nil {
 		nt := prep.Nest()
@@ -466,12 +466,8 @@ func (e *Extrapolator) ladderFor(prep *trace.Prepared, extraIters int64) (ladder
 	if need := k0 + extrapSamples + 1; pd.Iterations() < need {
 		return ladder{}, fmt.Sprintf("too few iterations (%d, need %d)", pd.Iterations(), need)
 	}
-	cm, ok := e.inner.(configured)
-	if !ok {
-		return ladder{}, "machine does not expose its configuration"
-	}
-	if nb := cm.machineConfig().MemBanks; nb > 1 && !pd.BankSafe(nb) {
-		return ladder{}, fmt.Sprintf("address strides not aligned to %d memory banks", nb)
+	if banks > 1 && !pd.BankSafe(banks) {
+		return ladder{}, fmt.Sprintf("address strides not aligned to %d memory banks", banks)
 	}
 	if !pd.TailIdentityOK(k0) {
 		return ladder{}, "reduced trace does not preserve tail address identity"
@@ -482,14 +478,12 @@ func (e *Extrapolator) ladderFor(prep *trace.Prepared, extraIters int64) (ladder
 	}, ""
 }
 
-// climb simulates the ladder's samples, each observed by a fresh
-// counter set, stage by stage until a lag confirms, and returns them
-// and the lag; a non-empty reason means fall back.
-func (e *Extrapolator) climb(l ladder, lim Limits, target int64) ([]sample, int, string) {
-	sp, reason := e.sampler(l, lim)
-	if reason != "" {
-		return nil, 0, reason
-	}
+// climb simulates the ladder's samples on spine, the wrapped machine,
+// each observed by a fresh counter set, stage by stage until a lag
+// confirms, and returns them and the lag; a non-empty reason means
+// fall back.
+func (e *Extrapolator) climb(spine forker, l ladder, lim Limits, target int64) ([]sample, int, string) {
+	sp := e.sampler(spine, l, lim)
 	defer sp.close()
 	// holds reports whether every run of order+1 samples lag apart has
 	// the same order-th difference in cycles, instructions and every
@@ -573,20 +567,15 @@ type sampler struct {
 	samples []sample
 }
 
-// sampler readies the ladder's spine; a non-empty reason means fall
-// back.
-func (e *Extrapolator) sampler(l ladder, lim Limits) (*sampler, string) {
-	spine, ok := e.inner.(forker)
-	if !ok {
-		return nil, "machine cannot fork a run"
-	}
+// sampler readies the ladder's spine, the wrapped machine.
+func (e *Extrapolator) sampler(spine forker, l ladder, lim Limits) *sampler {
 	if e.spare == nil {
 		e.spare = spine.spare()
 	}
 	sp := &sampler{e: e, l: l, lim: lim, spine: spine, spineC: new(probe.Counters),
 		samples: make([]sample, 0, l.stages[1].samples)}
 	spine.SetProbe(sp.spineC)
-	return sp, ""
+	return sp
 }
 
 // close detaches the ladder's counters from both machines.

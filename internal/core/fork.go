@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"mfup/internal/events"
 	"mfup/internal/fu"
 	"mfup/internal/probe"
 	"mfup/internal/simerr"
@@ -48,6 +49,19 @@ type forker interface {
 
 	// units is the machine's functional-unit pool, nil without one.
 	units() *fu.Pool
+
+	// machineConfig is the configuration the machine was built from.
+	machineConfig() Config
+}
+
+// runChecked is every machine's RunChecked: begin the run, then
+// advance it to its end.
+func runChecked(m forker, t *trace.Trace, lim Limits) (Result, error) {
+	if err := m.begin(t, lim); err != nil {
+		return Result{}, err
+	}
+	r, _, err := m.advance(noPause)
+	return r, err
 }
 
 // spareOf finishes a spare: the constructor call that rebuilds a
@@ -72,8 +86,9 @@ type run struct {
 	p *trace.Prepared
 	g simerr.Guard
 
-	// acct is a probed run's issue accountant, for the machines that
-	// compute issue times instead of stepping cycles.
+	// acct is a probed run's issue accountant. Every probed run gets
+	// one; only the machines that compute issue times instead of
+	// stepping cycles use it.
 	acct probe.Account
 
 	pos  int   // the next op to issue, or the first of the next buffer
@@ -92,6 +107,70 @@ func (r *run) retarget(t *trace.Trace, p probe.Probe) {
 // machine's name.
 func (r *run) result() Result {
 	return Result{Machine: r.g.Machine, Trace: r.t.Name, Instructions: int64(len(r.t.Ops)), Cycles: r.last}
+}
+
+// lifecycle is what every machine keeps besides its components: the
+// configuration it was built from, the loop state of its run, and the
+// observers attached to it. Each machine embeds one, and with it
+// SetProbe, SetRecorder, the brackets of a run (start, finish) and the
+// tail of a fork (resume).
+type lifecycle struct {
+	cfg   Config
+	st    run
+	probe probe.Probe
+	rec   *events.Recorder
+}
+
+func (l *lifecycle) SetProbe(p probe.Probe) { l.probe = p }
+
+func (l *lifecycle) SetRecorder(r *events.Recorder) { l.rec = r }
+
+func (l *lifecycle) machineConfig() Config { return l.cfg }
+
+func (l *lifecycle) state() *run { return &l.st }
+
+// start begins a run of t under lim on the machine named name, once
+// accept (scalarOnly or badTrace) has passed the prepared trace, which
+// it returns for the machine to reset its components by. It opens the
+// observers' brackets for a machine that issues up to width ops a
+// cycle into window buffer entries, and gives a probed run the issue
+// accountant of that width.
+func (l *lifecycle) start(name string, t *trace.Trace, lim Limits, accept func(string, *trace.Prepared) error, width, window int) (*trace.Prepared, error) {
+	p := t.Prepared()
+	if err := accept(name, p); err != nil {
+		return nil, err
+	}
+	l.st = run{t: t, p: p, g: newGuard(name, t.Name, lim)}
+	if l.probe != nil {
+		l.probe.Begin(name, t.Name, width, window)
+		l.st.acct = *probe.NewAccount(l.probe, width)
+	}
+	if l.rec != nil {
+		l.rec.Begin(name, t.Name, width)
+	}
+	return p, nil
+}
+
+// finish ends the run at its last event: it closes the observers'
+// brackets and reports the run's result, as advance does at the end of
+// the trace.
+func (l *lifecycle) finish() (Result, bool, error) {
+	if l.probe != nil {
+		l.probe.End(l.st.last)
+	}
+	if l.rec != nil {
+		l.rec.End(l.st.last)
+	}
+	return l.st.result(), true, nil
+}
+
+// resume makes the run a copy of src's paused run, moved on to t and
+// observed by p: the tail of every fork, once the machine has copied
+// src's components.
+func (l *lifecycle) resume(src *lifecycle, t *trace.Trace, p probe.Probe) {
+	l.st = src.st
+	l.st.retarget(t, p)
+	l.probe = p
 }
 
 // copyResized returns dst holding src's first n entries, zero past

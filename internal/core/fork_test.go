@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -14,7 +15,8 @@ import (
 // forkMachines returns a constructor for every machine kind under each
 // configuration the fork differential test covers: the paper's slow
 // and fast corners, banked memory, perfect branches, two FloatMul
-// copies, crossbars where the kind takes one, and a 100-entry RUU.
+// copies, crossbars where the kind takes one, buffer widths 1, 2, 4 and
+// 13 for the multiple-issue machines, and a 100-entry RUU.
 func forkMachines() map[string]func() Machine {
 	twoMuls := M11BR5
 	twoMuls.FUCount[isa.FloatMul] = 2
@@ -42,6 +44,22 @@ func forkMachines() map[string]func() Machine {
 	x := M11BR5.WithIssue(4, bus.XBar)
 	ms["xbar/multi"] = func() Machine { return must(NewMultiIssue(x)) }
 	ms["xbar/ooo"] = func() Machine { return must(NewMultiIssueOOO(x)) }
+	// Widths at which some fetch buffer starts exactly w ops before a
+	// pause point. A pause there is what keeps the buffer from asking
+	// whether the op past a sample's trace exists: the sample's trace
+	// ends where a nest prefix does, the spine's goes on. LFK 6's
+	// prefixes end 13 ops after their last taken branch, so only widths
+	// 1 and 13 start a buffer there. The answer shows in the OOO
+	// machine's branch-shadow stall, and in the in-order machine's
+	// refill slots only when the final branch does not hold the issue
+	// stage itself: under perfect branches.
+	for _, w := range []int{1, 13} {
+		for name, cfg := range map[string]Config{"": M11BR5, "perfect": M5BR2.WithPerfectBranches()} {
+			c := cfg.WithIssue(w, bus.BusN)
+			ms[fmt.Sprintf("w%d%s/multi", w, name)] = func() Machine { return must(NewMultiIssue(c)) }
+			ms[fmt.Sprintf("w%d%s/ooo", w, name)] = func() Machine { return must(NewMultiIssueOOO(c)) }
+		}
+	}
 	ms["ruu100/nbus"] = func() Machine { return must(NewRUU(M5BR2.WithIssue(4, bus.BusN).WithRUU(100))) }
 	ms["ruu100/1bus"] = func() Machine { return must(NewRUU(M11BR5.WithIssue(8, bus.Bus1).WithRUU(100))) }
 	return ms
@@ -97,10 +115,7 @@ func checkForks(t *testing.T, mk func() Machine, tr *trace.Trace) int {
 		return 0
 	}
 	e := Extrapolate(mk())
-	sp, reason := e.sampler(l, DefaultLimits())
-	if reason != "" {
-		t.Fatalf("%s on %s: %s", e.Name(), tr.Name, reason)
-	}
+	sp := e.sampler(e.inner.(forker), l, DefaultLimits())
 	defer sp.close()
 	fresh := mk()
 	for i := 0; i < n; i++ {
@@ -178,11 +193,9 @@ func TestForkedLadderAllocations(t *testing.T) {
 			e := Extrapolate(m)
 			l, _ := forkLadder(tr)
 			ladder := func(n int) {
-				sp, reason := e.sampler(l, DefaultLimits())
-				if reason == "" {
-					reason = sp.grow(n)
-					sp.close()
-				}
+				sp := e.sampler(m.(forker), l, DefaultLimits())
+				reason := sp.grow(n)
+				sp.close()
 				if reason != "" {
 					t.Fatalf("%s on %s: %s", m.Name(), tr.Name, reason)
 				}

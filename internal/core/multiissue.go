@@ -25,15 +25,12 @@ import (
 // over the configured result-bus interconnect; an instruction whose
 // result would find no free bus slot stalls at issue.
 type multiIssue struct {
-	cfg   Config
+	lifecycle
 	pool  *fu.Pool
 	sb    regfile.Scoreboard
 	bt    *bus.Tracker
 	mem   memScoreboard
 	banks *mem.Banks
-	st    run
-	probe probe.Probe
-	rec   *events.Recorder
 }
 
 // NewMultiIssue builds the §5.1 machine: cfg.IssueUnits stations
@@ -53,10 +50,10 @@ func NewMultiIssue(cfg Config) (Machine, error) {
 	pool := cfg.newPool()
 	pool.SegmentAll()
 	return &multiIssue{
-		cfg:   cfg,
-		pool:  pool,
-		bt:    bt,
-		banks: mem.NewBanks(cfg.MemBanks, cfg.MemLatency),
+		lifecycle: lifecycle{cfg: cfg},
+		pool:      pool,
+		bt:        bt,
+		banks:     mem.NewBanks(cfg.MemBanks, cfg.MemLatency),
 	}, nil
 }
 
@@ -68,114 +65,16 @@ func (m *multiIssue) Name() string {
 // the interconnect. Branches and stores produce no register value.
 func usesResultBus(op *trace.Op) bool { return op.Dst.Valid() }
 
-func (m *multiIssue) SetProbe(p probe.Probe) { m.probe = p }
-
-func (m *multiIssue) SetRecorder(r *events.Recorder) { m.rec = r }
-
 // RunChecked simulates t under the limits; issue times are computed
 // directly, so only the cycle budget and deadline apply.
 func (m *multiIssue) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
-	if err := m.begin(t, lim); err != nil {
-		return Result{}, err
-	}
-	if m.probe != nil || m.rec != nil {
-		// The observed copy of the run lives in its own method so this
-		// loop carries no attribution or event bookkeeping.
-		r, _, err := m.advance(noPause)
-		return r, err
-	}
-	p, g := m.st.p, m.st.g
-
-	w := m.cfg.IssueUnits
-	brLat := int64(m.cfg.BranchLatency)
-
-	var (
-		nextFetch int64 // earliest issue cycle for the next buffer
-		lastDone  int64
-	)
-
-	pos := 0
-	for pos < len(t.Ops) {
-		// Fetch a buffer: up to w ops, ending early at a taken branch
-		// (the rest of the line is squashed and refetched from the
-		// target).
-		end := p.Window(pos, w)
-
-		prev := nextFetch // in-order: issue times are nondecreasing
-		for i := pos; i < end; i++ {
-			op := &t.Ops[i]
-			po := &p.Ops[i]
-			isBranch := po.Flags.Has(trace.FlagBranch)
-			station := i - pos
-
-			e := prev
-			if !(isBranch && m.cfg.PerfectBranches) {
-				e = m.sb.EarliestFor(e, op.Dst, po.Reads()...)
-			}
-			e = m.pool.EarliestAccept(op.Unit, e)
-			if po.Flags.Has(trace.FlagLoad) {
-				e = m.mem.EarliestLoad(po.AddrID, e)
-			}
-			if po.Flags.Has(trace.FlagMemory) {
-				e = m.banks.EarliestAccept(op.Addr, e)
-			}
-			if usesResultBus(op) {
-				e = m.bt.EarliestIssue(station, e, m.pool.Latency(op.Unit))
-			}
-			var done int64
-			if isBranch && m.cfg.PerfectBranches {
-				done = e + 1
-			} else {
-				done = m.pool.Accept(op.Unit, e)
-			}
-			if po.Flags.Has(trace.FlagMemory) {
-				m.banks.Accept(op.Addr, e)
-			}
-			if usesResultBus(op) {
-				m.bt.Reserve(station, done)
-			}
-			if po.Flags.Has(trace.FlagHasDst) {
-				m.sb.SetReady(op.Dst, done)
-			}
-			if po.Flags.Has(trace.FlagStore) {
-				m.mem.Store(po.AddrID, done)
-			}
-			if done > lastDone {
-				lastDone = done
-			}
-			if err := g.Over(lastDone, int64(i)); err != nil {
-				return Result{}, err
-			}
-			if err := g.Tick(lastDone, int64(i)); err != nil {
-				return Result{}, err
-			}
-
-			if isBranch && m.cfg.PerfectBranches {
-				prev = e
-				nextFetch = e + 1
-			} else if isBranch {
-				// No speculation: nothing issues — neither the rest
-				// of this buffer nor the refill — until resolution.
-				prev = e + brLat
-				nextFetch = e + brLat
-			} else {
-				prev = e
-				nextFetch = e + 1
-			}
-		}
-		pos = end
-	}
-	return Result{
-		Machine:      m.Name(),
-		Trace:        t.Name,
-		Instructions: int64(len(t.Ops)),
-		Cycles:       lastDone,
-	}, nil
+	return runChecked(m, t, lim)
 }
 
 func (m *multiIssue) begin(t *trace.Trace, lim Limits) error {
-	p := t.Prepared()
-	if err := scalarOnly(m.Name(), p); err != nil {
+	w := m.cfg.IssueUnits
+	p, err := m.start(m.Name(), t, lim, scalarOnly, w, w)
+	if err != nil {
 		return err
 	}
 	m.pool.Reset()
@@ -183,28 +82,13 @@ func (m *multiIssue) begin(t *trace.Trace, lim Limits) error {
 	m.bt.Reset()
 	m.mem.Reset(p.NumAddrs)
 	m.banks.Reset()
-	m.st = run{t: t, p: p, g: newGuard(m.Name(), t.Name, lim)}
-	w := m.cfg.IssueUnits
-	if m.probe != nil {
-		m.probe.Begin(m.Name(), t.Name, w, w)
-		m.st.acct = *probe.NewAccount(m.probe, w)
-	}
-	if m.rec != nil {
-		m.rec.Begin(m.Name(), t.Name, w)
-	}
 	return nil
 }
 
-// advance is the observed copy of the RunChecked loop, filing every
-// issue with the attached probe and/or event recorder (either may be
-// nil, not both), buffer by buffer until the next buffer could reach
-// op at: its fetch reads the ops it holds, and its end asks whether
-// the op after it exists. The duplication is deliberate — the
-// unobserved loop stays the seed computation with no attribution or
-// event bookkeeping, which is what keeps the nil path at seed speed.
-// Any timing change must be made to both copies; the probe and trace
-// invariant tests compare their cycle counts across all machines and
-// loops.
+// advance issues buffer by buffer until the next buffer could reach op
+// at: its fetch reads the ops it holds, and its end asks whether the op
+// after it exists. It files every issue with the attached probe and
+// event recorder, either or both of which may be nil.
 func (m *multiIssue) advance(at int) (Result, bool, error) {
 	t, p, g := m.st.t, m.st.p, m.st.g
 	w := m.cfg.IssueUnits
@@ -214,27 +98,22 @@ func (m *multiIssue) advance(at int) (Result, bool, error) {
 	if m.probe != nil {
 		acct = &m.st.acct
 	}
+	observed := m.probe != nil || m.rec != nil
 
 	var (
 		nextFetch = m.st.next // earliest issue cycle for the next buffer
 		lastDone  = m.st.last
 	)
 
-	pos := m.st.pos
-	for pos < len(t.Ops) {
-		if pos >= at-w {
-			m.st.pos, m.st.next, m.st.last, m.st.g = pos, nextFetch, lastDone, g
-			return Result{}, false, nil
-		}
+	// The run pauses before the first buffer that could reach op at.
+	pos, stop := m.st.pos, min(len(t.Ops), at-w)
+	for pos < stop {
 		// Fetch a buffer: up to w ops, ending early at a taken branch
 		// (the rest of the line is squashed and refetched from the
 		// target).
 		end := p.Window(pos, w)
 		if m.rec != nil {
-			// The whole buffer arrives together, at the refill cycle.
-			for i := pos; i < end; i++ {
-				m.rec.RecordFetch(t.Ops[i].Seq, nextFetch, i-pos)
-			}
+			recordFetch(m.rec, t, pos, end, nextFetch)
 		}
 
 		prev := nextFetch // in-order: issue times are nondecreasing
@@ -258,11 +137,10 @@ func (m *multiIssue) advance(at int) (Result, bool, error) {
 			if usesResultBus(op) {
 				e = m.bt.EarliestIssue(station, e, m.pool.Latency(op.Unit))
 			}
-			var reason probe.Reason
 			if acct != nil {
-				// Replayed before any resource is claimed below, so the
-				// classification sees the same state the chain above did.
-				reason = m.issueReason(op, po, isBranch, station, prev)
+				// Classified before any resource is claimed below, so the
+				// replay sees the same state the chain above did.
+				acct.Issue(e, m.issueReason(op, po, isBranch, station, prev))
 			}
 			var done int64
 			if isBranch && m.cfg.PerfectBranches {
@@ -282,17 +160,8 @@ func (m *multiIssue) advance(at int) (Result, bool, error) {
 			if po.Flags.Has(trace.FlagStore) {
 				m.mem.Store(po.AddrID, done)
 			}
-			if acct != nil {
-				acct.Issue(e, reason)
-				m.probe.Writeback(done, op.Unit, done-e)
-			}
-			if m.rec != nil {
-				m.rec.RecordIssue(op.Seq, e)
-				m.rec.RecordExec(op.Seq, e, op.Unit, done-e)
-				if usesResultBus(op) {
-					m.rec.RecordResultBus(op.Seq, done, station)
-				}
-				m.rec.RecordWriteback(op.Seq, done, op.Unit)
+			if observed {
+				observeIssue(m.probe, m.rec, op, station, e, done)
 			}
 			if done > lastDone {
 				lastDone = done
@@ -307,11 +176,8 @@ func (m *multiIssue) advance(at int) (Result, bool, error) {
 			if isBranch && m.cfg.PerfectBranches {
 				prev = e
 				nextFetch = e + 1
-				if m.probe != nil {
-					m.probe.BranchResolve(done)
-				}
-				if m.rec != nil {
-					m.rec.RecordBranchResolve(op.Seq, done)
+				if observed {
+					observeResolve(m.probe, m.rec, op, done)
 				}
 			} else if isBranch {
 				// No speculation: nothing issues — neither the rest
@@ -319,11 +185,12 @@ func (m *multiIssue) advance(at int) (Result, bool, error) {
 				prev = e + brLat
 				nextFetch = e + brLat
 				if acct != nil {
+					// The shadow holds the issue stage until then: its
+					// slots are the branch's.
 					acct.Advance(prev, probe.ReasonBranch)
-					m.probe.BranchResolve(prev)
 				}
-				if m.rec != nil {
-					m.rec.RecordBranchResolve(op.Seq, prev)
+				if observed {
+					observeResolve(m.probe, m.rec, op, prev)
 				}
 			} else {
 				prev = e
@@ -339,22 +206,56 @@ func (m *multiIssue) advance(at int) (Result, bool, error) {
 			acct.Advance(nextFetch, probe.ReasonIssueWidth)
 		}
 	}
-	m.st.pos, m.st.next, m.st.last = pos, nextFetch, lastDone
-	if m.probe != nil {
-		m.probe.End(lastDone)
+	m.st.pos, m.st.next, m.st.last, m.st.g = pos, nextFetch, lastDone, g
+	if pos < len(t.Ops) {
+		return Result{}, false, nil
 	}
-	if m.rec != nil {
-		m.rec.End(lastDone)
+	return m.finish()
+}
+
+// recordFetch files the fetch of ops pos to end with rec: the whole
+// buffer arrives together, at the refill cycle at.
+func recordFetch(rec *events.Recorder, t *trace.Trace, pos, end int, at int64) {
+	for i := pos; i < end; i++ {
+		rec.RecordFetch(t.Ops[i].Seq, at, i-pos)
 	}
-	return m.st.result(), true, nil
+}
+
+// observeIssue files op's issue from station at cycle e, its result
+// due at done, with the observers p and rec, either of which may be
+// nil. The probe's share of the issue itself is the machine's: an
+// accountant's Issue, or the cycle's slot ledger.
+func observeIssue(p probe.Probe, rec *events.Recorder, op *trace.Op, station int, e, done int64) {
+	if p != nil {
+		p.Writeback(done, op.Unit, done-e)
+	}
+	if rec != nil {
+		rec.RecordIssue(op.Seq, e)
+		rec.RecordExec(op.Seq, e, op.Unit, done-e)
+		if usesResultBus(op) {
+			rec.RecordResultBus(op.Seq, done, station)
+		}
+		rec.RecordWriteback(op.Seq, done, op.Unit)
+	}
+}
+
+// observeResolve files branch op's resolution at cycle at with the
+// observers p and rec, either of which may be nil.
+func observeResolve(p probe.Probe, rec *events.Recorder, op *trace.Op, at int64) {
+	if p != nil {
+		p.BranchResolve(at)
+	}
+	if rec != nil {
+		rec.RecordBranchResolve(op.Seq, at)
+	}
 }
 
 // issueReason replays the issue-constraint chain from e to name the
 // binding constraint — the last one to strictly raise the issue
 // cycle. Term for term it is the max-form the Earliest* helpers
 // compute, called before any resource is claimed, so it reproduces
-// the hot path's result exactly. Classification lives here, on the
-// probed path only, so the hot path stays the seed computation.
+// the loop's result exactly. Classification lives here, called only
+// when a probe is attached, so an unprobed run does none of it.
 func (m *multiIssue) issueReason(op *trace.Op, po *trace.PreparedOp, isBranch bool, station int, e int64) probe.Reason {
 	reason := probe.ReasonIssueWidth
 	if !(isBranch && m.cfg.PerfectBranches) {
@@ -394,12 +295,7 @@ func (m *multiIssue) issueReason(op *trace.Op, po *trace.PreparedOp, isBranch bo
 	return reason
 }
 
-// machineConfig exposes the configuration to the extrapolation engine.
-func (m *multiIssue) machineConfig() Config { return m.cfg }
-
 func (m *multiIssue) units() *fu.Pool { return m.pool }
-
-func (m *multiIssue) state() *run { return &m.st }
 
 func (m *multiIssue) spare() forker { return spareOf(NewMultiIssue(m.cfg)) }
 
@@ -410,7 +306,5 @@ func (m *multiIssue) fork(src forker, t *trace.Trace, p probe.Probe) {
 	m.bt.CopyFrom(s.bt)
 	m.mem.copyFrom(&s.mem, t.Prepared().NumAddrs)
 	m.banks.CopyFrom(s.banks)
-	m.st = s.st
-	m.st.retarget(t, p)
-	m.probe = p
+	m.resume(&s.lifecycle, t, p)
 }

@@ -5,12 +5,10 @@ import (
 	"math"
 
 	"mfup/internal/bus"
-	"mfup/internal/events"
 	"mfup/internal/fu"
 	"mfup/internal/mem"
 	"mfup/internal/probe"
 	"mfup/internal/regfile"
-	"mfup/internal/simerr"
 	"mfup/internal/trace"
 )
 
@@ -28,7 +26,7 @@ import (
 // unissued instruction, and no younger instruction issues until the
 // branch resolves.
 type multiIssueOOO struct {
-	cfg   Config
+	lifecycle
 	pool  *fu.Pool
 	sb    regfile.Scoreboard
 	bt    *bus.Tracker
@@ -42,10 +40,6 @@ type multiIssueOOO struct {
 	issued   []bool
 	blockers []int
 	reasons  []probe.Reason
-
-	st    run
-	probe probe.Probe
-	rec   *events.Recorder
 }
 
 // NewMultiIssueOOO builds the §5.2 machine: cfg.IssueUnits stations
@@ -66,14 +60,14 @@ func NewMultiIssueOOO(cfg Config) (Machine, error) {
 	pool.SegmentAll()
 	w := cfg.IssueUnits
 	return &multiIssueOOO{
-		cfg:      cfg,
-		pool:     pool,
-		bt:       bt,
-		banks:    mem.NewBanks(cfg.MemBanks, cfg.MemLatency),
-		issuedAt: make([]int64, w),
-		issued:   make([]bool, w),
-		blockers: make([]int, w),
-		reasons:  make([]probe.Reason, w),
+		lifecycle: lifecycle{cfg: cfg},
+		pool:      pool,
+		bt:        bt,
+		banks:     mem.NewBanks(cfg.MemBanks, cfg.MemLatency),
+		issuedAt:  make([]int64, w),
+		issued:    make([]bool, w),
+		blockers:  make([]int, w),
+		reasons:   make([]probe.Reason, w),
 	}, nil
 }
 
@@ -81,27 +75,20 @@ func (m *multiIssueOOO) Name() string {
 	return fmt.Sprintf("MultiIssueOOO(%d,%s)", m.cfg.IssueUnits, m.cfg.Bus)
 }
 
-func (m *multiIssueOOO) SetProbe(p probe.Probe) { m.probe = p }
-
-func (m *multiIssueOOO) SetRecorder(r *events.Recorder) { m.rec = r }
-
 // RunChecked simulates t under the limits. The issue scan runs cycle
 // by cycle within each instruction buffer, jumping over cycles in
-// which nothing can issue (Guard.Jump keeps the limits' errors at the
-// cycles stepping would report), so the stall watchdog applies here: a
-// buffer in which nothing can ever issue would otherwise spin the scan
-// forever.
+// which nothing can issue unless a probe is attached (Guard.Jump keeps
+// the limits' errors at the cycles stepping would report), so the
+// stall watchdog applies here: a buffer in which nothing can ever
+// issue would otherwise spin the scan forever.
 func (m *multiIssueOOO) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
-	if err := m.begin(t, lim); err != nil {
-		return Result{}, err
-	}
-	r, _, err := m.advance(noPause)
-	return r, err
+	return runChecked(m, t, lim)
 }
 
 func (m *multiIssueOOO) begin(t *trace.Trace, lim Limits) error {
-	p := t.Prepared()
-	if err := scalarOnly(m.Name(), p); err != nil {
+	w := m.cfg.IssueUnits
+	p, err := m.start(m.Name(), t, lim, scalarOnly, w, w)
+	if err != nil {
 		return err
 	}
 	m.pool.Reset()
@@ -109,20 +96,22 @@ func (m *multiIssueOOO) begin(t *trace.Trace, lim Limits) error {
 	m.bt.Reset()
 	m.mem.Reset(p.NumAddrs)
 	m.banks.Reset()
-	m.st = run{t: t, p: p, g: newGuard(m.Name(), t.Name, lim)}
-	w := m.cfg.IssueUnits
-	if m.probe != nil {
-		m.probe.Begin(m.Name(), t.Name, w, w)
-	}
-	if m.rec != nil {
-		m.rec.Begin(m.Name(), t.Name, w)
-	}
 	return nil
 }
 
 // advance runs buffer by buffer until the next buffer could reach op
 // at: its fetch reads the ops it holds, and its end asks whether the
 // op after it exists.
+//
+// Each buffer is scanned cycle by cycle. With a probe attached, every
+// cycle files its slot ledger: each station's slot is an issue, the
+// attributed stall of one unissued entry, or idle. Otherwise, after a
+// cycle in which nothing issues no state has changed, so every check
+// that refused an entry keeps refusing it until the cycle that check
+// returned, and the scan jumps straight to the earliest such cycle. A
+// probed scan cannot jump: inside a skipped span a stall's reason can
+// change (a source turns ready while its unit still refuses). The
+// event recorder files nothing per cycle, so it rides either scan.
 func (m *multiIssueOOO) advance(at int) (Result, bool, error) {
 	t, p, g := m.st.t, m.st.p, m.st.g
 	w := m.cfg.IssueUnits
@@ -136,7 +125,7 @@ func (m *multiIssueOOO) advance(at int) (Result, bool, error) {
 		blockers  = m.blockers
 	)
 
-	// reasons[i] is the stall reason recorded for the i-th buffer entry
+	// reasons[i] is the stall reason filed for the i-th buffer entry
 	// during the current scan cycle; nil when unprobed. The machine is
 	// cycle-stepped, so stalls are reported directly per cycle rather
 	// than through a probe.Account.
@@ -144,13 +133,11 @@ func (m *multiIssueOOO) advance(at int) (Result, bool, error) {
 	if m.probe != nil {
 		reasons = m.reasons
 	}
+	observed := m.probe != nil || m.rec != nil
 
-	pos := m.st.pos
-	for pos < len(t.Ops) {
-		if pos >= at-w {
-			m.st.pos, m.st.next, m.st.last, m.st.g = pos, nextFetch, lastDone, g
-			return Result{}, false, nil
-		}
+	// The run pauses before the first buffer that could reach op at.
+	pos, stop := m.st.pos, min(len(t.Ops), at-w)
+	for pos < stop {
 		end := p.Window(pos, w)
 		size := end - pos
 		for i := 0; i < size; i++ {
@@ -166,141 +153,177 @@ func (m *multiIssueOOO) advance(at int) (Result, bool, error) {
 			}
 			return snap
 		}
+		if m.rec != nil {
+			recordFetch(m.rec, t, pos, end, nextFetch)
+		}
 
-		var maxIssue int64
-		if m.probe != nil || m.rec != nil {
-			// The observed copy of the buffer scan lives in its own
-			// method so this loop carries no attribution or event
-			// bookkeeping.
-			mi, ld, err := m.scanBufferObserved(t, p, &g, pos, size, nextFetch, issued, issuedAt, blockers, snapshot, reasons, lastDone)
-			if err != nil {
+		remaining := size
+		maxIssue := nextFetch
+		// brGate is the resolution time of the latest issued branch in
+		// this buffer; instructions younger than that branch may not
+		// issue earlier (no speculation).
+		var brGate int64
+		brGateIdx := -1 // buffer index of that branch
+		oldest := 0     // buffer index of the oldest unissued entry
+
+		// wake is the earliest cycle at which a check that refused an
+		// entry this cycle returns, over the entries the scan reached.
+		// An entry refused only by the result bus may pass on the very
+		// next cycle; one held back by an older unissued entry moves
+		// only after another issues.
+		for c := nextFetch; remaining > 0; {
+			if err := g.Stalled(c, int64(pos), snapshot); err != nil {
 				return Result{}, false, err
 			}
-			maxIssue, lastDone = mi, ld
-		} else {
-			remaining := size
-			maxIssue = nextFetch
-			// brGate is the resolution time of the latest issued branch in
-			// this buffer; instructions younger than that branch may not
-			// issue earlier (no speculation).
-			var brGate int64
-			brGateIdx := -1 // buffer index of that branch
-			oldest := 0     // buffer index of the oldest unissued entry
+			if err := g.Over(c, int64(pos)); err != nil {
+				return Result{}, false, err
+			}
+			if err := g.Tick(c, int64(pos)); err != nil {
+				return Result{}, false, err
+			}
+			wake := int64(math.MaxInt64)
+			before := remaining
+			if reasons != nil {
+				m.probe.Occupancy(remaining, 1)
+				// Default every unissued entry to a branch stall: the
+				// brGate break below skips entries without visiting
+				// them, and those wait on the issued branch.
+				for i := 0; i < size; i++ {
+					if !issued[i] {
+						reasons[i] = probe.ReasonBranch
+					}
+				}
+			}
+			for i := oldest; i < size; i++ {
+				if issued[i] {
+					continue
+				}
+				if i > brGateIdx && brGate > c {
+					// Waiting on an earlier branch's resolution; so is
+					// everything younger.
+					wake = min(wake, brGate)
+					break
+				}
+				po := &p.Ops[pos+i]
+				isBranch := po.Flags.Has(trace.FlagBranch)
+				if blockers[i] > 0 {
+					// A hazard against an older unissued entry.
+					if reasons != nil {
+						reasons[i] = m.hazardReason(t, p, pos, i, issued)
+					}
+					continue
+				}
+				if isBranch && i != oldest {
+					// A branch issues only as the oldest unissued
+					// instruction: everything before it must be gone.
+					if reasons != nil {
+						reasons[i] = probe.ReasonBranch
+					}
+					continue
+				}
 
-			// In a cycle in which nothing issues no state changes, so
-			// every check that refused an entry keeps refusing it until
-			// the cycle that check returned: wake is the earliest such
-			// cycle over the entries the scan reached, and the scan
-			// jumps straight to it. An entry refused only by the result
-			// bus may pass on the very next cycle; one held back by an
-			// older unissued entry moves only after another issues.
-			for c := nextFetch; remaining > 0; {
-				if err := g.Stalled(c, int64(pos), snapshot); err != nil {
-					return Result{}, false, err
-				}
-				if err := g.Over(c, int64(pos)); err != nil {
-					return Result{}, false, err
-				}
-				if err := g.Tick(c, int64(pos)); err != nil {
-					return Result{}, false, err
-				}
-				wake := int64(math.MaxInt64)
-				before := remaining
-				for i := oldest; i < size; i++ {
-					if issued[i] {
-						continue
-					}
-					if i > brGateIdx && brGate > c {
-						// Waiting on an earlier branch's resolution; so is
-						// everything younger.
-						wake = min(wake, brGate)
-						break
-					}
-					// An older unissued entry holds this one back, or
-					// this is a branch with older entries still to go:
-					// a branch issues only as the oldest unissued
-					// instruction.
-					po := &p.Ops[pos+i]
-					isBranch := po.Flags.Has(trace.FlagBranch)
-					if blockers[i] > 0 || (isBranch && i != oldest) {
-						continue
-					}
-
-					// Resource checks: everything must be satisfiable at
-					// exactly cycle c, else the instruction waits.
-					op := &t.Ops[pos+i]
-					if !(isBranch && m.cfg.PerfectBranches) {
-						if e := m.sb.EarliestFor(c, op.Dst, po.Reads()...); e > c {
-							wake = min(wake, e)
-							continue
-						}
-					}
-					if e := m.pool.EarliestAccept(op.Unit, c); e > c {
+				// Resource checks: everything must be satisfiable at
+				// exactly cycle c, else the instruction waits.
+				op := &t.Ops[pos+i]
+				if !(isBranch && m.cfg.PerfectBranches) {
+					if e := m.sb.EarliestFor(c, op.Dst, po.Reads()...); e > c {
 						wake = min(wake, e)
+						if reasons != nil {
+							reasons[i] = m.registerReason(po, c)
+						}
 						continue
 					}
-					if po.Flags.Has(trace.FlagLoad) {
-						if e := m.mem.EarliestLoad(po.AddrID, c); e > c {
-							wake = min(wake, e)
-							continue
-						}
+				}
+				if e := m.pool.EarliestAccept(op.Unit, c); e > c {
+					wake = min(wake, e)
+					if reasons != nil {
+						reasons[i] = probe.ReasonStructFU
 					}
-					if po.Flags.Has(trace.FlagMemory) {
-						if e := m.banks.EarliestAccept(op.Addr, c); e > c {
-							wake = min(wake, e)
-							continue
+					continue
+				}
+				if po.Flags.Has(trace.FlagLoad) {
+					if e := m.mem.EarliestLoad(po.AddrID, c); e > c {
+						wake = min(wake, e)
+						if reasons != nil {
+							reasons[i] = probe.ReasonRAW
 						}
-					}
-					if usesResultBus(op) && !m.bt.Free(i, c+int64(m.pool.Latency(op.Unit))) {
-						wake = c + 1
 						continue
 					}
+				}
+				if po.Flags.Has(trace.FlagMemory) {
+					if e := m.banks.EarliestAccept(op.Addr, c); e > c {
+						wake = min(wake, e)
+						if reasons != nil {
+							reasons[i] = probe.ReasonMemBank
+						}
+						continue
+					}
+				}
+				if usesResultBus(op) && !m.bt.Free(i, c+int64(m.pool.Latency(op.Unit))) {
+					wake = c + 1
+					if reasons != nil {
+						reasons[i] = probe.ReasonResultBus
+					}
+					continue
+				}
 
-					var done int64
-					if isBranch && m.cfg.PerfectBranches {
-						done = c + 1
-					} else {
-						done = m.pool.Accept(op.Unit, c)
-					}
-					if po.Flags.Has(trace.FlagMemory) {
-						m.banks.Accept(op.Addr, c)
-					}
-					if usesResultBus(op) {
-						m.bt.Reserve(i, done)
-					}
-					if po.Flags.Has(trace.FlagHasDst) {
-						m.sb.SetReady(op.Dst, done)
-					}
-					if po.Flags.Has(trace.FlagStore) {
-						m.mem.Store(po.AddrID, done)
-					}
-					issued[i] = true
-					issuedAt[i] = c
-					remaining--
-					releaseBlockers(t, p, pos, i, size, blockers)
-					for oldest < size && issued[oldest] {
-						oldest++
-					}
-					g.Progress(c)
-					if c > maxIssue {
-						maxIssue = c
-					}
-					if done > lastDone {
-						lastDone = done
-					}
-					if err := g.Over(lastDone, int64(pos+i)); err != nil {
-						return Result{}, false, err
-					}
-					if isBranch && !m.cfg.PerfectBranches {
-						brGate = c + brLat
-						brGateIdx = i
-					}
-				}
-				if remaining < before {
-					c++
+				var done int64
+				if isBranch && m.cfg.PerfectBranches {
+					done = c + 1
 				} else {
-					c = g.Jump(c, wake)
+					done = m.pool.Accept(op.Unit, c)
 				}
+				if po.Flags.Has(trace.FlagMemory) {
+					m.banks.Accept(op.Addr, c)
+				}
+				if usesResultBus(op) {
+					m.bt.Reserve(i, done)
+				}
+				if po.Flags.Has(trace.FlagHasDst) {
+					m.sb.SetReady(op.Dst, done)
+				}
+				if po.Flags.Has(trace.FlagStore) {
+					m.mem.Store(po.AddrID, done)
+				}
+				issued[i] = true
+				issuedAt[i] = c
+				remaining--
+				releaseBlockers(t, p, pos, i, size, blockers)
+				for oldest < size && issued[oldest] {
+					oldest++
+				}
+				if observed {
+					observeIssue(m.probe, m.rec, op, i, c, done)
+					if isBranch {
+						resolved := done
+						if !m.cfg.PerfectBranches {
+							resolved = c + brLat
+						}
+						observeResolve(m.probe, m.rec, op, resolved)
+					}
+				}
+				g.Progress(c)
+				if c > maxIssue {
+					maxIssue = c
+				}
+				if done > lastDone {
+					lastDone = done
+				}
+				if err := g.Over(lastDone, int64(pos+i)); err != nil {
+					return Result{}, false, err
+				}
+				if isBranch && !m.cfg.PerfectBranches {
+					brGate = c + brLat
+					brGateIdx = i
+				}
+			}
+			if reasons != nil {
+				m.closeLedger(c, before-remaining, remaining, size)
+				c++
+			} else if remaining < before {
+				c++
+			} else {
+				c = g.Jump(c, wake)
 			}
 		}
 
@@ -321,228 +344,41 @@ func (m *multiIssueOOO) advance(at int) (Result, bool, error) {
 		}
 		pos = end
 	}
-	m.st.pos, m.st.next, m.st.last = pos, nextFetch, lastDone
-	if m.probe != nil {
-		m.probe.End(lastDone)
+	m.st.pos, m.st.next, m.st.last, m.st.g = pos, nextFetch, lastDone, g
+	if pos < len(t.Ops) {
+		return Result{}, false, nil
 	}
-	if m.rec != nil {
-		m.rec.End(lastDone)
-	}
-	return m.st.result(), true, nil
+	return m.finish()
 }
 
-// scanBufferObserved is the observed copy of the buffer scan in
-// RunChecked, issuing entries cycle by cycle while filing every issue
-// slot with the probe (an Issue, exactly one attributed Stall, or an
-// idle station) and every lifecycle event with the recorder; either
-// observer may be nil, not both — reasons is non-nil exactly when the
-// probe is. The duplication is deliberate — the unobserved loop in
-// RunChecked carries no attribution or event bookkeeping, which keeps
-// the nil path fast, and it jumps over idle cycles, which this copy
-// must visit: a stall's reason can change inside an idle span. Both loops take the buffer's hazards from the
-// same blocker counts (countBlockers, releaseBlockers) and must stay
-// cycle-identical: any timing change goes into both copies, and the
-// probe and trace invariant tests and testdata/machines.golden
-// compare their cycle counts.
-func (m *multiIssueOOO) scanBufferObserved(t *trace.Trace, p *trace.Prepared, g *simerr.Guard, pos, size int, nextFetch int64, issued []bool, issuedAt []int64, blockers []int, snapshot func(int) []string, reasons []probe.Reason, lastDone int64) (int64, int64, error) {
-	w := m.cfg.IssueUnits
-	brLat := int64(m.cfg.BranchLatency)
-
-	if m.rec != nil {
-		// The whole buffer arrives together, at the refill cycle.
-		for i := 0; i < size; i++ {
-			m.rec.RecordFetch(t.Ops[pos+i].Seq, nextFetch, i)
+// registerReason names why the register check refused an entry at
+// cycle c: a waiting source is a RAW stall; otherwise the reserved
+// destination (WAW) held it back.
+func (m *multiIssueOOO) registerReason(po *trace.PreparedOp, c int64) probe.Reason {
+	for _, r := range po.Reads() {
+		if r.Valid() && m.sb.ReadyAt(r) > c {
+			return probe.ReasonRAW
 		}
 	}
+	return probe.ReasonWAW
+}
 
-	remaining := size
-	maxIssue := nextFetch
-	// brGate is the resolution time of the latest issued branch in
-	// this buffer; instructions younger than that branch may not
-	// issue earlier (no speculation).
-	var brGate int64
-	brGateIdx := -1 // buffer index of that branch
-	oldest := 0     // buffer index of the oldest unissued entry
-
-	for c := nextFetch; remaining > 0; c++ {
-		if err := g.Stalled(c, int64(pos), snapshot); err != nil {
-			return 0, 0, err
-		}
-		if err := g.Over(c, int64(pos)); err != nil {
-			return 0, 0, err
-		}
-		if err := g.Tick(c, int64(pos)); err != nil {
-			return 0, 0, err
-		}
-		remStart := remaining
-		if m.probe != nil {
-			m.probe.Occupancy(remaining, 1)
-			// Default every unissued entry to a branch stall: the brGate
-			// break below skips entries without visiting them, and those
-			// wait on the issued branch.
-			for i := 0; i < size; i++ {
-				if !issued[i] {
-					reasons[i] = probe.ReasonBranch
-				}
-			}
-		}
-		for i := oldest; i < size; i++ {
-			if issued[i] {
-				continue
-			}
-			op := &t.Ops[pos+i]
-			po := &p.Ops[pos+i]
-			isBranch := po.Flags.Has(trace.FlagBranch)
-			reads := po.Reads()
-
-			if i > brGateIdx && brGate > c {
-				// Waiting on an earlier branch's resolution; so is
-				// everything younger.
-				break
-			}
-
-			// Hazards against earlier unissued buffer entries.
-			if blockers[i] > 0 {
-				if reasons != nil {
-					reasons[i] = m.hazardReason(t, p, pos, i, issued)
-				}
-				continue
-			}
-			if isBranch && i != oldest {
-				// A branch issues only as the oldest unissued
-				// instruction: everything before it must be gone.
-				if reasons != nil {
-					reasons[i] = probe.ReasonBranch
-				}
-				continue
-			}
-
-			// Resource checks: everything must be satisfiable at
-			// exactly cycle c, else the instruction waits.
-			if !(isBranch && m.cfg.PerfectBranches) &&
-				m.sb.EarliestFor(c, op.Dst, reads...) > c {
-				// A waiting source is a RAW stall; otherwise the
-				// reserved destination (WAW) held it back.
-				if reasons != nil {
-					reasons[i] = probe.ReasonWAW
-					for _, r := range reads {
-						if r.Valid() && m.sb.ReadyAt(r) > c {
-							reasons[i] = probe.ReasonRAW
-							break
-						}
-					}
-				}
-				continue
-			}
-			if m.pool.EarliestAccept(op.Unit, c) > c {
-				if reasons != nil {
-					reasons[i] = probe.ReasonStructFU
-				}
-				continue
-			}
-			if po.Flags.Has(trace.FlagLoad) && m.mem.EarliestLoad(po.AddrID, c) > c {
-				if reasons != nil {
-					reasons[i] = probe.ReasonRAW
-				}
-				continue
-			}
-			if po.Flags.Has(trace.FlagMemory) && m.banks.EarliestAccept(op.Addr, c) > c {
-				if reasons != nil {
-					reasons[i] = probe.ReasonMemBank
-				}
-				continue
-			}
-			if usesResultBus(op) && !m.bt.Free(i, c+int64(m.pool.Latency(op.Unit))) {
-				if reasons != nil {
-					reasons[i] = probe.ReasonResultBus
-				}
-				continue
-			}
-
-			var done int64
-			if isBranch && m.cfg.PerfectBranches {
-				done = c + 1
-			} else {
-				done = m.pool.Accept(op.Unit, c)
-			}
-			if po.Flags.Has(trace.FlagMemory) {
-				m.banks.Accept(op.Addr, c)
-			}
-			if usesResultBus(op) {
-				m.bt.Reserve(i, done)
-			}
-			if po.Flags.Has(trace.FlagHasDst) {
-				m.sb.SetReady(op.Dst, done)
-			}
-			if po.Flags.Has(trace.FlagStore) {
-				m.mem.Store(po.AddrID, done)
-			}
-			issued[i] = true
-			issuedAt[i] = c
-			remaining--
-			releaseBlockers(t, p, pos, i, size, blockers)
-			for oldest < size && issued[oldest] {
-				oldest++
-			}
-			if m.probe != nil {
-				m.probe.Writeback(done, op.Unit, done-c)
-				if isBranch {
-					if m.cfg.PerfectBranches {
-						m.probe.BranchResolve(done)
-					} else {
-						m.probe.BranchResolve(c + brLat)
-					}
-				}
-			}
-			if m.rec != nil {
-				m.rec.RecordIssue(op.Seq, c)
-				m.rec.RecordExec(op.Seq, c, op.Unit, done-c)
-				if usesResultBus(op) {
-					m.rec.RecordResultBus(op.Seq, done, i)
-				}
-				m.rec.RecordWriteback(op.Seq, done, op.Unit)
-				if isBranch {
-					if m.cfg.PerfectBranches {
-						m.rec.RecordBranchResolve(op.Seq, done)
-					} else {
-						m.rec.RecordBranchResolve(op.Seq, c+brLat)
-					}
-				}
-			}
-			g.Progress(c)
-			if c > maxIssue {
-				maxIssue = c
-			}
-			if done > lastDone {
-				lastDone = done
-			}
-			if err := g.Over(lastDone, int64(pos+i)); err != nil {
-				return 0, 0, err
-			}
-			if isBranch && !m.cfg.PerfectBranches {
-				brGate = c + brLat
-				brGateIdx = i
-			}
-		}
-		// Close the cycle's slot ledger: issues, one stall per
-		// still-unissued entry, and the stations the short buffer
-		// leaves empty.
-		if m.probe != nil {
-			issuedNow := remStart - remaining
-			if issuedNow > 0 {
-				m.probe.Issue(c, int64(issuedNow))
-			}
-			for i := 0; i < size; i++ {
-				if !issued[i] {
-					m.probe.Stall(c, reasons[i], 1)
-				}
-			}
-			if idle := int64(w-issuedNow) - int64(remaining); idle > 0 {
-				m.probe.Stall(c, probe.ReasonIssueWidth, idle)
-			}
+// closeLedger closes cycle c's slot ledger for a buffer of size
+// entries: the issued entries, one stall per still-unissued entry under
+// the reason the scan filed, and the stations the short buffer leaves
+// empty.
+func (m *multiIssueOOO) closeLedger(c int64, issuedNow, remaining, size int) {
+	if issuedNow > 0 {
+		m.probe.Issue(c, int64(issuedNow))
+	}
+	for i := 0; i < size; i++ {
+		if !m.issued[i] {
+			m.probe.Stall(c, m.reasons[i], 1)
 		}
 	}
-	return maxIssue, lastDone, nil
+	if idle := int64(m.cfg.IssueUnits-issuedNow) - int64(remaining); idle > 0 {
+		m.probe.Stall(c, probe.ReasonIssueWidth, idle)
+	}
 }
 
 // holdsBack reports whether an older buffer entry (oj, with flags
@@ -630,12 +466,7 @@ func (m *multiIssueOOO) hazardReason(t *trace.Trace, p *trace.Prepared, pos, i i
 	return probe.ReasonRAW
 }
 
-// machineConfig exposes the configuration to the extrapolation engine.
-func (m *multiIssueOOO) machineConfig() Config { return m.cfg }
-
 func (m *multiIssueOOO) units() *fu.Pool { return m.pool }
-
-func (m *multiIssueOOO) state() *run { return &m.st }
 
 func (m *multiIssueOOO) spare() forker { return spareOf(NewMultiIssueOOO(m.cfg)) }
 
@@ -646,7 +477,5 @@ func (m *multiIssueOOO) fork(src forker, t *trace.Trace, p probe.Probe) {
 	m.bt.CopyFrom(s.bt)
 	m.mem.copyFrom(&s.mem, t.Prepared().NumAddrs)
 	m.banks.CopyFrom(s.banks)
-	m.st = s.st
-	m.st.retarget(t, p)
-	m.probe = p
+	m.resume(&s.lifecycle, t, p)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mfup/internal/bus"
+	"mfup/internal/events"
 	"mfup/internal/faultinject"
 	"mfup/internal/loops"
 	"mfup/internal/probe"
@@ -13,36 +14,53 @@ import (
 )
 
 // oooOutcome runs a fresh out-of-order machine over the trace of
-// kernel lfk, observed (a probe attached, so the scan steps through
-// every cycle) or not (the scan jumps over idle cycles), and returns
-// its result and its *SimError, if any.
-func oooOutcome(t *testing.T, cfg Config, lfk int, lim Limits, observed bool) (Result, *simerr.SimError) {
+// kernel lfk, with a probe attached (the scan then steps through every
+// cycle) or not (it jumps over idle cycles), and with an event recorder
+// or not, and returns its result, its *SimError, if any, and the runs
+// recorded.
+func oooOutcome(t *testing.T, cfg Config, lfk int, lim Limits, probed, recorded bool) (Result, *simerr.SimError, []events.Run) {
 	t.Helper()
 	k, err := loops.Get(lfk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := must(NewMultiIssueOOO(cfg))
-	if observed {
+	if probed {
 		m.SetProbe(new(probe.Counters))
 	}
+	var rec *events.Recorder
+	if recorded {
+		// Large enough that no run drops an event: the comparison
+		// covers every one.
+		rec = events.NewRecorder(1 << 21)
+		m.SetRecorder(rec)
+	}
 	r, err := m.RunChecked(k.SharedTrace(), lim)
+	var runs []events.Run
+	if rec != nil {
+		runs = rec.Runs()
+		if rec.Dropped() > 0 {
+			t.Fatalf("%s on LFK %d: %d events dropped", m.Name(), lfk, rec.Dropped())
+		}
+	}
 	if err == nil {
-		return r, nil
+		return r, nil, runs
 	}
 	var se *simerr.SimError
 	if !errors.As(err, &se) {
 		t.Fatalf("%s on LFK %d: %v is not a *SimError", m.Name(), lfk, err)
 	}
-	return r, se
+	return r, se, runs
 }
 
 // TestOOOSkippingMatchesStepping holds the next-event scan to the
 // stepping one: across widths, interconnects, latencies and kernels,
 // under cycle budgets, stall watchdogs and injected faults, the
-// unobserved out-of-order machine returns the same Result and the same
-// *SimError (kind, cycle, instruction, message, in-flight snapshot)
-// as the observed copy, which visits every cycle.
+// out-of-order machine without a probe, which jumps over idle cycles,
+// returns the same Result and the same *SimError (kind, cycle,
+// instruction, message, in-flight snapshot) as one with a probe, which
+// visits every cycle. A recorder-only run jumps too, and records the
+// same events as a run that also has a probe.
 func TestOOOSkippingMatchesStepping(t *testing.T) {
 	var cfgs []Config
 	for _, base := range []Config{M11BR5, M5BR2, M11BR5.WithMemBanks(2)} {
@@ -63,10 +81,15 @@ func TestOOOSkippingMatchesStepping(t *testing.T) {
 	kernels := []int{1, 5, 6, 13, 14}
 	compare := func(t *testing.T, cfg Config, lfk int, lim Limits) (failed bool) {
 		t.Helper()
-		sr, se := oooOutcome(t, cfg, lfk, lim, false)
-		or, oe := oooOutcome(t, cfg, lfk, lim, true)
+		sr, se, _ := oooOutcome(t, cfg, lfk, lim, false, false)
+		rr, re, rruns := oooOutcome(t, cfg, lfk, lim, false, true)
+		or, oe, oruns := oooOutcome(t, cfg, lfk, lim, true, true)
 		if sr != or || !reflect.DeepEqual(se, oe) {
 			t.Errorf("%s %+v on LFK %d:\n skipping %+v, %+v\n stepping %+v, %+v", cfg.Name(), lim, lfk, sr, se, or, oe)
+		}
+		if rr != or || !reflect.DeepEqual(re, oe) || !reflect.DeepEqual(rruns, oruns) {
+			t.Errorf("%s %+v on LFK %d, recorded:\n skipping %+v, %+v\n stepping %+v, %+v\n (events equal: %v)",
+				cfg.Name(), lim, lfk, rr, re, or, oe, reflect.DeepEqual(rruns, oruns))
 		}
 		return se != nil
 	}

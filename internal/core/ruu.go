@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mfup/internal/bus"
-	"mfup/internal/events"
 	"mfup/internal/fu"
 	"mfup/internal/isa"
 	"mfup/internal/mem"
@@ -117,7 +116,7 @@ func (l *cycleList) take(c int64) []ref {
 // stage until it resolves, reading A0 through the bypass network as
 // soon as the producing instruction's result returns.
 type ruuMachine struct {
-	cfg   Config
+	lifecycle
 	banks int // dispatch/result/commit domains: N for BusN, 1 for Bus1
 	pool  *fu.Pool
 
@@ -151,18 +150,9 @@ type ruuMachine struct {
 	results    *bus.Tracker // FU -> RUU result bus slots
 	commitAt   []int64      // per bank: the last cycle its commit bus carried a commit
 	memBanks   *mem.Banks
-
-	st    run
-	probe probe.Probe
-	rec   *events.Recorder
 }
 
-// machineConfig exposes the configuration to the extrapolation engine.
-func (s *ruuMachine) machineConfig() Config { return s.cfg }
-
 func (s *ruuMachine) units() *fu.Pool { return s.pool }
-
-func (s *ruuMachine) state() *run { return &s.st }
 
 func (s *ruuMachine) spare() forker { return spareOf(NewRUU(s.cfg)) }
 
@@ -185,9 +175,7 @@ func (s *ruuMachine) fork(src forker, t *trace.Trace, p probe.Probe) {
 	s.results.CopyFrom(o.results)
 	copy(s.commitAt, o.commitAt)
 	s.memBanks.CopyFrom(o.memBanks)
-	s.st = o.st
-	s.st.retarget(t, p)
-	s.probe = p
+	s.resume(&o.lifecycle, t, p)
 }
 
 // NewRUU builds the §5.3 machine: cfg.IssueUnits issue units over a
@@ -204,7 +192,7 @@ func NewRUU(cfg Config) (Machine, error) {
 	if cfg.Bus != bus.BusN && cfg.Bus != bus.Bus1 {
 		return nil, fmt.Errorf("core: RUU takes the N-Bus or 1-Bus interconnect, got %s", cfg.Bus)
 	}
-	s := &ruuMachine{cfg: cfg, pool: cfg.newPool(), banks: 1}
+	s := &ruuMachine{lifecycle: lifecycle{cfg: cfg}, pool: cfg.newPool(), banks: 1}
 	s.pool.SegmentAll()
 	if cfg.Bus == bus.BusN {
 		s.banks = cfg.IssueUnits
@@ -258,10 +246,6 @@ func (s *ruuMachine) reset(numAddrs int) {
 	s.results.Reset()
 }
 
-func (s *ruuMachine) SetProbe(p probe.Probe) { s.probe = p }
-
-func (s *ruuMachine) SetRecorder(r *events.Recorder) { s.rec = r }
-
 func (s *ruuMachine) Name() string {
 	return fmt.Sprintf("RUU(%d units, %d entries, %s)", s.cfg.IssueUnits, s.cfg.RUUSize, s.cfg.Bus)
 }
@@ -292,27 +276,15 @@ func (s *ruuMachine) snapshot(max int) []string {
 // cycle, so all three checks apply: cycle budget, no-forward-progress
 // watchdog, and wall-clock deadline.
 func (s *ruuMachine) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
-	if err := s.begin(t, lim); err != nil {
-		return Result{}, err
-	}
-	r, _, err := s.advance(noPause)
-	return r, err
+	return runChecked(s, t, lim)
 }
 
 func (s *ruuMachine) begin(t *trace.Trace, lim Limits) error {
-	name := s.Name()
-	p := t.Prepared()
-	if err := scalarOnly(name, p); err != nil {
+	p, err := s.start(s.Name(), t, lim, scalarOnly, s.cfg.IssueUnits, s.cfg.RUUSize)
+	if err != nil {
 		return err
 	}
 	s.reset(p.NumAddrs)
-	s.st = run{t: t, p: p, g: newGuard(name, t.Name, lim)}
-	if s.probe != nil {
-		s.probe.Begin(name, t.Name, s.cfg.IssueUnits, s.cfg.RUUSize)
-	}
-	if s.rec != nil {
-		s.rec.Begin(name, t.Name, s.cfg.IssueUnits)
-	}
 	return nil
 }
 
@@ -565,13 +537,7 @@ func (s *ruuMachine) advance(at int) (Result, bool, error) {
 		}
 	}
 	s.st.pos, s.st.next, s.st.last = pos, issueGate, lastEvent
-	if s.probe != nil {
-		s.probe.End(lastEvent)
-	}
-	if s.rec != nil {
-		s.rec.End(lastEvent)
-	}
-	return s.st.result(), true, nil
+	return s.finish()
 }
 
 // insertReady files entry r in its bank's age-ordered ready list.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"mfup/internal/events"
 	"mfup/internal/fu"
 	"mfup/internal/probe"
 	"mfup/internal/regfile"
@@ -22,13 +21,10 @@ import (
 // stage blocks for the branch execution time, and a conditional
 // branch additionally waits for A0.
 type scoreboard struct {
-	cfg   Config
-	pool  *fu.Pool
-	sb    regfile.Scoreboard
-	mem   memScoreboard
-	st    run
-	probe probe.Probe
-	rec   *events.Recorder
+	lifecycle
+	pool *fu.Pool
+	sb   regfile.Scoreboard
+	mem  memScoreboard
 }
 
 // NewScoreboard builds the CDC-6600-style single-issue machine of
@@ -39,41 +35,25 @@ func NewScoreboard(cfg Config) (Machine, error) {
 	}
 	pool := cfg.newPool()
 	pool.SegmentAll()
-	return &scoreboard{cfg: cfg, pool: pool}, nil
+	return &scoreboard{lifecycle: lifecycle{cfg: cfg}, pool: pool}, nil
 }
 
 func (m *scoreboard) Name() string { return "Scoreboard" }
 
-func (m *scoreboard) SetProbe(p probe.Probe) { m.probe = p }
-
-func (m *scoreboard) SetRecorder(r *events.Recorder) { m.rec = r }
-
 // RunChecked simulates t under the limits; issue times are computed
 // directly, so only the cycle budget and deadline apply.
 func (m *scoreboard) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
-	if err := m.begin(t, lim); err != nil {
-		return Result{}, err
-	}
-	r, _, err := m.advance(noPause)
-	return r, err
+	return runChecked(m, t, lim)
 }
 
 func (m *scoreboard) begin(t *trace.Trace, lim Limits) error {
-	p := t.Prepared()
-	if err := scalarOnly("Scoreboard", p); err != nil {
+	p, err := m.start("Scoreboard", t, lim, scalarOnly, 1, 0)
+	if err != nil {
 		return err
 	}
 	m.pool.Reset()
 	m.sb.Reset()
 	m.mem.Reset(p.NumAddrs)
-	m.st = run{t: t, p: p, g: newGuard("Scoreboard", t.Name, lim)}
-	if m.probe != nil {
-		m.probe.Begin("Scoreboard", t.Name, 1, 0)
-		m.st.acct = *probe.NewAccount(m.probe, 1)
-	}
-	if m.rec != nil {
-		m.rec.Begin("Scoreboard", t.Name, 1)
-	}
 	return nil
 }
 
@@ -177,21 +157,10 @@ func (m *scoreboard) advance(at int) (Result, bool, error) {
 	if end < len(t.Ops) {
 		return Result{}, false, nil
 	}
-	if m.probe != nil {
-		m.probe.End(lastDone)
-	}
-	if m.rec != nil {
-		m.rec.End(lastDone)
-	}
-	return m.st.result(), true, nil
+	return m.finish()
 }
 
-// machineConfig exposes the configuration to the extrapolation engine.
-func (m *scoreboard) machineConfig() Config { return m.cfg }
-
 func (m *scoreboard) units() *fu.Pool { return m.pool }
-
-func (m *scoreboard) state() *run { return &m.st }
 
 func (m *scoreboard) spare() forker { return spareOf(NewScoreboard(m.cfg)) }
 
@@ -200,7 +169,5 @@ func (m *scoreboard) fork(src forker, t *trace.Trace, p probe.Probe) {
 	m.pool.CopyFrom(s.pool)
 	m.sb = s.sb
 	m.mem.copyFrom(&s.mem, t.Prepared().NumAddrs)
-	m.st = s.st
-	m.st.retarget(t, p)
-	m.probe = p
+	m.resume(&s.lifecycle, t, p)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"mfup/internal/events"
 	"mfup/internal/fu"
 	"mfup/internal/isa"
 	"mfup/internal/mem"
@@ -22,18 +21,15 @@ import (
 //	NonSegmented  as above, with interleaved (pipelined) memory
 //	CRAYLike      interleaved memory and fully segmented units
 type singleIssue struct {
+	lifecycle
 	name      string
 	org       Organization
-	cfg       Config
 	exclusive bool // Simple machine: one instruction in execution
 
 	pool  *fu.Pool
 	sb    regfile.Scoreboard
 	mem   memScoreboard
 	banks *mem.Banks
-	st    run
-	probe probe.Probe
-	rec   *events.Recorder
 }
 
 // Organization selects one of the four basic machines of §3, in
@@ -92,9 +88,9 @@ func NewBasic(o Organization, cfg Config) (Machine, error) {
 		banks = cfg.MemBanks // serial-memory machines have no banking to model
 	}
 	return &singleIssue{
+		lifecycle: lifecycle{cfg: cfg},
 		name:      o.String(),
 		org:       o,
-		cfg:       cfg,
 		exclusive: o == Simple,
 		pool:      pool,
 		banks:     mem.NewBanks(banks, cfg.MemLatency),
@@ -103,38 +99,22 @@ func NewBasic(o Organization, cfg Config) (Machine, error) {
 
 func (m *singleIssue) Name() string { return m.name }
 
-func (m *singleIssue) SetProbe(p probe.Probe) { m.probe = p }
-
-func (m *singleIssue) SetRecorder(r *events.Recorder) { m.rec = r }
-
 // RunChecked simulates t under the limits. Issue times are computed
 // directly (the machine cannot stall), so only the cycle budget and
 // deadline apply.
 func (m *singleIssue) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
-	if err := m.begin(t, lim); err != nil {
-		return Result{}, err
-	}
-	r, _, err := m.advance(noPause)
-	return r, err
+	return runChecked(m, t, lim)
 }
 
 func (m *singleIssue) begin(t *trace.Trace, lim Limits) error {
-	p := t.Prepared()
-	if err := scalarOnly(m.name, p); err != nil {
+	p, err := m.start(m.name, t, lim, scalarOnly, 1, 0)
+	if err != nil {
 		return err
 	}
 	m.pool.Reset()
 	m.sb.Reset()
 	m.mem.Reset(p.NumAddrs)
 	m.banks.Reset()
-	m.st = run{t: t, p: p, g: newGuard(m.name, t.Name, lim)}
-	if m.probe != nil {
-		m.probe.Begin(m.name, t.Name, 1, 0)
-		m.st.acct = *probe.NewAccount(m.probe, 1)
-	}
-	if m.rec != nil {
-		m.rec.Begin(m.name, t.Name, 1)
-	}
 	return nil
 }
 
@@ -252,13 +232,7 @@ func (m *singleIssue) advance(at int) (Result, bool, error) {
 	if end < len(t.Ops) {
 		return Result{}, false, nil
 	}
-	if m.probe != nil {
-		m.probe.End(lastDone)
-	}
-	if m.rec != nil {
-		m.rec.End(lastDone)
-	}
-	return m.st.result(), true, nil
+	return m.finish()
 }
 
 // issueReason replays the issue-constraint chain from e to name the
@@ -302,12 +276,7 @@ func (m *singleIssue) issueReason(op *trace.Op, po *trace.PreparedOp, isBranch b
 	return reason
 }
 
-// machineConfig exposes the configuration to the extrapolation engine.
-func (m *singleIssue) machineConfig() Config { return m.cfg }
-
 func (m *singleIssue) units() *fu.Pool { return m.pool }
-
-func (m *singleIssue) state() *run { return &m.st }
 
 func (m *singleIssue) spare() forker { return spareOf(NewBasic(m.org, m.cfg)) }
 
@@ -317,7 +286,5 @@ func (m *singleIssue) fork(src forker, t *trace.Trace, p probe.Probe) {
 	m.sb = s.sb
 	m.mem.copyFrom(&s.mem, t.Prepared().NumAddrs)
 	m.banks.CopyFrom(s.banks)
-	m.st = s.st
-	m.st.retarget(t, p)
-	m.probe = p
+	m.resume(&s.lifecycle, t, p)
 }

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"mfup/internal/bus"
-	"mfup/internal/events"
 	"mfup/internal/fu"
 	"mfup/internal/isa"
 	"mfup/internal/probe"
@@ -31,7 +30,7 @@ const DefaultStations = 4
 // imprecise-interrupt design): a station frees as soon as its result
 // has been broadcast.
 type tomasulo struct {
-	cfg      Config
+	lifecycle
 	stations int
 	pool     *fu.Pool
 
@@ -59,10 +58,6 @@ type tomasulo struct {
 
 	broadcasts cycleList // started entries by the cycle their result broadcasts
 	ready      []ref     // unstarted entries with every operand, oldest first
-
-	st    run
-	probe probe.Probe
-	rec   *events.Recorder
 }
 
 type tomEntry struct {
@@ -95,7 +90,7 @@ func NewTomasulo(cfg Config) (Machine, error) {
 	horizon := cfg.horizon()
 	ring := bus.RingSize(horizon)
 	return &tomasulo{
-		cfg: cfg, stations: stations, pool: pool,
+		lifecycle: lifecycle{cfg: cfg}, stations: stations, pool: pool,
 		cdb: make([]int64, ring), cdbMask: int64(ring - 1),
 		slab: make([]tomEntry, 1), broadcasts: newCycleList(horizon),
 	}, nil
@@ -162,10 +157,6 @@ func (m *tomasulo) cdbFree(c int64) bool { return m.cdb[c&m.cdbMask] != c }
 
 func (m *tomasulo) cdbReserve(c int64) { m.cdb[c&m.cdbMask] = c }
 
-func (m *tomasulo) SetProbe(p probe.Probe) { m.probe = p }
-
-func (m *tomasulo) SetRecorder(r *events.Recorder) { m.rec = r }
-
 // byIssue orders entries by issue, for slices.SortFunc.
 func (m *tomasulo) byIssue(a, b ref) int { return m.slab[a].pos - m.slab[b].pos }
 
@@ -199,28 +190,17 @@ func (m *tomasulo) snapshot(max int) []string {
 // cycle, so all three checks apply: cycle budget, stall watchdog, and
 // wall-clock deadline.
 func (m *tomasulo) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
-	if err := m.begin(t, lim); err != nil {
-		return Result{}, err
-	}
-	r, _, err := m.advance(noPause)
-	return r, err
+	return runChecked(m, t, lim)
 }
 
 func (m *tomasulo) begin(t *trace.Trace, lim Limits) error {
-	p := t.Prepared()
-	if err := scalarOnly(m.Name(), p); err != nil {
+	// One issue slot per cycle; occupancy levels range over the whole
+	// reservation-station pool.
+	p, err := m.start(m.Name(), t, lim, scalarOnly, 1, m.stations*int(isa.NumUnits))
+	if err != nil {
 		return err
 	}
 	m.reset(p.NumAddrs)
-	m.st = run{t: t, p: p, g: newGuard(m.Name(), t.Name, lim)}
-	if m.probe != nil {
-		// One issue slot per cycle; occupancy levels range over the
-		// whole reservation-station pool.
-		m.probe.Begin(m.Name(), t.Name, 1, m.stations*int(isa.NumUnits))
-	}
-	if m.rec != nil {
-		m.rec.Begin(m.Name(), t.Name, 1)
-	}
 	return nil
 }
 
@@ -446,21 +426,10 @@ func (m *tomasulo) advance(at int) (Result, bool, error) {
 		}
 	}
 	m.st.pos, m.st.next, m.st.last = pos, issueGate, lastEvent
-	if m.probe != nil {
-		m.probe.End(lastEvent)
-	}
-	if m.rec != nil {
-		m.rec.End(lastEvent)
-	}
-	return m.st.result(), true, nil
+	return m.finish()
 }
 
-// machineConfig exposes the configuration to the extrapolation engine.
-func (m *tomasulo) machineConfig() Config { return m.cfg }
-
 func (m *tomasulo) units() *fu.Pool { return m.pool }
-
-func (m *tomasulo) state() *run { return &m.st }
 
 func (m *tomasulo) spare() forker { return spareOf(NewTomasulo(m.cfg)) }
 
@@ -477,7 +446,5 @@ func (m *tomasulo) fork(src forker, t *trace.Trace, p probe.Probe) {
 	m.live = s.live
 	m.broadcasts.copyFrom(&s.broadcasts)
 	m.ready = append(m.ready[:0], s.ready...)
-	m.st = s.st
-	m.st.retarget(t, p)
-	m.probe = p
+	m.resume(&s.lifecycle, t, p)
 }

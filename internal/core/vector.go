@@ -1,7 +1,6 @@
 package core
 
 import (
-	"mfup/internal/events"
 	"mfup/internal/fu"
 	"mfup/internal/isa"
 	"mfup/internal/probe"
@@ -38,7 +37,7 @@ import (
 // model that accepts vector traces; the scalar machines reject them
 // with a BadTrace error.
 type vectorMachine struct {
-	cfg Config
+	lifecycle
 	lat isa.Latencies // hoisted once; Config.Latencies rebuilds the table
 
 	// Per-register timing state. For scalar registers the three
@@ -51,10 +50,6 @@ type vectorMachine struct {
 	busyUntil  [isa.NumUnits]int64 // exclusive vector reservations
 
 	mem memScoreboard // scalar store-to-load dependences
-
-	st    run
-	probe probe.Probe
-	rec   *events.Recorder
 }
 
 // NewVector builds the vector-extension machine. It reports an
@@ -63,14 +58,10 @@ func NewVector(cfg Config) (Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &vectorMachine{cfg: cfg, lat: cfg.Latencies()}, nil
+	return &vectorMachine{lifecycle: lifecycle{cfg: cfg}, lat: cfg.Latencies()}, nil
 }
 
 func (m *vectorMachine) Name() string { return "Vector" }
-
-func (m *vectorMachine) SetProbe(p probe.Probe) { m.probe = p }
-
-func (m *vectorMachine) SetRecorder(r *events.Recorder) { m.rec = r }
 
 func (m *vectorMachine) reset(numAddrs int) {
 	m.readyRead = [isa.NumRegs]int64{}
@@ -92,27 +83,15 @@ func (m *vectorMachine) latency(u isa.Unit) int64 {
 // RunChecked simulates t under the limits; issue times are computed
 // directly, so only the cycle budget and deadline apply.
 func (m *vectorMachine) RunChecked(t *trace.Trace, lim Limits) (Result, error) {
-	if err := m.begin(t, lim); err != nil {
-		return Result{}, err
-	}
-	r, _, err := m.advance(noPause)
-	return r, err
+	return runChecked(m, t, lim)
 }
 
 func (m *vectorMachine) begin(t *trace.Trace, lim Limits) error {
-	p := t.Prepared()
-	if err := badTrace(m.Name(), p); err != nil {
+	p, err := m.start(m.Name(), t, lim, badTrace, 1, 0)
+	if err != nil {
 		return err
 	}
 	m.reset(p.NumAddrs)
-	m.st = run{t: t, p: p, g: newGuard(m.Name(), t.Name, lim)}
-	if m.probe != nil {
-		m.probe.Begin(m.Name(), t.Name, 1, 0)
-		m.st.acct = *probe.NewAccount(m.probe, 1)
-	}
-	if m.rec != nil {
-		m.rec.Begin(m.Name(), t.Name, 1)
-	}
 	return nil
 }
 
@@ -268,13 +247,7 @@ func (m *vectorMachine) advance(at int) (Result, bool, error) {
 	if end < len(t.Ops) {
 		return Result{}, false, nil
 	}
-	if m.probe != nil {
-		m.probe.End(lastDone)
-	}
-	if m.rec != nil {
-		m.rec.End(lastDone)
-	}
-	return m.st.result(), true, nil
+	return m.finish()
 }
 
 // issueReason replays the issue-condition chain from e to name the
@@ -319,13 +292,8 @@ func (m *vectorMachine) issueReason(op *trace.Op, po *trace.PreparedOp, unit isa
 	return reason
 }
 
-// machineConfig exposes the configuration to the extrapolation engine.
-func (m *vectorMachine) machineConfig() Config { return m.cfg }
-
 // units reports no pool: the vector machine tracks its units itself.
 func (m *vectorMachine) units() *fu.Pool { return nil }
-
-func (m *vectorMachine) state() *run { return &m.st }
 
 func (m *vectorMachine) spare() forker { return spareOf(NewVector(m.cfg)) }
 
@@ -334,7 +302,5 @@ func (m *vectorMachine) fork(src forker, t *trace.Trace, p probe.Probe) {
 	m.readyRead, m.fullDone, m.readersDone = s.readyRead, s.fullDone, s.readersDone
 	m.lastAccept, m.busyUntil = s.lastAccept, s.busyUntil
 	m.mem.copyFrom(&s.mem, t.Prepared().NumAddrs)
-	m.st = s.st
-	m.st.retarget(t, p)
-	m.probe = p
+	m.resume(&s.lifecycle, t, p)
 }

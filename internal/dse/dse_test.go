@@ -209,71 +209,102 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
-// Pruning plus the journal: a pruned sweep simulates fewer points,
-// and a resume against the journal simulates none at all — while a
-// journal from a different workload misses by construction. The
-// replicated-reciprocal axis is the guaranteed-dominated dimension:
-// the scalar loops issue no Recip operations, so the second copy
-// raises the cost at an identical model rate and must be pruned.
+// Pruning plus the journal: a pruned sweep simulates every point the
+// model keeps and fails none, its model orders the simulated frontier
+// the way the simulator does, and a resume against the journal
+// simulates nothing and serves every kept point from it, with the same
+// frontier and rates — while a journal from a different workload misses
+// by construction. Two grids: the replicated-reciprocal axis is the
+// guaranteed-dominated dimension (the scalar loops issue no Recip
+// operations, so the second copy raises the cost at an identical model
+// rate and must be pruned), and a 192-point grid over three kinds,
+// whose ruu axis is a no-op for multi and ooo, must prune at least half
+// of its distinct machines.
 func TestRunPruneAndResume(t *testing.T) {
-	src := `{
-		"base": {"kind": "multi", "mem": 11, "br": 5},
-		"axes": {"width": {"from": 1, "to": 6}, "fucount.Recip": [1, 2]},
-		"prune": {"margin": 0.05, "keep": 2}
-	}`
-	s := mustParse(t, src)
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := Run(context.Background(), s, Options{Journal: j})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if r1.Pruned == 0 {
-		t.Fatal("sweep pruned nothing; replicating an idle unit must be model-dominated")
-	}
-	if r1.Simulated+r1.Pruned != r1.Deduped {
-		t.Fatalf("tallies do not add up: %d simulated + %d pruned != %d distinct", r1.Simulated, r1.Pruned, r1.Deduped)
-	}
+	for _, tc := range []struct {
+		name string
+		src  string
+		// The least distinct machines the grid must hold, and the least
+		// share of them the model must prune.
+		minDeduped  int
+		minPruned   float64
+		respellLoad bool // also run a different workload against the journal
+	}{
+		{"recip", `{
+			"base": {"kind": "multi", "mem": 11, "br": 5},
+			"axes": {"width": {"from": 1, "to": 6}, "fucount.Recip": [1, 2]},
+			"prune": {"margin": 0.05, "keep": 2}
+		}`, 12, 0.01, true},
+		{"kinds192", `{
+			"base": {"kind": "ooo", "mem": 11, "br": 5},
+			"axes": {
+				"kind": ["multi", "ooo", "ruu"],
+				"width": [1, 2, 3, 4],
+				"bus": ["nbus", "1bus"],
+				"mem": [5, 11],
+				"br": [2, 5],
+				"ruu": [25, 50]
+			},
+			"prune": {"margin": 0.15, "keep": 8}
+		}`, 100, 0.5, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := mustParse(t, tc.src)
+			path := filepath.Join(t.TempDir(), "sweep.jsonl")
+			run := func(s SweepSpec) *Report {
+				t.Helper()
+				j, err := OpenJournal(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := Run(context.Background(), s, Options{Journal: j})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := j.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			r1 := run(s)
+			t.Logf("%d distinct machines, %d pruned, %d simulated; frontier of %d, agreement %.2f over %d pairs",
+				r1.Deduped, r1.Pruned, r1.Simulated, len(r1.FrontierIdx), r1.Model.FrontierAgreement, r1.Model.Pairs)
+			kept := r1.Deduped - r1.Pruned
+			if r1.Deduped < tc.minDeduped || float64(r1.Pruned) < tc.minPruned*float64(r1.Deduped) {
+				t.Fatalf("%d distinct machines, %d pruned; want at least %d, and a share of %.2f pruned",
+					r1.Deduped, r1.Pruned, tc.minDeduped, tc.minPruned)
+			}
+			if r1.Failed != 0 || r1.Simulated != kept {
+				t.Fatalf("%d failed, %d simulated; want 0 and the %d the model kept", r1.Failed, r1.Simulated, kept)
+			}
+			// A frontier with no pairs to order reads an agreement of 0.
+			if len(r1.FrontierIdx) == 0 || r1.Model.FrontierAgreement < 0.9 {
+				t.Fatalf("frontier of %d points, model agreement %.2f over %d pairs; want a frontier and at least 0.90",
+					len(r1.FrontierIdx), r1.Model.FrontierAgreement, r1.Model.Pairs)
+			}
 
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Run(context.Background(), s, Options{Journal: j2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if r2.Simulated != 0 || r2.FromJournal != r1.Simulated {
-		t.Fatalf("resume simulated %d, journal-served %d; want 0 and %d", r2.Simulated, r2.FromJournal, r1.Simulated)
-	}
-	for i := range r1.Points {
-		if r1.Points[i].Rate != r2.Points[i].Rate {
-			t.Fatalf("point %d: resumed rate %v != original %v", i, r2.Points[i].Rate, r1.Points[i].Rate)
-		}
-	}
+			r2 := run(s)
+			if r2.Simulated != 0 || r2.FromJournal != kept {
+				t.Fatalf("resume simulated %d, journal-served %d; want 0 and %d", r2.Simulated, r2.FromJournal, kept)
+			}
+			if !reflect.DeepEqual(r2.FrontierIdx, r1.FrontierIdx) {
+				t.Fatalf("resumed frontier %v, original %v", r2.FrontierIdx, r1.FrontierIdx)
+			}
+			for i := range r1.Points {
+				if r1.Points[i].Rate != r2.Points[i].Rate {
+					t.Fatalf("point %d: resumed rate %v != original %v", i, r2.Points[i].Rate, r1.Points[i].Rate)
+				}
+			}
 
-	// Same machines, different workload: every key misses.
-	s3 := mustParse(t, strings.Replace(src, `"prune"`, `"scale": 50000, "extrapolate": true, "prune"`, 1))
-	j3, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j3.Close()
-	r3, err := Run(context.Background(), s3, Options{Journal: j3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3.FromJournal != 0 {
-		t.Fatalf("journal served %d points across a workload change", r3.FromJournal)
+			if !tc.respellLoad {
+				return
+			}
+			// Same machines, different workload: every key misses.
+			s3 := mustParse(t, strings.Replace(tc.src, `"prune"`, `"scale": 50000, "extrapolate": true, "prune"`, 1))
+			if r3 := run(s3); r3.FromJournal != 0 {
+				t.Fatalf("journal served %d points across a workload change", r3.FromJournal)
+			}
+		})
 	}
 }
 

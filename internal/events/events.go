@@ -12,7 +12,7 @@
 // contract: recording never changes timing — simulated cycle counts
 // are identical with and without a recorder — and the nil-recorder
 // default costs only a predicted-not-taken branch per event site
-// (BenchmarkTraceOverhead guards this next to BenchmarkProbeOverhead).
+// (BenchmarkTraceOverhead records it next to BenchmarkProbeOverhead).
 // Like a probe, a Recorder is driven from the running goroutine and
 // must not be shared across concurrently running machines.
 //

@@ -436,7 +436,7 @@ func (s *Server) gate(w http.ResponseWriter) bool {
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, proto *job, timeout time.Duration) {
 	if raw, ok := s.cache.Get(proto.key); ok {
 		s.stats.cacheHits.Add(1)
-		s.writeJob(w, http.StatusOK, jobResponse{ID: proto.id, Status: "done", Cached: true, Result: raw})
+		s.writeJSON(w, http.StatusOK, JobResponse{ID: proto.id, Status: "done", Cached: true, Result: raw})
 		return
 	}
 	if ok, retry := s.breaker.Allow(proto.key); !ok {
@@ -492,7 +492,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, proto *job, timeo
 		}
 		return
 	}
-	s.writeJob(w, http.StatusAccepted, jobResponse{ID: j.id, Status: j.status()})
+	s.writeJSON(w, http.StatusAccepted, JobResponse{ID: j.id, Status: j.status()})
 }
 
 // handleGet serves job status and results by key: active jobs from
@@ -514,7 +514,7 @@ func (s *Server) serveByKey(w http.ResponseWriter, id, key string) {
 	s.mu.Unlock()
 	if raw, hit := s.cache.Get(key); hit {
 		s.stats.cacheHits.Add(1)
-		s.writeJob(w, http.StatusOK, jobResponse{ID: id, Status: "done", Cached: true, Result: raw})
+		s.writeJSON(w, http.StatusOK, JobResponse{ID: id, Status: "done", Cached: true, Result: raw})
 		return
 	}
 	if !ok {
@@ -525,7 +525,7 @@ func (s *Server) serveByKey(w http.ResponseWriter, id, key string) {
 	case <-j.done:
 		s.writeFinished(w, j, false)
 	default:
-		s.writeJob(w, http.StatusOK, jobResponse{ID: j.id, Status: j.status()})
+		s.writeJSON(w, http.StatusOK, JobResponse{ID: j.id, Status: j.status()})
 	}
 }
 
@@ -634,10 +634,11 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// jobResponse is the wire envelope of every job-related reply. Result
-// carries the cached bytes verbatim: two servings of the same key are
-// byte-identical in this field by construction.
-type jobResponse struct {
+// JobResponse is the wire envelope of every job-related reply, from a
+// worker or a router. Result carries the cached bytes verbatim: two
+// servings of the same key are byte-identical in this field by
+// construction.
+type JobResponse struct {
 	ID        string          `json:"id"`
 	Status    string          `json:"status"`
 	Cached    bool            `json:"cached,omitempty"`
@@ -648,19 +649,17 @@ type jobResponse struct {
 
 func (s *Server) writeFinished(w http.ResponseWriter, j *job, cached bool) {
 	if j.jerr != nil {
-		s.writeJob(w, http.StatusOK, jobResponse{
+		s.writeJSON(w, http.StatusOK, JobResponse{
 			ID: j.id, Status: "failed", Error: j.jerr.Msg, Transient: j.jerr.Transient,
 		})
 		return
 	}
-	s.writeJob(w, http.StatusOK, jobResponse{ID: j.id, Status: "done", Cached: cached, Result: j.result})
+	s.writeJSON(w, http.StatusOK, JobResponse{ID: j.id, Status: "done", Cached: cached, Result: j.result})
 }
 
-func (s *Server) writeJob(w http.ResponseWriter, status int, resp jobResponse) {
-	s.writeJSON(w, status, resp)
-}
-
-type errorResponse struct {
+// ErrorResponse is the wire envelope of a refusal, from a worker or a
+// router.
+type ErrorResponse struct {
 	Error      string `json:"error"`
 	RetryAfter int    `json:"retry_after,omitempty"` // seconds, mirrors the header
 }
@@ -668,7 +667,7 @@ type errorResponse struct {
 // writeError sends a structured refusal; retry > 0 adds Retry-After,
 // the contract that lets a shed client back off instead of hammering.
 func (s *Server) writeError(w http.ResponseWriter, status int, msg string, retry time.Duration) {
-	resp := errorResponse{Error: msg}
+	resp := ErrorResponse{Error: msg}
 	if retry > 0 {
 		resp.RetryAfter = RetryAfterSeconds(retry)
 		w.Header().Set("Retry-After", strconv.Itoa(resp.RetryAfter))

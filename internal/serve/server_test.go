@@ -34,7 +34,7 @@ func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 }
 
 // post submits a job document and decodes the envelope.
-func post(t *testing.T, url, doc string) (int, http.Header, jobResponse) {
+func post(t *testing.T, url, doc string) (int, http.Header, JobResponse) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(doc))
 	if err != nil {
@@ -45,7 +45,7 @@ func post(t *testing.T, url, doc string) (int, http.Header, jobResponse) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var jr jobResponse
+	var jr JobResponse
 	if len(body) > 0 {
 		if err := json.Unmarshal(body, &jr); err != nil {
 			t.Fatalf("decoding %q: %v", body, err)
@@ -105,7 +105,7 @@ func TestAsyncSubmitAndPoll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got jobResponse
+		var got JobResponse
 		err = json.NewDecoder(resp.Body).Decode(&got)
 		resp.Body.Close()
 		if err != nil {
@@ -153,7 +153,7 @@ func TestRestartServesWarmResultsByteIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var warm jobResponse
+	var warm JobResponse
 	if err := json.NewDecoder(resp.Body).Decode(&warm); err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got jobResponse
+		var got JobResponse
 		err = json.NewDecoder(resp.Body).Decode(&got)
 		resp.Body.Close()
 		if err != nil {
@@ -500,7 +500,7 @@ func TestServeRespondFaultSeversBodyNotDaemon(t *testing.T) {
 		// body must be empty or truncated, never a complete document.
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		var jr jobResponse
+		var jr JobResponse
 		if json.Unmarshal(body, &jr) == nil && jr.Status == "done" {
 			t.Fatalf("severed response still delivered a full document: %s", body)
 		}
