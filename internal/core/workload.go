@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"mfup/internal/loops"
 	"mfup/internal/trace"
@@ -73,4 +75,38 @@ func ScaleKernels(ks []*loops.Kernel, n int) Workload {
 		w.Kernels = append(w.Kernels, k)
 	}
 	return w
+}
+
+// WorkloadMemo remembers the last ScaleKernels resolution. A holder
+// that resolves the same selection at the same length again, as every
+// plan and routed point of a sweep does, reuses that resolution's
+// kernels: their decode, their period and nest analyses, and the
+// reduced traces their ladders cached. It holds one entry, so it keeps
+// one workload alive between calls until a call at another key
+// replaces it; a cache per kernel would pin every length a caller
+// ever asked for. The zero value is ready to use.
+type WorkloadMemo struct {
+	mu sync.Mutex
+	ks []*loops.Kernel // the last selection, compared by pointer
+	n  int
+	w  Workload
+	ok bool
+}
+
+// Scale returns ScaleKernels(ks, n), resolving only when ks (by
+// pointer, in order) or n differs from the last call's. The lock is
+// held while resolving, so concurrent callers of one key wait for one
+// build. The returned Workload is shared and read-only: its Kernels
+// and Notes are clipped, so an append copies them, and Virtual must
+// not be written.
+func (m *WorkloadMemo) Scale(ks []*loops.Kernel, n int) Workload {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.ok || m.n != n || !slices.Equal(m.ks, ks) {
+		key := slices.Clone(ks)
+		w := ScaleKernels(key, n)
+		w.Kernels, w.Notes = slices.Clip(w.Kernels), slices.Clip(w.Notes)
+		m.ks, m.n, m.w, m.ok = key, n, w, true
+	}
+	return m.w
 }

@@ -96,9 +96,14 @@ func pointKey(s SweepSpec, specKey string) string {
 	return fmt.Sprintf("dse-point/v1:loops=%s:scale=%d:machdef=%s", s.Loops, s.Scale, specKey)
 }
 
+// workloads holds the last workload a plan or point resolved. The
+// plans and routed points of one sweep all ask for one (loops, scale),
+// so each after the first reuses its kernels instead of building them.
+var workloads core.WorkloadMemo
+
 // workloadFor resolves the sweep's workload: the selected loop class
 // at the requested scale, through the one resolver every simulator
-// front end shares.
+// front end shares. The result is shared (core.WorkloadMemo.Scale).
 func workloadFor(s SweepSpec) core.Workload {
 	ks := loops.All()
 	switch s.Loops {
@@ -107,7 +112,7 @@ func workloadFor(s SweepSpec) core.Workload {
 	case "vectorizable":
 		ks = loops.ByClass(loops.Vectorizable)
 	}
-	return core.ScaleKernels(ks, s.Scale)
+	return workloads.Scale(ks, s.Scale)
 }
 
 // pointTask is the simulation behind one point: a machine from spec
@@ -179,21 +184,29 @@ func PlanSweep(sweep SweepSpec) (*Planned, error) {
 		SweepKey: s.Key(), Loops: s.Loops, Scale: s.Scale,
 		Expanded: expanded, Invalid: invalid, Deduped: len(specs),
 		Points: make([]Point, len(specs)),
-		Notes:  w.Notes,
+		// w.Notes is the memo's, clipped: the appends below copy it.
+		Notes: w.Notes,
 	}
-	for i, spec := range specs {
+	// Price every machine across the cores, each into its own slot;
+	// the notes follow in spec order, as one loop would write them.
+	errs := make([]error, len(specs))
+	runner.Each(0, len(specs), func(i int) {
 		p := &r.Points[i]
-		p.Spec = spec
+		p.Spec = specs[i]
 		p.Key = pointKey(s, keys[i])
-		p.Cost = spec.Cost()
-		est, err := queuemodel.Predict(spec, workload)
+		p.Cost = specs[i].Cost()
+		est, err := queuemodel.Predict(specs[i], workload)
 		if err != nil {
 			// Never prune what the model cannot price.
-			r.Notes = append(r.Notes, fmt.Sprintf("model: %s: %v", spec.Kind, err))
-			p.Unpriced = true
-			continue
+			errs[i], p.Unpriced = err, true
+			return
 		}
 		p.Model = est.Rate
+	})
+	for i, err := range errs {
+		if err != nil {
+			r.Notes = append(r.Notes, fmt.Sprintf("model: %s: %v", specs[i].Kind, err))
+		}
 	}
 
 	if s.Prune != nil {

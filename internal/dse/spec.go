@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -173,8 +174,11 @@ func (a Axis) MarshalJSON() ([]byte, error) {
 	return json.Marshal(a.Ints)
 }
 
-// canonical sorts and deduplicates the axis values in place.
+// canonical sorts and deduplicates copies of the axis values: a's
+// slices are shared with the spec Canonicalize was called on, which
+// other goroutines may be canonicalizing or reading at the same time.
 func (a *Axis) canonical() {
+	a.Ints, a.Strs = slices.Clone(a.Ints), slices.Clone(a.Strs)
 	sort.Ints(a.Ints)
 	a.Ints = dedupInts(a.Ints)
 	sort.Strings(a.Strs)

@@ -222,24 +222,31 @@ func Predict(spec machdef.Spec, w Workload) (Estimate, error) {
 	}
 	est.Rate = est.Saturation
 
-	// Finite instruction windows: in-flight instructions occupy a
-	// buffer entry from issue to retirement, so Little's law bounds
-	// the rate by window / residence(rate), residence including the
-	// Erlang-C queueing delays at every center. The RUU's window is
-	// its entry count; a multiple-issue machine's is its stations,
-	// each of which holds one instruction until completion (halved,
-	// amortized, under in-order issue, where the head of the line
-	// blocks the rest); Tomasulo's is its reservation stations across
-	// the unit classes the mix exercises. Solved by bisection below
-	// saturation, where the delays are finite.
-	var window float64
+	if n := window(s, w); n > 0 {
+		est.Rate = windowRate(centers, est.Saturation, n)
+	}
+	return est, nil
+}
+
+// window is the instruction window of the canonical spec s on
+// workload w, 0 for a machine without one. In-flight instructions
+// occupy a buffer entry from issue to retirement, so Little's law
+// bounds the rate by window / residence(rate), residence including
+// the Erlang-C queueing delays at every center. The RUU's window is
+// its entry count; a multiple-issue machine's is its stations, each of
+// which holds one instruction until completion (halved, amortized,
+// under in-order issue, where the head of the line blocks the rest);
+// Tomasulo's is its reservation stations across the unit classes the
+// mix exercises.
+func window(s machdef.Spec, w Workload) float64 {
+	width := float64(max(s.Width, 1))
 	switch s.Kind {
 	case "ruu":
-		window = float64(s.RUU)
+		return float64(s.RUU)
 	case "ooo":
-		window = float64(width)
+		return width
 	case "multi":
-		window = (float64(width) + 1) / 2
+		return (width + 1) / 2
 	case "tomasulo":
 		active := 0
 		for u := 0; u < isa.NumUnits; u++ {
@@ -247,25 +254,36 @@ func Predict(spec machdef.Spec, w Workload) (Estimate, error) {
 				active++
 			}
 		}
-		window = float64(s.Stations * active)
+		return float64(s.Stations * active)
 	}
-	if window > 0 {
-		n := window
-		hi := est.Saturation * (1 - 1e-9)
-		if residency(centers, hi)*hi > n {
-			lo := 0.0
-			for i := 0; i < 64; i++ {
-				mid := (lo + hi) / 2
-				if residency(centers, mid)*mid > n {
-					hi = mid
-				} else {
-					lo = mid
-				}
-			}
-			est.Rate = lo
+	return 0
+}
+
+// windowRate is the rate a window of n instructions sustains on the
+// network, solved by bisection below saturation, where the delays are
+// finite; saturation itself when the window does not bind there.
+func windowRate(centers []Center, saturation, n float64) float64 {
+	hi := saturation * (1 - 1e-9)
+	if residency(centers, hi)*hi <= n {
+		return saturation
+	}
+	// lo only ever holds rates the window sustains and hi rates it
+	// does not, so once the midpoint rounds to either end, a step
+	// leaves both where they are and so does every later one: stopping
+	// there gives the rate all 64 steps would.
+	lo := 0.0
+	for i := 0; i < 64; i++ {
+		mid := (lo + hi) / 2
+		if mid == lo || mid == hi {
+			break
+		}
+		if residency(centers, mid)*mid > n {
+			hi = mid
+		} else {
+			lo = mid
 		}
 	}
-	return est, nil
+	return lo
 }
 
 // residency is the expected cycles one instruction spends in the

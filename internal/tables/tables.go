@@ -100,25 +100,16 @@ func SetScale(n int) {
 // defaults.
 func Scale() int { return int(scaleN.Load()) }
 
-// scaleState memoizes the workload of the most recent scale.
-var scaleState struct {
-	sync.Mutex
-	n int
-	w core.Workload
-}
+// allKernels is every kernel, resolved at each scale through scaled,
+// which keeps the workload of the most recent scale.
+var (
+	allKernels = loops.All()
+	scaled     core.WorkloadMemo
+)
 
 // workload returns every kernel resolved at the current scale,
 // resolving on first use and whenever the requested scale changes.
-func workload() core.Workload {
-	n := Scale()
-	scaleState.Lock()
-	defer scaleState.Unlock()
-	if scaleState.w.Kernels == nil || scaleState.n != n {
-		scaleState.n = n
-		scaleState.w = core.ScaleKernels(loops.All(), n)
-	}
-	return scaleState.w
-}
+func workload() core.Workload { return scaled.Scale(allKernels, Scale()) }
 
 // ScaleNotes reports, after table generation, which kernels could not
 // reach the requested SetScale length and were clamped. Empty at the

@@ -75,6 +75,9 @@ type Trace struct {
 
 	prepOnce sync.Once
 	prep     *Prepared
+
+	mixOnce sync.Once
+	mix     Mix
 }
 
 // Len returns the number of dynamic instructions.
@@ -102,11 +105,19 @@ type Mix struct {
 	Parcels  int64
 }
 
-// ComputeMix tallies the instruction mix of t.
+// ComputeMix returns the instruction mix of t, tallied on first use
+// and kept beside the decode cache: like it, it assumes Ops no longer
+// change.
 func (t *Trace) ComputeMix() Mix {
+	t.mixOnce.Do(func() { t.mix = tally(t.Ops) })
+	return t.mix
+}
+
+// tally counts the instruction mix of ops.
+func tally(ops []Op) Mix {
 	var m Mix
-	for i := range t.Ops {
-		o := &t.Ops[i]
+	for i := range ops {
+		o := &ops[i]
 		m.Total++
 		m.ByUnit[o.Unit]++
 		m.Parcels += int64(o.Parcels)
